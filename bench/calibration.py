@@ -22,19 +22,35 @@ import numpy as np
 REF_S = 0.001
 INTERVAL_S = 0.05
 PAD_S = 0.5  # probes this close to a sample also describe its speed
+START_PROBES = 5
 
 
 class Calibration:
     def __init__(self):
         self.starts: list[float] = []  # probe start times, increasing
         self.times: list[float] = []  # probe durations
+        self._busy = False
         self._x = np.arange(15 * 16, dtype=np.int64).reshape(15, 16) % 13 - 6
         self._y = np.arange(15 * 15 * 16, dtype=np.int64).reshape(15, 15, 16) % 11 - 5
 
     def probe(self, *_) -> None:
-        """Time the kernel once.  It mixes the work the library spends its
-        time on: interpreter loops over integers, tuples and dicts, and
-        small int64 numpy products."""
+        """SIGALRM handler: time the kernel once, unless a probe is already
+        running.  Python runs a handler again when the signal arrives while
+        the handler itself runs, so on a starved machine, where one probe
+        outlasts INTERVAL_S, unguarded probes would nest until the stack
+        overflows inside the measured code."""
+        if self._busy:
+            return
+        self._busy = True
+        try:
+            self._probe()
+        finally:
+            self._busy = False
+
+    def _probe(self) -> None:
+        """The kernel mixes the work the library spends its time on:
+        interpreter loops over integers, tuples and dicts, and small int64
+        numpy products."""
         start = perf_counter()
         table: dict = {}
         for i in range(700):
@@ -47,6 +63,10 @@ class Calibration:
         self.times.append(perf_counter() - start)
 
     def start(self) -> None:
+        # probes before the timer starts, so that the first samples, which
+        # can end before the timer first fires, have a speed to be scaled by
+        for _ in range(START_PROBES):
+            self._probe()
         signal.signal(signal.SIGALRM, self.probe)
         signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
 

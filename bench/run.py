@@ -6,11 +6,11 @@
 One process, one client, one operation at a time (a closed loop), as a
 CLI user runs the tool.  Set-up imports the library, generates the
 workload's inputs from the seed and runs a warm-up pass at q = 8; it is
-repeated and its median reported as setup_s.  Then whole passes over the
-sizes run while the next one still fits in --seconds (at least one).  A
-pass processes every input of each size once; the workload's short sizes
-are repeated within a pass so that their medians hold.  Every output is
-checked.
+repeated and its median reported as setup_s.  Then one whole pass runs,
+and after it further passes take each size whose last sample still fits
+in --seconds, until none does.  A pass processes every input of each
+size once; the workload's short sizes are repeated within a pass so that
+their medians hold.  Every output is checked.
 
 With --trace 0 the last line reports the end-to-end metrics (per-size
 medians and set-up time in reference seconds, see calibration.py, and
@@ -140,11 +140,12 @@ class Runner:
             if message:
                 self.messages[f"{workload.name} {message}"] += 1
 
-    def run_pass(self, workload, inputs, samples) -> float:
+    def run_pass(self, workload, inputs, samples, fits=None) -> float:
         """Every size once, with the workload's short sizes (its ``slot``)
         sampled again before and after each long one, so their samples
-        spread over the pass.  Appends (wall, reference) seconds per size;
-        returns wall seconds."""
+        spread over the pass.  With ``fits``, a size runs only if
+        ``fits(q)``.  Appends (wall, reference) seconds per size; returns
+        wall seconds."""
         total = 0.0
         slot = [q for q, count in workload.slot.items() for _ in range(count)]
         order = []
@@ -153,6 +154,8 @@ class Runner:
                 order += slot + [q]
         order += slot
         for q in order:
+            if fits is not None and not fits(q):
+                continue
             wall, ref = self.run_size(workload, inputs[q])
             samples.setdefault(q, []).append((wall, ref))
             total += wall
@@ -227,14 +230,17 @@ def main(argv=None) -> int:
         setup_times, setup_start, setup_end, inputs = _set_up(runner, workload, warm_up, args.seed)
         runner.set_tracing(False)
         samples: dict[int, list[tuple[float, float]]] = {}
-        pass_times = []
         measure_start = perf_counter()
-        while True:
-            pass_start = perf_counter()
-            pass_times.append(runner.run_pass(workload, inputs, samples))
-            now = perf_counter()
-            if tracer is not None or (now - measure_start) + (now - pass_start) > args.seconds:
-                break
+        pass_times = [runner.run_pass(workload, inputs, samples)]
+
+        def fits(q: int) -> bool:
+            # a size runs again if its last sample still fits in --seconds
+            last_wall = samples[q][-1][0]
+            return perf_counter() - measure_start + last_wall <= args.seconds
+
+        # after the first whole pass, further passes take the sizes that fit
+        while tracer is None and any(fits(q) for q in inputs):
+            pass_times.append(runner.run_pass(workload, inputs, samples, fits))
     finally:
         if calibration is not None:
             calibration.stop()
@@ -247,7 +253,8 @@ def main(argv=None) -> int:
         tracer.write(OUT_DIR / f"trace-{workload.name}-seed{args.seed}.jsonl")
 
     print(f"workload {workload.name}, seed {args.seed}: {len(pass_times)} measured "
-          f"pass(es), {runner.attempted} operations")
+          f"pass(es), the later ones without the sizes that no longer fit, "
+          f"{runner.attempted} operations")
     for message, count in runner.messages.items():
         print(f"  {message} ({count}x)")
     failed_ratio = (runner.failed + runner.known) / runner.attempted

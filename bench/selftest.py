@@ -4,8 +4,9 @@
 
 Runs all three workloads at q = 8, untraced and traced, and fails (exit 1)
 unless every span name the benchmark reports appears in the traced run,
-the traced run counts Cyclotomic operations and scanned points, and every
-operation has the same outcome with tracing on and off.
+the traced run counts Cyclotomic operations and scanned points, every
+operation has the same outcome with tracing on and off, and the
+calibration scales a sample taken before its timer first fires.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,31 @@ def _outcome(out) -> tuple:
         return ("rejected at load", out.load_error)
     report = json.loads(out.text)
     return (report.get("passed"), report.get("ok"), out.text)
+
+
+def _check_calibration() -> list[str]:
+    """The calibration must scale a sample that ends before its timer first
+    fires, and must not start a probe inside a running one."""
+    from calibration import Calibration
+
+    problems = []
+    calibration = Calibration()
+    calibration.start()
+    try:
+        now = perf_counter()
+        if not calibration.factor(now, now) > 0:
+            problems.append("calibration factor is not positive")
+        count = len(calibration.times)
+        calibration._busy = True  # as inside a running probe
+        calibration.probe()
+        if len(calibration.times) != count:
+            problems.append("a probe started inside a running probe")
+        calibration._busy = False
+    except Exception as err:  # a crash here is what the check looks for
+        problems.append(f"calibration raised {err!r}")
+    finally:
+        calibration.stop()
+    return problems
 
 
 def main() -> int:
@@ -60,6 +87,7 @@ def main() -> int:
     if runner.failed:
         problems.append(f"{runner.failed} of {runner.attempted} operations failed: "
                         f"{list(runner.messages)}")
+    problems += _check_calibration()
     for problem in problems:
         print(f"selftest: {problem}")
     print("selftest: " + ("FAILED" if problems else f"ok ({len(tracer.spans)} spans)"))
