@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 from .abelian import GroupSpec
 from .cyclotomic import Cyclotomic
 from .enumerator import enumerate_jacobi
-from .ffield import DEFAULT_Q_MAX, FiniteField, build_field
+from .ffield import FiniteField, build_field
 from .jacobi import (
     ApproxTable,
     JacobiTable,
@@ -32,8 +31,6 @@ from .jacobi import (
 )
 from .reconstructor import ReconstructionReport, reconstruct
 from .verifier import (
-    DEFAULT_CONVOLUTION_MAX,
-    DEFAULT_EXHAUSTIVE_MAX,
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
     DEFAULT_TOLERANCE,
@@ -55,27 +52,13 @@ TABLE_DUMP_MAX = 64  # field files include full op tables up to this size
 class RunConfig:
     """Knobs shared by the CLI commands; defaults match the library."""
 
-    exhaustive_max: int = DEFAULT_EXHAUSTIVE_MAX
-    convolution_max: int = DEFAULT_CONVOLUTION_MAX
     sample_count: int = DEFAULT_SAMPLE_COUNT
     seed: int = DEFAULT_SEED
     tolerance: float = DEFAULT_TOLERANCE
-    field_q_max: int = DEFAULT_Q_MAX
-    enum_m_max: int = 7
-    threads: int = 1
 
     def __post_init__(self):
-        if not 0 < self.exhaustive_max <= self.convolution_max:
-            raise ValueError("mode thresholds must be ordered and positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-def resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("JACOBI_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 # -- JSON helpers -------------------------------------------------------------
@@ -296,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="jacobi",
         description="Exact Jacobi-sum tables, axiom verification, and field reconstruction.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: JACOBI_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="construct GF(p^n) and write its description")
@@ -372,8 +353,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    threads = resolve_threads(args.threads)
-
     if args.command == "field":
         field = build_field(args.p, args.n)
         write_json(args.out, field_to_json(field))
@@ -382,7 +361,7 @@ def _dispatch(args) -> int:
 
     if args.command == "jacobi":
         field = field_from_json(read_json(args.field))
-        table = compute_jacobi(field, threads=threads)
+        table = compute_jacobi(field)
         write_json(args.out, table_to_json(table))
         print(f"wrote {table.group.m} x {table.group.m} table to {args.out}")
         return 0
@@ -419,7 +398,7 @@ def _dispatch(args) -> int:
         return 0 if report.ok else 1
 
     if args.command == "roundtrip":
-        return _roundtrip(args, threads)
+        return _roundtrip(args)
 
     if args.command == "enumerate":
         factors = tuple(int(part) for part in args.group.split(","))
@@ -453,9 +432,9 @@ def _config_from(args) -> RunConfig:
     return RunConfig(sample_count=args.samples, seed=args.seed, tolerance=args.tolerance)
 
 
-def _roundtrip(args, threads: int) -> int:
+def _roundtrip(args) -> int:
     field = build_field(args.p, args.n)
-    table = compute_jacobi(field, threads=threads)
+    table = compute_jacobi(field)
     report = reconstruct(table)
     if args.out:
         write_json(args.out, reconstruction_to_json(report))

@@ -12,8 +12,8 @@ Every entry is exact, with conductor equal to the group order.
 
 from __future__ import annotations
 
+import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -77,6 +77,10 @@ class ApproxTable:
     group: GroupSpec
     entries: tuple[tuple[complex, ...], ...]
 
+    def __post_init__(self):
+        if not all(cmath.isfinite(z) for row in self.entries for z in row):
+            raise ValueError("approximate table entries must be finite")
+
     def entry(self, i: int, j: int) -> complex:
         return self.entries[i][j]
 
@@ -89,7 +93,7 @@ def approximate(table: JacobiTable) -> ApproxTable:
     )
 
 
-def compute_jacobi(field: FiniteField, threads: int = 1) -> JacobiTable:
+def compute_jacobi(field: FiniteField) -> JacobiTable:
     """Classical Jacobi-sum table of a finite field on Z/(q-1).
 
     The q - 2 solutions of x + y = 1 in nonzero field elements are
@@ -110,12 +114,7 @@ def compute_jacobi(field: FiniteField, threads: int = 1) -> JacobiTable:
             for b in range(m)
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(m)))
-    else:
-        rows = [row(a) for a in range(m)]
-    return JacobiTable(group, rows)
+    return JacobiTable(group, [row(a) for a in range(m)])
 
 
 def jacobi_star(table: JacobiTable, alpha: Element, beta: Element) -> Cyclotomic:

@@ -502,7 +502,6 @@ def reconstruct(
     c_mode: str | None = None,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = DEFAULT_SEED,
-    engine: str = "auto",
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
@@ -519,7 +518,6 @@ def reconstruct(
         c_mode=c_mode,
         sample_count=sample_count,
         seed=seed,
-        engine=engine,
         tolerance=tolerance,
     )
     report.verification = verification

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import jacobisum as js
+from jacobisum.verifier import _sample_quadruples
 
 # every prime power q with 3 <= q <= 32
 PRIME_POWERS = {
@@ -54,3 +56,26 @@ def symmetric_random_table(rng: random.Random, factors) -> js.JacobiTable:
 
 def random_function(rng: random.Random, group: js.GroupSpec) -> dict:
     return {e: random_cyclotomic(rng, group.m) for e in group.elements}
+
+
+def reference_witness(table: js.JacobiTable, check: str, mode: str | None = None,
+                      sample_count: int = 500, seed: int = 3):
+    """First failure of an exact check as (point, lhs, rhs), or None: a plain
+    loop over the public *_sides functions in lexicographic order."""
+    els = table.group.elements
+    if check == "cocycle-star":
+        sides, points = js.cocycle_star_sides, itertools.product(els, repeat=3)
+    elif check == "cocycle-direct":
+        sides, points = js.cocycle_direct_sides, itertools.product(els, repeat=3)
+    elif mode == "convolution":
+        sides, points = js.slice_convolution_sides, itertools.product(els, repeat=3)
+    elif mode == "exhaustive":
+        sides, points = js.convolution_sum_sides, itertools.product(els, repeat=4)
+    else:
+        quads = _sample_quadruples(table.group.m, sample_count, seed)
+        sides, points = js.convolution_sum_sides, [tuple(els[i] for i in q) for q in quads]
+    for point in points:
+        lhs, rhs = sides(table, *point)
+        if lhs != rhs:
+            return point, lhs, rhs
+    return None

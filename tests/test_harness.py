@@ -17,7 +17,6 @@ from jacobisum.harness import (
     main,
     read_json,
     reconstruction_to_json,
-    resolve_threads,
     approx_table_to_json,
     table_from_json,
     table_to_json,
@@ -97,21 +96,9 @@ def test_report_json_shapes():
 
 def test_run_config_validation():
     cfg = RunConfig()
-    assert cfg.exhaustive_max == 10 and cfg.convolution_max == 40
     assert cfg.sample_count == 20000 and cfg.seed == 0
     with pytest.raises(ValueError):
-        RunConfig(exhaustive_max=50, convolution_max=40)
-    with pytest.raises(ValueError):
         RunConfig(tolerance=0.0)
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("JACOBI_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("JACOBI_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2  # flag wins over the environment
 
 
 def _run(*argv) -> int:
@@ -136,7 +123,7 @@ def test_cli_outputs_are_deterministic(tmp_path):
         fpath = tmp_path / f"{name}_f.json"
         tpath = tmp_path / f"{name}_t.json"
         assert _run("field", "--p", 5, "--n", 1, "--out", fpath) == 0
-        assert _run("--threads", 2, "jacobi", "--field", fpath, "--out", tpath) == 0
+        assert _run("jacobi", "--field", fpath, "--out", tpath) == 0
         outs.append((fpath.read_bytes(), tpath.read_bytes()))
     assert outs[0] == outs[1]
 
@@ -163,6 +150,17 @@ def test_cli_malformed_inputs(tmp_path):
     assert _run("verify", "--table", bad) == 2
     assert _run("enumerate", "--group", "2,x") == 2
     assert _run("nonsense") == 2
+    assert _run("--threads", 2, "jacobi", "--field", tmp_path / "f.json", "--out", tpath) == 2
+
+
+def test_cli_rejects_non_finite_approximate_tables(tmp_path):
+    doc = approx_table_to_json(approximate(table(4)))
+    doc["entries"][1][2] = [float("nan"), 0.0]
+    tpath = tmp_path / "nan.json"
+    write_json(tpath, doc)
+    rpath = tmp_path / "r.json"
+    assert _run("verify", "--table", tpath) == 2
+    assert _run("reconstruct", "--table", tpath, "--out", rpath) == 2
 
 
 def test_cli_roundtrip():

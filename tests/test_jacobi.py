@@ -216,11 +216,6 @@ def test_table_validation():
         JacobiTable(g, [[Cyclotomic.one(3)] * 2] * 2)
 
 
-def test_threads_do_not_change_output():
-    f = field(9)
-    assert compute_jacobi(f, threads=3) == compute_jacobi(f)
-
-
 def test_approximate_embedding():
     t = table(4)
     at = approximate(t)

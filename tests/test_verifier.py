@@ -1,10 +1,11 @@
-"""Axiom checks: verdicts, witnesses, modes, and the two engines."""
+"""Axiom checks: verdicts, witnesses, modes, and the exact engine against a reference scan."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jacobisum import (
@@ -25,8 +26,9 @@ from jacobisum import (
     verify_all,
 )
 from jacobisum.jacobi import ApproxTable
+from jacobisum.verifier import _Residues
 
-from helpers import random_table, table
+from helpers import reference_witness, random_table, symmetric_random_table, table
 
 
 def _one_table(value) -> JacobiTable:
@@ -123,35 +125,69 @@ def test_cocycle_forms_can_differ_only_at_identity_products():
                     assert g.add(b, c) == g.identity
 
 
-def test_engines_agree():
+def _engine_cases():
     rng = random.Random(12)
-    for factors in ((3,), (2, 2), (4,)):
-        t = random_table(rng, factors)
-        for check in (check_cocycle_star, check_cocycle_direct):
-            fast = check(t, engine="fast")
-            pure = check(t, engine="pure")
-            assert fast.passed == pure.passed
-            assert fast.witness == pure.witness
-        for mode in ("exhaustive", "sampled"):
-            fast = check_convolution_sum(t, mode, engine="fast", sample_count=500, seed=3)
-            pure = check_convolution_sum(t, mode, engine="pure", sample_count=500, seed=3)
-            assert fast.passed == pure.passed
-            assert fast.witness == pure.witness
-    t = table(8)
-    for mode in ("exhaustive", "convolution"):
-        fast = check_convolution_sum(t, mode, engine="fast")
-        pure = check_convolution_sum(t, mode, engine="pure")
-        assert fast.passed and pure.passed
+    for factors in ((1,), (2,), (3,), (2, 2), (4,)):
+        yield random_table(rng, factors)
+        yield symmetric_random_table(rng, factors)
+    for value in (Fraction(1 << 70, 3), (1 << 63) + 1):
+        huge = Cyclotomic.from_rational(2, value)
+        yield JacobiTable(GroupSpec((2,)), [[huge, huge], [huge, Cyclotomic.one(2)]])
+    for q in (8, 9):
+        t = table(q)
+        m = q - 1
+        # the table with the first prime added passes modulo that prime alone
+        first = int(_Residues(t).moduli[0])
+        for shift in (root_power(m, 3), Fraction(3, 7), Fraction(5, 2**31 - 1), first):
+            yield t.with_entry(1, 2, t.values[1][2] + shift).with_entry(
+                2, 1, t.values[2][1] + shift
+            )
 
 
-def test_engine_fallback_on_huge_entries():
+def test_engine_matches_reference_scan():
+    for t in _engine_cases():
+        runs = [
+            ("cocycle-star", None, check_cocycle_star(t)),
+            ("cocycle-direct", None, check_cocycle_direct(t)),
+        ]
+        modes = ["exhaustive", "sampled"]
+        if check_symmetry(t).passed:
+            modes.append("convolution")
+        for mode in modes:
+            result = check_convolution_sum(t, mode, sample_count=500, seed=3)
+            runs.append(("convolution-sum", mode, result))
+        for check, mode, result in runs:
+            expected = reference_witness(t, check, mode)
+            assert result.passed == (expected is None), (t, check, mode)
+            if expected is not None:
+                assert (result.witness, result.lhs, result.rhs) == expected, (t, check, mode)
+
+
+def test_engine_rejects_entries_beyond_its_primes():
+    # the denominator 3^600 needs coefficients of about 1900 bits
+    tiny = Cyclotomic.from_rational(2, Fraction(1, 3**600))
+    t = JacobiTable(GroupSpec((2,)), [[tiny, tiny], [tiny, tiny]])
+    with pytest.raises(ValueError):
+        verify_all(t)
+
+
+def test_approximate_table_rejects_non_finite_entries():
     g = GroupSpec((2,))
-    huge = Cyclotomic.from_rational(2, Fraction(1 << 70, 3))
-    t = JacobiTable(g, [[huge, huge], [huge, huge]])
-    with pytest.raises(RuntimeError):
-        check_cocycle_star(t, engine="fast")
-    # auto falls back to the scalar path and still answers
-    assert isinstance(check_cocycle_star(t).passed, bool)
+    for bad in (complex("nan"), complex(0, float("inf"))):
+        with pytest.raises(ValueError):
+            ApproxTable(g, ((bad, 1j), (1j, 1j)))
+    with pytest.raises(ValueError):
+        ApproxTable(g, tuple(tuple(complex("nan+nanj") for _ in range(2)) for _ in range(2)))
+
+
+def test_approximate_overflow_fails_cocycle_checks():
+    # products overflow to inf and inf - inf is NaN, which must not pass
+    g = GroupSpec((3,))
+    big = ApproxTable(g, tuple(tuple(1e200 + 0j for _ in range(3)) for _ in range(3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_all(big)
+    assert not report.cocycle_star.passed and not report.cocycle_direct.passed
+    assert not report.passed
 
 
 def test_convolution_requires_symmetry():
