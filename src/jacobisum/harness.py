@@ -7,7 +7,7 @@ pairs.  Output is deterministic: sorted keys, compact separators, one
 trailing newline.
 
 Exit codes: 0 all checks passed, 1 a check or comparison failed,
-2 malformed input or arguments.
+2 malformed input or arguments, 3 an internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .jacobi import (
     ApproxTable,
     JacobiTable,
     compute_jacobi,
+    require_exact_order,
     twist_automorphism,
     twist_galois,
 )
@@ -141,8 +142,10 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     group = GroupSpec(tuple(int(n) for n in doc["factors"]))
     if int(doc["conductor"]) != group.m:
         raise ValueError("conductor does not match the factor list")
-    entries = doc["entries"]
     m = group.m
+    if schema == TABLE_SCHEMA:
+        require_exact_order(m)
+    entries = doc["entries"]
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} array")
     if schema == TABLE_SCHEMA:
@@ -350,6 +353,10 @@ def main(argv: list[str] | None = None) -> int:
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as err:
+        # a bug guard or an exhausted machine, never a verdict on the input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

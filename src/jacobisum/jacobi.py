@@ -17,9 +17,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .abelian import Element, GroupSpec, delta, pairing
-from .cyclotomic import Cyclotomic
+import numpy as np
+
+from .abelian import Element, GroupSpec, delta
+from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
+
+MAX_EXACT_ORDER = 64  # largest group order of an exact table
+
+
+def require_exact_order(m: int) -> None:
+    """Reject a group order beyond MAX_EXACT_ORDER before any table work."""
+    if m > MAX_EXACT_ORDER:
+        raise ValueError(
+            f"group order {m} exceeds the exact-table limit of {MAX_EXACT_ORDER}"
+        )
 
 
 class JacobiTable:
@@ -93,28 +105,43 @@ def approximate(table: JacobiTable) -> ApproxTable:
     )
 
 
+def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
+    """The table J(alpha, beta) = (1/m) sum over k of
+    zeta_m ** (<alpha, u_k> + <beta, v_k>), for element indices u_k, v_k.
+
+    Row by row, a histogram of the exponents times the power-basis rows
+    of zeta^e gives the coefficient vectors of every entry.
+    """
+    m = group.m
+    els = np.array(group.elements, dtype=np.int64).reshape(m, -1)
+    weights = np.array([m // n for n in group.factors], dtype=np.int64)
+    pair = (els * weights) @ els.T % m  # [alpha, x] = <alpha, x>
+    powers = np.array(reduction_data(m).rows[:m], dtype=np.int64)
+    left = pair[:, np.asarray(us, dtype=np.intp)]  # [alpha, k] = <alpha, u_k>
+    right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
+    offsets = np.arange(0, m * m, m)[:, None]  # one block of m bins per beta
+    rows = []
+    for a in range(m):
+        bins = (left[a] + right) % m + offsets
+        counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
+        rows.append([Cyclotomic(m, c, m) for c in (counts @ powers).tolist()])
+    return JacobiTable(group, rows)
+
+
 def compute_jacobi(field: FiniteField) -> JacobiTable:
     """Classical Jacobi-sum table of a finite field on Z/(q-1).
 
-    The q - 2 solutions of x + y = 1 in nonzero field elements are
-    enumerated once as discrete-log pairs; each table entry is then an
-    exact root-of-unity sum divided by m = q - 1.
+    The q - 2 solutions of x + y = 1 in nonzero field elements are the x
+    other than 0 and 1, the first two elements; their discrete-log pairs
+    index the cyclic group directly, and each table entry is an exact
+    root-of-unity sum divided by m = q - 1.
     """
     m = field.q - 1
-    group = GroupSpec((m,))
-    pairs = []
-    for x in field.elements[1:]:
-        y = field.sub(field.one, x)
-        if y != field.zero:
-            pairs.append((field.dlog(x), field.dlog(y)))
-
-    def row(a: int) -> tuple[Cyclotomic, ...]:
-        return tuple(
-            Cyclotomic.root_sum(m, ((a * dx + b * dy) % m for dx, dy in pairs), den=m)
-            for b in range(m)
-        )
-
-    return JacobiTable(group, [row(a) for a in range(m)])
+    require_exact_order(m)
+    xs = field.elements[2:]
+    us = [field.dlog(x) for x in xs]
+    vs = [field.dlog(field.sub(field.one, x)) for x in xs]
+    return table_from_pairs(GroupSpec((m,)), us, vs)
 
 
 def jacobi_star(table: JacobiTable, alpha: Element, beta: Element) -> Cyclotomic:
@@ -135,20 +162,11 @@ def table_from_support(
 ) -> JacobiTable:
     """Build the table J(alpha, beta) = (1/m) sum over x in the support of
     alpha(i(x)) * beta(i(x) - x), where i is the support map."""
-    m = group.m
     support = list(support)
-    terms = []
-    for x in support:
-        ix = support_map[x]
-        terms.append((ix, group.sub(ix, x)))
-    rows = []
-    for alpha in group.elements:
-        row = []
-        for beta in group.elements:
-            exps = (pairing(group, alpha, u) + pairing(group, beta, v) for u, v in terms)
-            row.append(Cyclotomic.root_sum(m, exps, den=m))
-        rows.append(row)
-    return JacobiTable(group, rows)
+    images = [support_map[x] for x in support]
+    us = [group.index(ix) for ix in images]
+    vs = [group.index(group.sub(ix, x)) for x, ix in zip(support, images)]
+    return table_from_pairs(group, us, vs)
 
 
 def twist_automorphism(table: JacobiTable, r: int) -> JacobiTable:

@@ -20,15 +20,18 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .abelian import Element, GroupSpec, delta, dft, pairing
 from .cyclotomic import Cyclotomic
-from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_support
+from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
 from .verifier import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
     DEFAULT_TOLERANCE,
     CheckResult,
     VerificationReport,
+    _index_arrays,
     verify_all,
 )
 
@@ -300,67 +303,50 @@ def build_addition(
 ) -> AdditionTable:
     """Tabulate x (+) y = 0 if x = c y, else x i(x/y)^-1, with 0 as identity."""
     m = group.m
-    els = group.elements
-    size = m + 1
-    rows = [[0] * size for _ in range(size)]
-    for s in range(size):
-        rows[0][s] = s
-        rows[s][0] = s
-    for xi, x in enumerate(els):
-        for yi, y in enumerate(els):
-            z = group.sub(x, y)
-            if z == involution:
-                rows[xi + 1][yi + 1] = ZERO_SYM
-            else:
-                rows[xi + 1][yi + 1] = group.index(group.sub(x, support_map[z])) + 1
-    return AdditionTable(group, tuple(tuple(r) for r in rows))
+    _, _, sub = _index_arrays(group)  # sub[x, y] = x - y
+    imap = np.array(
+        [0 if z == involution else group.index(support_map[z]) for z in group.elements],
+        dtype=np.intp,
+    )
+    rows = np.zeros((m + 1, m + 1), dtype=np.intp)
+    rows[0] = rows[:, 0] = np.arange(m + 1)
+    rows[1:, 1:] = np.where(
+        sub == group.index(involution), ZERO_SYM, sub[np.arange(m)[:, None], imap[sub]] + 1
+    )
+    return AdditionTable(group, tuple(map(tuple, rows.tolist())))
+
+
+def _first_failure(name: str, slabs) -> CheckResult:
+    """Scan (leading index, lhs, rhs) slabs in order and report the first
+    position where lhs and rhs differ, or a pass."""
+    for lead, lhs, rhs in slabs:
+        bad = lhs != rhs
+        if bad.any():
+            idx = np.unravel_index(bad.argmax(), bad.shape)
+            point = lead + tuple(int(i) for i in idx)
+            return CheckResult(name, False, point, int(lhs[idx]), int(rhs[idx]))
+    return CheckResult(name, True)
 
 
 def verify_field(at: AdditionTable) -> FieldChecks:
     """Exhaustively check the field axioms on the carrier and derive the
-    characteristic, confirming the carrier size is a power of it."""
+    characteristic, confirming the carrier size is a power of it.  The
+    triple scans take one first index at a time, size^2 symbols a step."""
     size = at.size
     t = at.table
-
-    commutative = CheckResult("commutative", True)
-    for i in range(size):
-        for j in range(size):
-            if t[i][j] != t[j][i]:
-                commutative = CheckResult("commutative", False, (i, j), t[i][j], t[j][i])
-                break
-        if not commutative.passed:
-            break
-
-    associative = CheckResult("associative", True)
-    for i in range(size):
-        for j in range(size):
-            tij = t[i][j]
-            for k in range(size):
-                if t[tij][k] != t[i][t[j][k]]:
-                    associative = CheckResult(
-                        "associative", False, (i, j, k), t[tij][k], t[i][t[j][k]]
-                    )
-                    break
-            else:
-                continue
-            break
-        if not associative.passed:
-            break
-
-    distributive = CheckResult("distributive", True)
-    for z in range(size):
-        for i in range(size):
-            for j in range(size):
-                lhs = at.mul_sym(z, t[i][j])
-                rhs = t[at.mul_sym(z, i)][at.mul_sym(z, j)]
-                if lhs != rhs:
-                    distributive = CheckResult("distributive", False, (z, i, j), lhs, rhs)
-                    break
-            else:
-                continue
-            break
-        if not distributive.passed:
-            break
+    a = np.array(t, dtype=np.intp)
+    mul = np.zeros_like(a)
+    mul[1:, 1:] = _index_arrays(at.group)[0] + 1
+    commutative = _first_failure("commutative", [((), a, a.T)])
+    # (i + j) + k = i + (j + k)
+    associative = _first_failure(
+        "associative", (((i,), a[a[i]], a[i][a]) for i in range(size))
+    )
+    # z (i + j) = z i + z j
+    distributive = _first_failure(
+        "distributive",
+        (((z,), mul[z][a], a[mul[z][:, None], mul[z][None, :]]) for z in range(size)),
+    )
 
     identity = CheckResult("identity", True)
     for s in range(size):
@@ -368,12 +354,8 @@ def verify_field(at: AdditionTable) -> FieldChecks:
             identity = CheckResult("identity", False, (s,), t[0][s], s)
             break
 
-    inverses = CheckResult("inverses", True)
-    for s in range(size):
-        zeros = [u for u in range(size) if t[s][u] == ZERO_SYM]
-        if len(zeros) != 1:
-            inverses = CheckResult("inverses", False, (s,), len(zeros), 1)
-            break
+    zeros = (a == ZERO_SYM).sum(axis=1)  # each symbol has one additive inverse
+    inverses = _first_failure("inverses", [((), zeros, np.ones_like(zeros))])
 
     characteristic = None
     acc = ONE_SYM
@@ -405,21 +387,8 @@ def verify_field(at: AdditionTable) -> FieldChecks:
 def recompute_table(at: AdditionTable) -> JacobiTable:
     """Rebuild the table from the addition law:
     J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y)."""
-    g = at.group
-    m = g.m
-    pairs = []
-    for x in range(1, at.size):
-        for y in range(1, at.size):
-            if at.table[x][y] == ONE_SYM:
-                pairs.append((g.element(x - 1), g.element(y - 1)))
-    rows = []
-    for alpha in g.elements:
-        row = []
-        for beta in g.elements:
-            exps = (pairing(g, alpha, u) + pairing(g, beta, v) for u, v in pairs)
-            row.append(Cyclotomic.root_sum(m, exps, den=m))
-        rows.append(row)
-    return JacobiTable(g, rows)
+    xs, ys = np.nonzero(np.array(at.table)[1:, 1:] == ONE_SYM)
+    return table_from_pairs(at.group, xs, ys)
 
 
 # -- approximate stages -----------------------------------------------------

@@ -400,14 +400,20 @@ def check_cocycle_direct(table: JacobiTable) -> CheckResult:
     return _result(table, "cocycle-direct", witness, cocycle_direct_sides)
 
 
-def _sample_quadruples(m: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
+@functools.lru_cache(maxsize=8)
+def _sample_quadruples(m: int, count: int, seed: int) -> np.ndarray:
+    """`count` seeded random quadruples of indices below m, deduplicated
+    and sorted so the witness is the lexicographically smallest failure;
+    one read-only n x 4 array of the smallest integer type that holds m
+    (an intp copy pins enough heap to raise later peak RSS) serves all."""
     rng = random.Random(seed)
-    quads = [
+    quads = {
         (rng.randrange(m), rng.randrange(m), rng.randrange(m), rng.randrange(m))
         for _ in range(count)
-    ]
-    # dedupe and sort so the witness is the lexicographically smallest failure
-    return sorted(set(quads))
+    }
+    out = np.array(sorted(quads), dtype=np.min_scalar_type(m)).reshape(-1, 4)
+    out.flags.writeable = False
+    return out
 
 
 def check_convolution_sum(
@@ -434,9 +440,7 @@ def check_convolution_sum(
     if mode == "convolution":
         witness = _slice_witness(_Residues(table))
         return _result(table, "convolution-sum", witness, slice_convolution_sides)
-    quads = None
-    if mode == "sampled":
-        quads = np.array(_sample_quadruples(m, sample_count, seed), dtype=np.intp).reshape(-1, 4)
+    quads = _sample_quadruples(m, sample_count, seed) if mode == "sampled" else None
     witness = _quadruple_witness(_Residues(table), quads)
     return _result(table, "convolution-sum", witness, convolution_sum_sides)
 
@@ -541,7 +545,7 @@ def _approx_convolution(at: ApproxTable, t, mode, tol, sample_count, seed):
                         rhs[chi],
                     )
         return CheckResult("convolution-sum", True)
-    for a1, a2, a3, a4 in _sample_quadruples(m, sample_count, seed):
+    for a1, a2, a3, a4 in _sample_quadruples(m, sample_count, seed).tolist():
         acc = 0j
         for b in range(m):
             acc += t[add[a1, b], addneg[a2, b]] * t[add[a3, b], addneg[a4, b]]

@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 
 import jacobisum as js
-from jacobisum.verifier import _sample_quadruples
+from jacobisum.reconstructor import ONE_SYM, ZERO_SYM
+from jacobisum.verifier import CheckResult, _sample_quadruples
 
 # every prime power q with 3 <= q <= 32
 PRIME_POWERS = {
@@ -79,3 +80,106 @@ def reference_witness(table: js.JacobiTable, check: str, mode: str | None = None
         if lhs != rhs:
             return point, lhs, rhs
     return None
+
+
+def reference_table(group: js.GroupSpec, pairs) -> js.JacobiTable:
+    """J(alpha, beta) = (1/m) sum over index pairs (u, v) of
+    zeta^(<alpha, u> + <beta, v>): one root_sum per entry."""
+    m, els = group.m, group.elements
+    return js.JacobiTable(group, [
+        [
+            js.Cyclotomic.root_sum(
+                m,
+                (js.pairing(group, a, els[u]) + js.pairing(group, b, els[v]) for u, v in pairs),
+                den=m,
+            )
+            for b in els
+        ]
+        for a in els
+    ])
+
+
+def reference_field_checks(at: js.AdditionTable) -> js.FieldChecks:
+    """The field axioms on an addition table as plain loops over every
+    pair and triple, in lexicographic order."""
+    size = at.size
+    t = at.table
+
+    commutative = CheckResult("commutative", True)
+    for i in range(size):
+        for j in range(size):
+            if t[i][j] != t[j][i]:
+                commutative = CheckResult("commutative", False, (i, j), t[i][j], t[j][i])
+                break
+        if not commutative.passed:
+            break
+
+    associative = CheckResult("associative", True)
+    for i in range(size):
+        for j in range(size):
+            tij = t[i][j]
+            for k in range(size):
+                if t[tij][k] != t[i][t[j][k]]:
+                    associative = CheckResult(
+                        "associative", False, (i, j, k), t[tij][k], t[i][t[j][k]]
+                    )
+                    break
+            else:
+                continue
+            break
+        if not associative.passed:
+            break
+
+    distributive = CheckResult("distributive", True)
+    for z in range(size):
+        for i in range(size):
+            for j in range(size):
+                lhs = at.mul_sym(z, t[i][j])
+                rhs = t[at.mul_sym(z, i)][at.mul_sym(z, j)]
+                if lhs != rhs:
+                    distributive = CheckResult("distributive", False, (z, i, j), lhs, rhs)
+                    break
+            else:
+                continue
+            break
+        if not distributive.passed:
+            break
+
+    identity = CheckResult("identity", True)
+    for s in range(size):
+        if t[0][s] != s or t[s][0] != s:
+            identity = CheckResult("identity", False, (s,), t[0][s], s)
+            break
+
+    inverses = CheckResult("inverses", True)
+    for s in range(size):
+        zeros = [u for u in range(size) if t[s][u] == ZERO_SYM]
+        if len(zeros) != 1:
+            inverses = CheckResult("inverses", False, (s,), len(zeros), 1)
+            break
+
+    characteristic = None
+    acc = ONE_SYM
+    copies = 1
+    while copies <= size and acc != ZERO_SYM:
+        acc = t[acc][ONE_SYM]
+        copies += 1
+    if acc == ZERO_SYM:
+        characteristic = copies
+    prime_power_ok = False
+    if characteristic is not None and characteristic >= 2:
+        p = characteristic
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            q = p
+            while q < size:
+                q *= p
+            prime_power_ok = q == size
+    return js.FieldChecks(
+        commutative=commutative,
+        associative=associative,
+        distributive=distributive,
+        identity=identity,
+        inverses=inverses,
+        characteristic=characteristic,
+        prime_power_ok=prime_power_ok,
+    )

@@ -163,6 +163,42 @@ def test_cli_rejects_non_finite_approximate_tables(tmp_path):
     assert _run("reconstruct", "--table", tpath, "--out", rpath) == 2
 
 
+def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):
+    # GF(67) is small, but its table would live on a group of order 66
+    fpath = tmp_path / "f67.json"
+    write_json(fpath, {"schema": "field/1", "p": 67, "n": 1, "modulus": [0, 1], "generator": [2]})
+    assert _run("jacobi", "--field", fpath, "--out", tmp_path / "t.json") == 2
+    assert "exact-table limit" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    # the entries are never read: the declared factors alone exceed the limit
+    doc = {"schema": "jacobi-table/1", "factors": [5, 13], "conductor": 65, "entries": []}
+    with pytest.raises(ValueError, match="exact-table limit"):
+        table_from_json(doc)
+    tpath = tmp_path / "t65.json"
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 2
+    assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
+
+
+def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
+    from jacobisum import harness
+
+    tpath = tmp_path / "t.json"
+    write_json(tpath, table_to_json(table(3)))
+
+    def fail(exc):
+        def raiser(*args, **kwargs):
+            raise exc
+        return raiser
+
+    monkeypatch.setattr(harness, "verify_all", fail(RuntimeError("checkers disagree")))
+    assert _run("verify", "--table", tpath) == 3
+    assert "internal error: RuntimeError: checkers disagree" in capsys.readouterr().err
+    monkeypatch.setattr(harness, "compute_jacobi", fail(MemoryError()))
+    assert _run("roundtrip", "--p", 3) == 3
+    assert "internal error: MemoryError" in capsys.readouterr().err
+
+
 def test_cli_roundtrip():
     assert _run("roundtrip", "--p", 7, "--n", 1) == 0
     assert _run("roundtrip", "--p", 2, "--n", 4) == 0

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobisum import (
     Cyclotomic,
@@ -25,8 +27,11 @@ from jacobisum import (
     twist_galois,
     verify_all,
 )
+from jacobisum.jacobi import table_from_pairs
 
-from helpers import field, table
+from helpers import field, reference_table, table
+
+KERNEL_GROUPS = ((1,), (2,), (2, 2), (2, 4), (3, 3), (7,))
 
 
 def _float_jacobi(f):
@@ -206,6 +211,27 @@ def test_table_from_support_matches_classical():
     g = GroupSpec((2,))
     rebuilt = table_from_support(g, [(0,)], {(0,): (1,)})
     assert rebuilt == table(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_from_pairs_matches_root_sums(data):
+    g = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+    index = st.integers(0, g.m - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=2 * g.m))
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    assert table_from_pairs(g, us, vs) == reference_table(g, pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_table_from_support_matches_root_sums(data):
+    g = GroupSpec(data.draw(st.sampled_from([(2, 2), (2, 4), (3, 3)])))
+    support = data.draw(st.lists(st.sampled_from(g.elements), unique=True))
+    smap = {x: data.draw(st.sampled_from(g.elements)) for x in support}
+    pairs = [(g.index(smap[x]), g.index(g.sub(smap[x], x))) for x in support]
+    assert table_from_support(g, support, smap) == reference_table(g, pairs)
 
 
 def test_table_validation():

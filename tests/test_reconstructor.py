@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jacobisum import (
+    AdditionTable,
     BooleanCase,
     Cyclotomic,
     FieldCase,
@@ -31,7 +32,7 @@ from jacobisum import (
 from jacobisum.harness import field_addition_rows
 from jacobisum.jacobi import ApproxTable
 
-from helpers import field, random_table, table
+from helpers import field, random_table, reference_field_checks, table
 
 ROUNDTRIP_Q = (3, 4, 5, 7, 8, 9)
 
@@ -196,6 +197,34 @@ def test_verify_field_detects_corruption():
     assert not checks.passed
     assert not (checks.commutative.passed and checks.associative.passed
                 and checks.identity.passed and checks.inverses.passed)
+
+
+def test_verify_field_matches_reference():
+    # the array scans give the loops' verdicts, witnesses and both values
+    rng = random.Random(11)
+    failed = set()
+    for q in (4, 8, 9, 16):
+        g = GroupSpec((q - 1,))
+        rows = field_addition_rows(field(q))
+        assert verify_field(AdditionTable(g, rows)) == reference_field_checks(
+            AdditionTable(g, rows)
+        )
+        for _ in range(40):
+            cells = [list(r) for r in rows]
+            symmetric = rng.random() < 0.5
+            for _ in range(rng.randint(1, 3)):
+                i, j, v = rng.randrange(q), rng.randrange(q), rng.randrange(q)
+                cells[i][j] = v
+                if symmetric:
+                    cells[j][i] = v
+            at = AdditionTable(g, tuple(tuple(r) for r in cells))
+            checks = verify_field(at)
+            assert checks == reference_field_checks(at)
+            failed.update(
+                c.check for c in (checks.commutative, checks.associative, checks.distributive)
+                if not c.passed
+            )
+    assert failed == {"commutative", "associative", "distributive"}
 
 
 def test_recompute_table_roundtrip():
