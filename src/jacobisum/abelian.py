@@ -13,11 +13,14 @@ Cyclotomic values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .cyclotomic import Cyclotomic
 
@@ -118,6 +121,29 @@ def pairing(group: GroupSpec, alpha: Element, x: Element) -> int:
     group.validate(x)
     m = group.m
     return sum(a * b * (m // n) for a, b, n in zip(alpha, x, group.factors)) % m
+
+
+@functools.lru_cache(maxsize=None)
+def pairing_matrix(group: GroupSpec) -> np.ndarray:
+    """Read-only matrix [alpha, x] = pairing(group, alpha, x) over element indices."""
+    m = group.m
+    els = np.array(group.elements, dtype=np.int64).reshape(m, -1)
+    out = (els * np.array([m // n for n in group.factors], dtype=np.int64)) @ els.T % m
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def index_tables(group: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The group law on element indices, as read-only intp arrays
+    add[x, y] = x + y, neg[x] = -x and sub[x, y] = x - y."""
+    els = group.elements
+    add = np.array([[group.index(group.add(a, b)) for b in els] for a in els], dtype=np.intp)
+    neg = np.array([group.index(group.neg(a)) for a in els], dtype=np.intp)
+    tables = add, neg, add[:, neg]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def delta(alpha: Element) -> int:

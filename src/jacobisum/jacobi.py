@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta
+from .abelian import Element, GroupSpec, delta, pairing_matrix
 from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
 
@@ -29,9 +29,7 @@ MAX_EXACT_ORDER = 64  # largest group order of an exact table
 def require_exact_order(m: int) -> None:
     """Reject a group order beyond MAX_EXACT_ORDER before any table work."""
     if m > MAX_EXACT_ORDER:
-        raise ValueError(
-            f"group order {m} exceeds the exact-table limit of {MAX_EXACT_ORDER}"
-        )
+        raise ValueError(f"group order {m} exceeds the exact-table limit of {MAX_EXACT_ORDER}")
 
 
 class JacobiTable:
@@ -113,9 +111,7 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     of zeta^e gives the coefficient vectors of every entry.
     """
     m = group.m
-    els = np.array(group.elements, dtype=np.int64).reshape(m, -1)
-    weights = np.array([m // n for n in group.factors], dtype=np.int64)
-    pair = (els * weights) @ els.T % m  # [alpha, x] = <alpha, x>
+    pair = pairing_matrix(group)
     powers = np.array(reduction_data(m).rows[:m], dtype=np.int64)
     left = pair[:, np.asarray(us, dtype=np.intp)]  # [alpha, k] = <alpha, u_k>
     right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
@@ -132,9 +128,8 @@ def compute_jacobi(field: FiniteField) -> JacobiTable:
     """Classical Jacobi-sum table of a finite field on Z/(q-1).
 
     The q - 2 solutions of x + y = 1 in nonzero field elements are the x
-    other than 0 and 1, the first two elements; their discrete-log pairs
-    index the cyclic group directly, and each table entry is an exact
-    root-of-unity sum divided by m = q - 1.
+    other than 0 and 1 (the first two elements); each table entry is an
+    exact root-of-unity sum over their discrete-log pairs divided by m = q - 1.
     """
     m = field.q - 1
     require_exact_order(m)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta, dft, pairing
+from .abelian import Element, GroupSpec, delta, dft, index_tables, pairing
 from .cyclotomic import Cyclotomic
 from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
 from .verifier import (
@@ -31,7 +32,6 @@ from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
     VerificationReport,
-    _index_arrays,
     verify_all,
 )
 
@@ -83,10 +83,14 @@ class AdditionTable:
         return self.table[i][j]
 
     def mul_sym(self, i: int, j: int) -> int:
-        if i == ZERO_SYM or j == ZERO_SYM:
-            return ZERO_SYM
-        g = self.group
-        return g.index(g.add(g.element(i - 1), g.element(j - 1))) + 1
+        return int(self.mul[i, j])
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """The (m+1) x (m+1) multiplication table of symbols, read-only."""
+        mul = np.pad(index_tables(self.group)[0] + 1, (1, 0))  # zero row and column
+        mul.flags.writeable = False
+        return mul
 
     @property
     def size(self) -> int:
@@ -303,7 +307,7 @@ def build_addition(
 ) -> AdditionTable:
     """Tabulate x (+) y = 0 if x = c y, else x i(x/y)^-1, with 0 as identity."""
     m = group.m
-    _, _, sub = _index_arrays(group)  # sub[x, y] = x - y
+    sub = index_tables(group)[2]
     imap = np.array(
         [0 if z == involution else group.index(support_map[z]) for z in group.elements],
         dtype=np.intp,
@@ -335,8 +339,7 @@ def verify_field(at: AdditionTable) -> FieldChecks:
     size = at.size
     t = at.table
     a = np.array(t, dtype=np.intp)
-    mul = np.zeros_like(a)
-    mul[1:, 1:] = _index_arrays(at.group)[0] + 1
+    mul = at.mul
     commutative = _first_failure("commutative", [((), a, a.T)])
     # (i + j) + k = i + (j + k)
     associative = _first_failure(

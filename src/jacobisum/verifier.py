@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import Element, GroupSpec
+from .abelian import Element, GroupSpec, index_tables
 from .cyclotomic import Cyclotomic, euler_phi, reduction_data
 from .ffield import is_prime
 from .jacobi import ApproxTable, JacobiTable
@@ -110,22 +110,6 @@ def default_convolution_mode(
     return "sampled"
 
 
-@functools.lru_cache(maxsize=None)
-def _index_tables(group: GroupSpec):
-    els = group.elements
-    add = tuple(tuple(group.index(group.add(a, b)) for b in els) for a in els)
-    neg = tuple(group.index(group.neg(a)) for a in els)
-    return add, neg
-
-
-@functools.lru_cache(maxsize=None)
-def _index_arrays(group: GroupSpec):
-    add, neg = _index_tables(group)
-    add_a = np.array(add, dtype=np.intp)
-    neg_a = np.array(neg, dtype=np.intp)
-    return add_a, neg_a, add_a[:, neg_a]
-
-
 # -- per-point identities (witness values) --------------------------------
 
 
@@ -144,9 +128,9 @@ def cocycle_star_sides(
     """Both sides of J*(a,b) J*(ab,c) = J*(a,bc) J*(b,c) at one triple."""
     g = table.group
     a, b, c = g.index(alpha), g.index(beta), g.index(gamma)
-    add, _ = _index_tables(g)
-    lhs = _star(table, a, b) * _star(table, add[a][b], c)
-    rhs = _star(table, a, add[b][c]) * _star(table, b, c)
+    ab, bc = g.index(g.add(alpha, beta)), g.index(g.add(beta, gamma))
+    lhs = _star(table, a, b) * _star(table, ab, c)
+    rhs = _star(table, a, bc) * _star(table, b, c)
     return lhs, rhs
 
 
@@ -160,16 +144,16 @@ def cocycle_direct_sides(
     """
     g = table.group
     a, b, c = g.index(alpha), g.index(beta), g.index(gamma)
-    add, neg = _index_tables(g)
+    ab, bc = g.index(g.add(alpha, beta)), g.index(g.add(beta, gamma))
     v = table.values
-    lhs = v[a][b] * v[add[a][b]][c]
-    if add[a][b] == 0:
-        lhs = lhs - v[a][neg[a]]
+    lhs = v[a][b] * v[ab][c]
+    if ab == 0:
+        lhs = lhs - v[a][g.index(g.neg(alpha))]
     if a == 0 and b == 0:
         lhs = lhs + 1
-    rhs = v[a][add[b][c]] * v[b][c]
-    if add[b][c] == 0:
-        rhs = rhs - v[c][neg[c]]
+    rhs = v[a][bc] * v[b][c]
+    if bc == 0:
+        rhs = rhs - v[c][g.index(g.neg(gamma))]
     if b == 0 and c == 0:
         rhs = rhs + 1
     return lhs, rhs
@@ -265,7 +249,7 @@ class _Residues:
                 self.values[lo:hi, :, i * deg : (i + 1) * deg] = res
         self.moduli = np.repeat(primes, deg)
         self.scale = np.repeat([scale % p for p in primes], deg)
-        self.add, self.neg, self.addneg = _index_arrays(g)
+        self.add, self.neg, self.addneg = index_tables(g)
 
     def chunks(self, n: int, rows: int):
         """Index arrays that cover range(n) in order.  They grow from one
@@ -400,20 +384,11 @@ def check_cocycle_direct(table: JacobiTable) -> CheckResult:
     return _result(table, "cocycle-direct", witness, cocycle_direct_sides)
 
 
-@functools.lru_cache(maxsize=8)
-def _sample_quadruples(m: int, count: int, seed: int) -> np.ndarray:
+def _sample_quadruples(m: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
     """`count` seeded random quadruples of indices below m, deduplicated
-    and sorted so the witness is the lexicographically smallest failure;
-    one read-only n x 4 array of the smallest integer type that holds m
-    (an intp copy pins enough heap to raise later peak RSS) serves all."""
-    rng = random.Random(seed)
-    quads = {
-        (rng.randrange(m), rng.randrange(m), rng.randrange(m), rng.randrange(m))
-        for _ in range(count)
-    }
-    out = np.array(sorted(quads), dtype=np.min_scalar_type(m)).reshape(-1, 4)
-    out.flags.writeable = False
-    return out
+    and sorted so the witness is the lexicographically smallest failure."""
+    draw = random.Random(seed).randrange
+    return sorted({(draw(m), draw(m), draw(m), draw(m)) for _ in range(count)})
 
 
 def check_convolution_sum(
@@ -440,7 +415,9 @@ def check_convolution_sum(
     if mode == "convolution":
         witness = _slice_witness(_Residues(table))
         return _result(table, "convolution-sum", witness, slice_convolution_sides)
-    quads = _sample_quadruples(m, sample_count, seed) if mode == "sampled" else None
+    quads = None
+    if mode == "sampled":
+        quads = np.array(_sample_quadruples(m, sample_count, seed), dtype=np.intp).reshape(-1, 4)
     witness = _quadruple_witness(_Residues(table), quads)
     return _result(table, "convolution-sum", witness, convolution_sum_sides)
 
@@ -458,7 +435,7 @@ def _approx_checks(at: ApproxTable, tol: float):
     g = at.group
     m = g.m
     els = g.elements
-    add, neg, addneg = _index_arrays(g)
+    add, neg, addneg = index_tables(g)
     t = np.array(at.entries, dtype=complex)
 
     idx = _first_bad_index(t - t.T, tol)
@@ -515,7 +492,7 @@ def _approx_convolution(at: ApproxTable, t, mode, tol, sample_count, seed):
     g = at.group
     m = g.m
     els = g.elements
-    add, neg, addneg = _index_arrays(g)
+    add, neg, addneg = index_tables(g)
     if mode == "exhaustive":
         # one slab per first argument keeps memory at O(m^3)
         x4 = t[add[:, None, :], addneg[None, :, :]]  # [a, b, g] = J(a+g, b-g)
@@ -545,7 +522,7 @@ def _approx_convolution(at: ApproxTable, t, mode, tol, sample_count, seed):
                         rhs[chi],
                     )
         return CheckResult("convolution-sum", True)
-    for a1, a2, a3, a4 in _sample_quadruples(m, sample_count, seed).tolist():
+    for a1, a2, a3, a4 in _sample_quadruples(m, sample_count, seed):
         acc = 0j
         for b in range(m):
             acc += t[add[a1, b], addneg[a2, b]] * t[add[a3, b], addneg[a4, b]]

@@ -15,6 +15,7 @@ from jacobisum import (
     idft,
     pairing,
 )
+from jacobisum.abelian import index_tables, pairing_matrix
 
 from helpers import random_function
 
@@ -36,6 +37,17 @@ def test_pairing_bilinearity():
         a, b, x = (g.elements[rng.randrange(m)] for _ in range(3))
         assert pairing(g, g.add(a, b), x) == (pairing(g, a, x) + pairing(g, b, x)) % m
         assert pairing(g, x, g.add(a, b)) == (pairing(g, x, a) + pairing(g, x, b)) % m
+
+
+def test_index_tables_and_pairing_matrix_follow_the_group_law():
+    for factors in ((), (1,), (2,), (5,), (2, 2), (2, 4), (3, 3), (2, 3, 2)):
+        g = GroupSpec(factors)
+        els = g.elements
+        add, neg, sub = index_tables(g)
+        assert add.tolist() == [[g.index(g.add(a, b)) for b in els] for a in els]
+        assert neg.tolist() == [g.index(g.neg(a)) for a in els]
+        assert sub.tolist() == [[g.index(g.sub(a, b)) for b in els] for a in els]
+        assert pairing_matrix(g).tolist() == [[pairing(g, a, x) for x in els] for a in els]
 
 
 def test_pairing_nondegenerate():

@@ -201,14 +201,16 @@ def test_verify_field_detects_corruption():
 
 def test_verify_field_matches_reference():
     # the array scans give the loops' verdicts, witnesses and both values
+    def scans(checks):
+        return checks.commutative, checks.associative, checks.distributive, checks.inverses
+
     rng = random.Random(11)
     failed = set()
     for q in (4, 8, 9, 16):
         g = GroupSpec((q - 1,))
         rows = field_addition_rows(field(q))
-        assert verify_field(AdditionTable(g, rows)) == reference_field_checks(
-            AdditionTable(g, rows)
-        )
+        at = AdditionTable(g, rows)
+        assert scans(verify_field(at)) == reference_field_checks(at)
         for _ in range(40):
             cells = [list(r) for r in rows]
             symmetric = rng.random() < 0.5
@@ -219,7 +221,7 @@ def test_verify_field_matches_reference():
                     cells[j][i] = v
             at = AdditionTable(g, tuple(tuple(r) for r in cells))
             checks = verify_field(at)
-            assert checks == reference_field_checks(at)
+            assert scans(checks) == reference_field_checks(at)
             failed.update(
                 c.check for c in (checks.commutative, checks.associative, checks.distributive)
                 if not c.passed
