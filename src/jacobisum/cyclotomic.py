@@ -14,10 +14,13 @@ import cmath
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
+
+_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def euler_phi(m: int) -> int:
@@ -84,6 +87,25 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
     return tuple(_poly_div_exact(num, den))
+
+
+def parse_coefficient(text: str) -> tuple[int, int]:
+    """One interchange coefficient, "p" or "p/q" in decimal digits with an
+    optional leading minus, as (numerator, denominator) in lowest terms.
+
+    Anything else is a ValueError: non-strings, signs or spaces around the
+    digits, decimals, exponents and a zero denominator.  Python's limit on
+    the digits of an int conversion bounds the work per string.
+    """
+    match = _COEFFICIENT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"coefficient must be a string 'p' or 'p/q', got {text!r:.40}")
+    num = int(match[1])
+    den = int(match[2]) if match[2] is not None else 1
+    if den == 0:
+        raise ValueError(f"coefficient {text!r:.40} has a zero denominator")
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 class _Reduction:
@@ -335,7 +357,8 @@ class Cyclotomic:
 
     @classmethod
     def from_strings(cls, m: int, strings: Iterable[str]) -> "Cyclotomic":
-        return cls.from_coefficients(m, [Fraction(s) for s in strings])
+        """Inverse of to_strings; each string must pass parse_coefficient."""
+        return cls.from_coefficients(m, [Fraction(*parse_coefficient(s)) for s in strings])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .abelian import GroupSpec
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, euler_phi, parse_coefficient
 from .enumerator import enumerate_jacobi
 from .ffield import FiniteField, build_field
 from .jacobi import (
@@ -115,12 +118,51 @@ def field_from_json(doc: dict) -> FiniteField:
 # -- table files --------------------------------------------------------------
 
 
+def _encode_entries(values) -> list[list[list[str]]]:
+    """Every entry's to_strings(), formatting each distinct (numerator,
+    denominator) pair of the document once."""
+    by_den: dict[int, dict[int, str]] = {}
+    rows = []
+    for row in values:
+        cells = []
+        for e in row:
+            names = by_den.setdefault(e.den, {})
+            cells.append([
+                names.get(c) or names.setdefault(c, str(Fraction(c, e.den))) for c in e.num
+            ])
+        rows.append(cells)
+    return rows
+
+
+def _decode_entries(m: int, entries) -> list[list[Cyclotomic]]:
+    """Every cell as Cyclotomic.from_strings would read it, parsing each
+    distinct coefficient string of the document once."""
+    degree = euler_phi(m)
+    if any(type(cell) is not list or len(cell) != degree for row in entries for cell in row):
+        raise ValueError(f"each entry must be a list of {degree} coefficient strings")
+    try:
+        # in document order, so the first bad string is the one reported
+        distinct = dict.fromkeys(chain.from_iterable(chain.from_iterable(entries)))
+    except TypeError:  # an array or object in place of a coefficient
+        raise ValueError("coefficients must be strings") from None
+    pairs = {s: parse_coefficient(s) for s in distinct}
+    rows = []
+    for row in entries:
+        cells = []
+        for cell in row:
+            ratios = [pairs[s] for s in cell]
+            den = math.lcm(*[d for _, d in ratios])
+            cells.append(Cyclotomic(m, [n * (den // d) for n, d in ratios], den))
+        rows.append(cells)
+    return rows
+
+
 def table_to_json(table: JacobiTable) -> dict:
     return {
         "schema": TABLE_SCHEMA,
         "factors": list(table.group.factors),
         "conductor": table.group.m,
-        "entries": [[e.to_strings() for e in row] for row in table.values],
+        "entries": _encode_entries(table.values),
     }
 
 
@@ -149,10 +191,7 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} array")
     if schema == TABLE_SCHEMA:
-        rows = [
-            [Cyclotomic.from_strings(m, cell) for cell in row] for row in entries
-        ]
-        return JacobiTable(group, rows)
+        return JacobiTable(group, _decode_entries(m, entries))
     rows_c = tuple(
         tuple(complex(cell[0], cell[1]) for cell in row) for row in entries
     )

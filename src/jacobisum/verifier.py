@@ -386,9 +386,23 @@ def check_cocycle_direct(table: JacobiTable) -> CheckResult:
 
 def _sample_quadruples(m: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
     """`count` seeded random quadruples of indices below m, deduplicated
-    and sorted so the witness is the lexicographically smallest failure."""
-    draw = random.Random(seed).randrange
-    return sorted({(draw(m), draw(m), draw(m), draw(m)) for _ in range(count)})
+    and sorted so the witness is the lexicographically smallest failure.
+
+    Each index is what random.Random(seed).randrange(m) would return at
+    that point of the stream: randrange(m) draws getrandbits(m.bit_length())
+    until the value falls below m, and doing that here skips its argument
+    handling, which is most of its cost.
+    """
+    bits = random.Random(seed).getrandbits
+    k = m.bit_length()
+
+    def draw() -> int:
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
+
+    return sorted({(draw(), draw(), draw(), draw()) for _ in range(count)})
 
 
 def check_convolution_sum(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jacobisum import Cyclotomic, cyclotomic_polynomial, euler_phi, root_power
+from jacobisum.cyclotomic import parse_coefficient
 
 from helpers import random_cyclotomic
 
@@ -139,6 +140,21 @@ def test_string_serialization_roundtrip():
             assert Cyclotomic.from_strings(m, z.to_strings()) == z
     assert Cyclotomic.from_rational(4, Fraction(-3, 2)).to_strings() == ["-3/2", "0"]
     assert Cyclotomic.zero(4).to_strings() == ["0", "0"]
+
+
+def test_coefficient_grammar():
+    assert parse_coefficient("-6/4") == (-3, 2)
+    assert parse_coefficient("0/7") == (0, 1)
+    assert parse_coefficient("-0") == (0, 1)
+    assert parse_coefficient("007/014") == (1, 2)
+    assert parse_coefficient(str(2**70)) == (2**70, 1)
+    for bad in ("1/0", "0.5", "1e3", "1e10000000", "+1", " 1", "1 ", "1/-2", "1_0",
+                "", "/2", "1/", "\u0661", "1\n", True, 1, 0.5, None, ["1"], "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_coefficient(bad)
+    assert Cyclotomic.from_strings(3, ["2/4", "-1"]) == Cyclotomic(3, [1, -2], 2)
+    with pytest.raises(ValueError):
+        Cyclotomic.from_strings(3, ["1", "0.5"])
 
 
 def test_scalar_coercion():

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacobisum import approximate, reconstruct, verify_all
+from jacobisum import (
+    Cyclotomic,
+    GroupSpec,
+    JacobiTable,
+    approximate,
+    build_field,
+    compute_jacobi,
+    euler_phi,
+    reconstruct,
+    verify_all,
+)
 from jacobisum.harness import (
     RunConfig,
     dumps,
@@ -54,6 +67,67 @@ def test_table_json_roundtrip():
         assert table_from_json(table_to_json(t)) == t
 
 
+CODEC_GROUPS = [(3,), (4,), (2, 2), (7,)]
+
+# small and mixed denominators, and numerators on both sides of 2^63
+COEFFICIENTS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(2**63 - 2, 2**70), st.integers(-(2**70), -(2**63))),
+    st.one_of(st.sampled_from([1, 2, 3, 7, 2**31 - 1]), st.integers(1, 2**65)),
+)
+
+
+def per_entry_strings(table: JacobiTable) -> list:
+    return [[e.to_strings() for e in row] for row in table.values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_table_codec_matches_per_entry_codec(data):
+    g = GroupSpec(data.draw(st.sampled_from(CODEC_GROUPS)))
+    m, degree = g.m, euler_phi(g.m)
+    # unique: a document in which no coefficient string repeats
+    coeffs = data.draw(st.lists(COEFFICIENTS, min_size=m * m * degree,
+                                max_size=m * m * degree, unique=data.draw(st.booleans())))
+    cells = [Cyclotomic.from_coefficients(m, coeffs[k:k + degree])
+             for k in range(0, len(coeffs), degree)]
+    t = JacobiTable(g, [cells[i * m:(i + 1) * m] for i in range(m)])
+    doc = table_to_json(t)
+    assert doc["entries"] == per_entry_strings(t)
+    assert table_from_json(doc) == t
+
+
+# strings the grammar accepts that no encoder writes: unreduced, padded, "-0"
+RAW_COEFFICIENTS = st.builds(
+    lambda sign, num, den, pad: f"{sign}{'0' * pad}{num}" + ("" if den is None else f"/{den}"),
+    st.sampled_from(["", "-"]),
+    st.one_of(st.integers(0, 12), st.integers(2**63, 2**66)),
+    st.one_of(st.none(), st.integers(1, 12), st.integers(2**63, 2**64)),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_table_decode_matches_from_strings(data):
+    g = GroupSpec(data.draw(st.sampled_from(CODEC_GROUPS)))
+    m, degree = g.m, euler_phi(g.m)
+    cell = st.lists(RAW_COEFFICIENTS, min_size=degree, max_size=degree)
+    entries = data.draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=m, max_size=m))
+    doc = {"schema": "jacobi-table/1", "factors": list(g.factors), "conductor": m,
+           "entries": entries}
+    expected = [[Cyclotomic.from_strings(m, c) for c in row] for row in entries]
+    assert table_from_json(doc).values == tuple(tuple(row) for row in expected)
+
+
+def test_table_bytes_match_per_entry_encoding():
+    for p, n in ((2, 4), (2, 5), (7, 2), (2, 6)):
+        t = compute_jacobi(build_field(p, n))
+        doc = table_to_json(t)
+        reference = dict(doc, entries=per_entry_strings(t))
+        assert dumps(doc) == dumps(reference)
+
+
 def test_approx_table_json_roundtrip():
     at = approximate(table(5))
     restored = table_from_json(approx_table_to_json(at))
@@ -72,6 +146,12 @@ def test_table_json_rejects_bad_documents():
         table_from_json(doc)
     with pytest.raises(ValueError):
         table_from_json({"schema": "something-else/1"})
+    # of two bad coefficients, the first in document order is reported
+    doc = table_to_json(table(4))
+    doc["entries"][2][0][1] = "last"
+    doc["entries"][0][1][0] = "first"
+    with pytest.raises(ValueError, match="first"):
+        table_from_json(doc)
     with pytest.raises(ValueError):
         field_from_json({"schema": "nope"})
 
@@ -151,6 +231,32 @@ def test_cli_malformed_inputs(tmp_path):
     assert _run("enumerate", "--group", "2,x") == 2
     assert _run("nonsense") == 2
     assert _run("--threads", 2, "jacobi", "--field", tmp_path / "f.json", "--out", tpath) == 2
+
+
+@pytest.mark.parametrize("cell, coefficient", [
+    pytest.param("10", None, id="string-cell"),  # iterated, it would read as ["1", "0"]
+    pytest.param(["1"], None, id="short-cell"),
+    pytest.param(None, True, id="boolean"),
+    pytest.param(None, 1, id="number"),
+    pytest.param(None, 0.5, id="float"),
+    pytest.param(None, ["1"], id="array"),
+    pytest.param(None, "0.5", id="decimal"),
+    pytest.param(None, "1e10000000", id="exponent"),  # Fraction spends ~12 s expanding it
+    pytest.param(None, "+1", id="plus-sign"),
+    pytest.param(None, "1/0", id="zero-denominator"),
+    pytest.param(None, "9" * 5000, id="too-many-digits"),  # past the int conversion limit
+])
+def test_cli_rejects_malformed_coefficients(tmp_path, capsys, cell, coefficient):
+    doc = table_to_json(table(4))  # conductor 3: two coefficients a cell
+    if cell is not None:
+        doc["entries"][1][2] = cell
+    else:
+        doc["entries"][1][2][1] = coefficient
+    tpath = tmp_path / "bad.json"
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
 
 
 def test_cli_rejects_non_finite_approximate_tables(tmp_path):

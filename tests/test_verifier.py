@@ -274,9 +274,11 @@ def test_sampled_mode_is_deterministic():
 def test_sampled_quadruples_follow_the_seeded_stream():
     from jacobisum.verifier import _sample_quadruples
 
-    rng = random.Random(5)
-    drawn = {tuple(rng.randrange(13) for _ in range(4)) for _ in range(300)}
-    assert _sample_quadruples(13, 300, 5) == sorted(drawn)
+    # a power of two, where every draw is accepted, and orders that reject
+    for m in (13, 16, 48, 63):
+        rng = random.Random(5)
+        drawn = {tuple(rng.randrange(m) for _ in range(4)) for _ in range(20000)}
+        assert _sample_quadruples(m, 20000, 5) == sorted(drawn)
 
 
 def test_default_mode_thresholds():
