@@ -50,7 +50,6 @@ from .verifier import (
     cocycle_direct_sides,
     cocycle_star_sides,
     convolution_sum_sides,
-    default_convolution_mode,
     slice_convolution_sides,
     verify_all,
 )

@@ -101,7 +101,7 @@ def enumerate_jacobi(group: GroupSpec, m_max: int = DEFAULT_ENUM_MAX) -> Enumera
         support = tuple(e for e in group.elements if e != c)
         for smap in _candidate_maps(group, c):
             table = table_from_support(group, support, smap)
-            if verify_all(table, c_mode="exhaustive").passed:
+            if verify_all(table).passed:
                 found.setdefault(_table_key(table), table)
     tables = tuple(found[k] for k in sorted(found))
     oracle = oracle_count(group)

@@ -34,14 +34,7 @@ from .jacobi import (
     twist_galois,
 )
 from .reconstructor import ReconstructionReport, reconstruct
-from .verifier import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SEED,
-    DEFAULT_TOLERANCE,
-    CheckResult,
-    VerificationReport,
-    verify_all,
-)
+from .verifier import DEFAULT_TOLERANCE, CheckResult, VerificationReport, verify_all
 
 FIELD_SCHEMA = "field/1"
 TABLE_SCHEMA = "jacobi-table/1"
@@ -56,13 +49,12 @@ TABLE_DUMP_MAX = 64  # field files include full op tables up to this size
 class RunConfig:
     """Knobs shared by the CLI commands; defaults match the library."""
 
-    sample_count: int = DEFAULT_SAMPLE_COUNT
-    seed: int = DEFAULT_SEED
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # inf would pass any table and NaN fail every one
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 # -- JSON helpers -------------------------------------------------------------
@@ -185,17 +177,25 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     if int(doc["conductor"]) != group.m:
         raise ValueError("conductor does not match the factor list")
     m = group.m
-    if schema == TABLE_SCHEMA:
-        require_exact_order(m)
+    # checked before the entries are read; the complex scans also build
+    # m^3 arrays, 3.4 GB each at m = 600
+    require_exact_order(m)
     entries = doc["entries"]
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} array")
     if schema == TABLE_SCHEMA:
         return JacobiTable(group, _decode_entries(m, entries))
-    rows_c = tuple(
-        tuple(complex(cell[0], cell[1]) for cell in row) for row in entries
-    )
-    return ApproxTable(group, rows_c)
+    return ApproxTable(group, tuple(tuple(map(_complex_cell, row)) for row in entries))
+
+
+def _complex_cell(cell) -> complex:
+    """A [re, im] cell of an approximate table: exactly two JSON numbers."""
+    if type(cell) is not list or len(cell) != 2 or any(type(x) not in (int, float) for x in cell):
+        raise ValueError("each approximate entry must be a [re, im] pair of numbers")
+    try:
+        return complex(*cell)
+    except OverflowError:  # an integer beyond float range
+        raise ValueError("approximate entries must be within float range") from None
 
 
 # -- reports ------------------------------------------------------------------
@@ -233,9 +233,6 @@ def verification_to_json(report: VerificationReport) -> dict:
         "convolution_mode": report.convolution_mode,
         "approximate": report.approximate,
     }
-    if report.convolution_mode == "sampled":
-        doc["sample_count"] = report.sample_count
-        doc["seed"] = report.seed
     if report.approximate:
         doc["tolerance"] = report.tolerance
     return doc
@@ -309,13 +306,6 @@ def field_addition_rows(field: FiniteField) -> tuple[tuple[int, ...], ...]:
 # -- CLI ----------------------------------------------------------------------
 
 
-def _add_verify_flags(sub):
-    sub.add_argument("--mode", choices=["exhaustive", "convolution", "sampled"])
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobi",
@@ -335,14 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the three axioms on a table file")
     p.add_argument("--table", required=True)
     p.add_argument("--out")
-    _add_verify_flags(p)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("reconstruct", help="recover the field structure from a table file")
     p.add_argument("--table", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--strict", action="store_true")
-    _add_verify_flags(p)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("roundtrip", help="field -> table -> verify -> reconstruct -> compare")
     p.add_argument("--p", type=int, required=True)
@@ -413,32 +403,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        cfg = _config_from(args)
+        cfg = RunConfig(tolerance=args.tolerance)
         table = table_from_json(read_json(args.table))
-        report = verify_all(
-            table,
-            c_mode=args.mode,
-            sample_count=cfg.sample_count,
-            seed=cfg.seed,
-            tolerance=cfg.tolerance,
-        )
+        report = verify_all(table, tolerance=cfg.tolerance)
         _print_verification(report)
         if args.out:
             write_json(args.out, verification_to_json(report))
         return 0 if report.passed else 1
 
     if args.command == "reconstruct":
-        cfg = _config_from(args)
+        cfg = RunConfig(tolerance=args.tolerance)
         table = table_from_json(read_json(args.table))
-        report = reconstruct(
-            table,
-            force=args.force,
-            strict=args.strict,
-            c_mode=args.mode,
-            sample_count=cfg.sample_count,
-            seed=cfg.seed,
-            tolerance=cfg.tolerance,
-        )
+        report = reconstruct(table, force=args.force, strict=args.strict, tolerance=cfg.tolerance)
         write_json(args.out, reconstruction_to_json(report))
         print(f"case: {report.case}; ok: {report.ok}")
         return 0 if report.ok else 1
@@ -472,10 +448,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(sample_count=args.samples, seed=args.seed, tolerance=args.tolerance)
 
 
 def _roundtrip(args) -> int:

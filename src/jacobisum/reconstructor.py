@@ -27,8 +27,6 @@ from .abelian import Element, GroupSpec, delta, dft, index_tables, pairing
 from .cyclotomic import Cyclotomic
 from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
 from .verifier import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SEED,
     DEFAULT_TOLERANCE,
     CheckResult,
     VerificationReport,
@@ -471,9 +469,6 @@ def reconstruct(
     force: bool = False,
     strict: bool = False,
     generators: tuple[Element, ...] | None = None,
-    c_mode: str | None = None,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
@@ -485,13 +480,7 @@ def reconstruct(
     m = g.m
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
 
-    verification = verify_all(
-        table,
-        c_mode=c_mode,
-        sample_count=sample_count,
-        seed=seed,
-        tolerance=tolerance,
-    )
+    verification = verify_all(table, tolerance=tolerance)
     report.verification = verification
     if not verification.passed and not force:
         failed = next(c for c in verification.checks if not c.passed)

@@ -5,12 +5,23 @@ witnesses: symmetry of the table, the cocycle identity on centered
 values (in its starred form and in the delta-corrected direct form,
 which agree triple by triple on any table whose inverse-pair entries
 are transpose-symmetric, in particular on every symmetric table), and
-the convolution-sum identity.
+the convolution-sum identity
 
-The convolution-sum check runs in one of three modes: exhaustive over
-all argument quadruples, "convolution" (the equivalent slice identity
-Q_a * Q_b = Q_ab, valid once symmetry holds, one power of the group
-order cheaper), or seeded random sampling of quadruples.
+    sum_b J(a1 + b, a2 - b) J(a3 + b, a4 - b) = J(a1 + a4, a2 + a3).
+
+With u = a1 + b, s1 = a1 + a2, s2 = a3 + a4, d = a3 - a1 and
+Q_s(u) = J(u, s - u), the identity at a quadruple reads
+
+    sum_u Q_s1(u) Q_s2(u + d) = Q_{s1+s2}(s2 - d),
+
+so it is decided on m^3 triples (s1, s2, d), with no symmetry
+assumption, and the lexicographically first failing quadruple is
+(0, s1, d, s2 - d) for the smallest failing s1, then d, then s2 - d.
+For fixed (s1, s2) the left side is a correlation in d, which the
+group's Fourier transform Q^_s(chi) = sum_u Q_s(u) chi(u) turns into a
+product: with C_s(chi) = chi(s) Q^_s(-chi), the identity holds at every
+d exactly when C_s1(chi) Q^_s2(chi) = C_{s1+s2}(chi) at every character
+chi.
 
 Exact checks run on one engine.  The table is scaled to integer
 coefficient vectors over its common denominator L, and each entry is
@@ -25,30 +36,33 @@ Zero residues everywhere mean that the difference, a polynomial of
 degree below phi(m), has phi(m) roots modulo each prime, so every
 coefficient is divisible by every prime; the primes are taken until
 their product exceeds 2B, so every coefficient is zero and the sides
-are equal.  Each scan runs in lexicographic order and stops at its first
-failure, whose two unequal values the scalar *_sides functions compute.
-Complex-valued tables are checked against an absolute tolerance and
-flagged as approximate; a NaN or infinite difference fails.
+are equal.  At a point with root r the characters are
+chi(x) = r^<chi, x> in F_p, and the transform is invertible there
+because p does not divide m, so the convolution-sum check compares m^3
+products per point and remains a proof; the inverse transform of its
+first failing s1 row gives that row's failing (s2, d) pairs.  Each scan
+runs in lexicographic order and stops at its first failure, whose two
+unequal values the scalar *_sides functions compute.
+
+Complex-valued tables take the same identities, checked value by value
+against an absolute tolerance (for the convolution sum, at every triple
+(s1, s2, d) in the direct domain) and flagged as approximate; a NaN or
+infinite difference fails.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, index_tables
-from .cyclotomic import Cyclotomic, euler_phi, reduction_data
+from .abelian import Element, index_tables, pairing_matrix
+from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import is_prime
 from .jacobi import ApproxTable, JacobiTable
 
-DEFAULT_EXHAUSTIVE_MAX = 10
-DEFAULT_CONVOLUTION_MAX = 40
-DEFAULT_SAMPLE_COUNT = 20000
-DEFAULT_SEED = 0
 DEFAULT_TOLERANCE = 1e-6
 
 # residues fit int32, and a product of two stays below 2^50, so int64 sums
@@ -78,11 +92,13 @@ class VerificationReport:
     cocycle_star: CheckResult
     cocycle_direct: CheckResult
     convolution: CheckResult
-    convolution_mode: str
-    sample_count: int | None = None
-    seed: int | None = None
     approximate: bool = False
     tolerance: float | None = None
+
+    @property
+    def convolution_mode(self) -> str:
+        """Always "exhaustive", as reports have recorded it."""
+        return "exhaustive"
 
     @property
     def passed(self) -> bool:
@@ -96,18 +112,6 @@ class VerificationReport:
     @property
     def checks(self) -> tuple[CheckResult, ...]:
         return (self.symmetry, self.cocycle_star, self.cocycle_direct, self.convolution)
-
-
-def default_convolution_mode(
-    m: int,
-    exhaustive_max: int = DEFAULT_EXHAUSTIVE_MAX,
-    convolution_max: int = DEFAULT_CONVOLUTION_MAX,
-) -> str:
-    if m <= exhaustive_max:
-        return "exhaustive"
-    if m <= convolution_max:
-        return "convolution"
-    return "sampled"
 
 
 # -- per-point identities (witness values) --------------------------------
@@ -194,13 +198,13 @@ def slice_convolution_sides(
 @functools.lru_cache(maxsize=None)
 def _prime_field(m: int, below: int) -> tuple[int, np.ndarray]:
     """The largest prime p = 1 (mod m) below `below`, with the matrix of
-    powers r^i (i < phi(m)) of the primitive m-th roots of unity r mod p."""
+    powers r^e (e < m) of the primitive m-th roots of unity r mod p."""
     radicals = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
     p = next(p for p in range((below - 2) // m * m + 1, 1, -m) if is_prime(p))
     candidates = (pow(x, (p - 1) // m, p) for x in range(2, p))
     w = next(w for w in candidates if all(pow(w, m // r, p) != 1 for r in radicals))
     roots = [pow(w, k, p) for k in range(m) if math.gcd(k, m) == 1]
-    powers = np.array([[pow(r, i, p) for r in roots] for i in range(euler_phi(m))], dtype=np.int64)
+    powers = np.array([[pow(r, e, p) for r in roots] for e in range(m)], dtype=np.int64)
     powers.flags.writeable = False
     return p, powers
 
@@ -209,7 +213,8 @@ class _Residues:
     """The table scaled to integers over its common denominator L and
     evaluated at every primitive m-th root of unity modulo enough primes:
     values[i, j, k] is L * J(i, j) at point k, modulo moduli[k], stored as
-    int32 and widened to int64 before any product."""
+    int32 and widened to int64 before any product.  root_powers[e, k] is
+    r^e for the root r of point k, so chi_x(y) = root_powers[pairing[x, y], k]."""
 
     def __init__(self, table: JacobiTable):
         g = table.group
@@ -244,11 +249,13 @@ class _Residues:
                 res = np.remainder(nums, p).astype(np.int64, copy=False)
                 res *= np.array([c % p for c in mults[lo * m : hi * m]]).reshape(hi - lo, m, 1)
                 res %= p
-                res = res @ powers
+                res = res @ powers[:deg]
                 res %= p
                 self.values[lo:hi, :, i * deg : (i + 1) * deg] = res
         self.moduli = np.repeat(primes, deg)
         self.scale = np.repeat([scale % p for p in primes], deg)
+        self.root_powers = np.concatenate([powers for _, powers in fields], axis=1)
+        self.pairing = pairing_matrix(g)
         self.add, self.neg, self.addneg = index_tables(g)
 
     def chunks(self, n: int, rows: int):
@@ -274,14 +281,10 @@ def _first_hit(diff) -> tuple[int, ...] | None:
 def _cocycle_witness(r: _Residues, star: bool):
     """First (a, b, c) where the starred or the delta-corrected cocycle
     identity, scaled by L^2, fails at some point.  The starred form centers
-    r.values in place."""
+    the values it gathers, never r.values, which other scans share."""
     m, P, L, add, neg = r.m, r.moduli, r.scale, r.add, r.neg
     v = r.values
-    if star:
-        v[0] -= L
-        v[:, 0] -= L
-        v %= P
-    else:
+    if not star:
         # the delta terms sit at b = -a on the left and at c = -b on the right
         ar = np.arange(m)
         left = -L * v[ar, neg] % P
@@ -290,8 +293,23 @@ def _cocycle_witness(r: _Residues, star: bool):
         right[0] += L * L
     for idx in r.chunks(m * m, m):
         a, b = np.divmod(idx, m)
-        diff = np.multiply(v[add[a, b]], v[a, b, None], dtype=np.int64)
-        diff -= np.multiply(v[a[:, None], add[b]], v[b], dtype=np.int64)
+        ab = add[a, b]
+        # L J(ab, c) L J(a, b) - L J(a, bc) L J(b, c) for every c, where the
+        # starred form takes L J*(i, j) = L J(i, j) - L delta(i) - L delta(j)
+        x, y = v[ab], v[a, b, None]
+        if star:
+            x[:, 0] -= L
+            x[ab == 0] -= L
+            y[a == 0] -= L
+            y[b == 0] -= L
+        diff = np.multiply(x, y, dtype=np.int64)
+        x, y = v[a[:, None], add[b]], v[b]
+        if star:
+            x[np.arange(len(idx)), neg[b]] -= L
+            x[a == 0] -= L
+            y[:, 0] -= L
+            y[b == 0] -= L
+        diff -= np.multiply(x, y, dtype=np.int64)
         if not star:
             at = b == neg[a]
             diff[at] += left[a[at], None]
@@ -304,48 +322,55 @@ def _cocycle_witness(r: _Residues, star: bool):
     return None
 
 
-def _quadruple_witness(r: _Residues, quads):
-    """First quadruple, of all m^4 in lexicographic order or of the sorted
-    array `quads`, where the convolution-sum identity fails at some point."""
-    m, P, L, add, addneg = r.m, r.moduli, r.scale, r.add, r.addneg
-    v = r.values
-    n = m**4 if quads is None else len(quads)
-    for idx in r.chunks(n, 2 * m):
-        if quads is None:
-            a1, a2, a3, a4 = np.unravel_index(idx, (m,) * 4)
-        else:
-            a1, a2, a3, a4 = quads[idx].T
-        diff = np.einsum(
-            "qbk,qbk->qk", v[add[a1], addneg[a2]], v[add[a3], addneg[a4]], dtype=np.int64
-        )
-        diff -= L * v[add[a1, a4], add[a2, a3]]
-        diff %= P
-        hit = _first_hit(diff)
-        if hit is not None:
-            i = hit[0]
-            return (int(a1[i]), int(a2[i]), int(a3[i]), int(a4[i]))
-    return None
+def _first_quadruple(s1: int, bad, add) -> tuple[int, int, int, int]:
+    """The lexicographically first quadruple (0, s1, d, a4) whose triple
+    (s1, s2 = d + a4, d) fails, given the failing pairs bad[s2, d] of row s1."""
+    m = len(bad)
+    d, a4 = divmod(int(bad[add, np.arange(m)[:, None]].argmax()), m)
+    return (0, s1, d, a4)
 
 
-def _slice_witness(r: _Residues):
-    """First (a, b, chi) where (Q_a * Q_b)(chi) = Q_ab(chi), with
-    Q_a(g) = J(a - g, g), fails at some point."""
-    m, P, L, add, addneg = r.m, r.moduli, r.scale, r.add, r.addneg
-    v = r.values
+def _convolution_witness(r: _Residues):
+    """First quadruple, in lexicographic order, where the convolution-sum
+    identity fails at some point.  Each chunk of points is transformed
+    once and checked as C_s1 Q^_s2 = L C_{s1+s2} row by row over s1, up to
+    the first row that failed so far; the inverse transform of a failing
+    row marks its failing (s2, d) pairs, collected over all points."""
+    m, add, neg, addneg = r.m, r.add, r.neg, r.addneg
     ar = np.arange(m)
-    for idx in r.chunks(m * m, m * m):
-        a, b = np.divmod(idx, m)
-        # Q_b(x - g) = J(b - x + g, x - g)
-        diff = np.einsum(
-            "pgk,pxgk->pxk", v[addneg[a], ar], v[addneg[b][:, addneg], addneg], dtype=np.int64
-        )
-        diff -= L * v[addneg[add[a, b]], ar]
-        diff %= P
-        hit = _first_hit(diff)
-        if hit is not None:
-            i, chi = hit
-            return (int(a[i]), int(b[i]), chi)
-    return None
+    # the four transforms of a chunk (w, qh, c, lc) share _SCAN_BYTES, and
+    # so do the two int64 operands of a row block's comparison
+    width = max(1, _SCAN_BYTES // (4 * 8 * m * m))  # points per chunk
+    best, bad = m, None  # the first failing s1 row and its bad[s2, d]
+    for lo in range(0, r.values.shape[2], width):
+        ks = slice(lo, lo + width)
+        P, L = r.moduli[ks, None, None], r.scale[ks, None, None]
+        # w[k, x, y] = chi_x(y) at point k, symmetric in x and y
+        w = np.moveaxis(r.root_powers[:, ks][r.pairing], -1, 0)
+        qh = np.moveaxis(r.values[ar, addneg, ks], -1, 0) @ w  # L Q_s(u), transformed
+        qh %= P
+        c = qh[:, :, neg]
+        c *= w
+        c %= P
+        lc = L * c
+        lc %= P
+        rows = max(1, _SCAN_BYTES // (2 * 8 * m * m * len(w)))
+        for top in range(0, min(best + 1, m), rows):
+            s1 = np.arange(top, min(top + rows, best + 1, m))
+            prod = c[:, s1, None] * qh[:, None]
+            prod %= P[..., None]
+            fails = (prod != lc[:, add[s1]]).any(axis=(0, 2, 3))
+            if fails.any():
+                s = int(s1[fails.argmax()])
+                diff = (c[:, s, None] * qh - lc[:, add[s]]) % P
+                # e[k, s2, y] = m D(s, s2, y - s) at point k, where D is the
+                # difference of the two sides at the triple (s, s2, y - s)
+                e = diff @ w[:, :, neg] % P
+                if s < best:
+                    best, bad = s, np.zeros((m, m), dtype=bool)
+                bad |= e.any(axis=0)[:, add[s]]
+                break
+    return None if bad is None else _first_quadruple(best, bad, add)
 
 
 # -- exact checks --------------------------------------------------------
@@ -372,67 +397,23 @@ def _result(table: JacobiTable, check: str, witness, sides) -> CheckResult:
     return CheckResult(check, False, point, *sides(table, *point))
 
 
-def check_cocycle_star(table: JacobiTable) -> CheckResult:
-    """Exhaustive check of J*(a,b) J*(ab,c) = J*(a,bc) J*(b,c) over all triples."""
-    witness = _cocycle_witness(_Residues(table), star=True)
+def check_cocycle_star(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
+    """Exhaustive check of J*(a,b) J*(ab,c) = J*(a,bc) J*(b,c) over all
+    triples.  `residues` is the table's evaluation, if the caller has it."""
+    witness = _cocycle_witness(residues or _Residues(table), star=True)
     return _result(table, "cocycle-star", witness, cocycle_star_sides)
 
 
-def check_cocycle_direct(table: JacobiTable) -> CheckResult:
+def check_cocycle_direct(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
     """Exhaustive check of the delta-corrected form of the cocycle identity."""
-    witness = _cocycle_witness(_Residues(table), star=False)
+    witness = _cocycle_witness(residues or _Residues(table), star=False)
     return _result(table, "cocycle-direct", witness, cocycle_direct_sides)
 
 
-def _sample_quadruples(m: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
-    """`count` seeded random quadruples of indices below m, deduplicated
-    and sorted so the witness is the lexicographically smallest failure.
-
-    Each index is what random.Random(seed).randrange(m) would return at
-    that point of the stream: randrange(m) draws getrandbits(m.bit_length())
-    until the value falls below m, and doing that here skips its argument
-    handling, which is most of its cost.
-    """
-    bits = random.Random(seed).getrandbits
-    k = m.bit_length()
-
-    def draw() -> int:
-        r = bits(k)
-        while r >= m:
-            r = bits(k)
-        return r
-
-    return sorted({(draw(), draw(), draw(), draw()) for _ in range(count)})
-
-
-def check_convolution_sum(
-    table: JacobiTable,
-    mode: str | None = None,
-    *,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = DEFAULT_SEED,
-) -> CheckResult:
-    """Check the convolution-sum identity in the requested mode.
-
-    mode "exhaustive" scans all quadruples; "convolution" checks the
-    slice identity at every (a, b, chi), which is equivalent once the
-    symmetry check passes and is required to have passed; "sampled"
-    checks seeded random quadruples.
-    """
-    m = table.group.m
-    if mode is None:
-        mode = default_convolution_mode(m)
-    if mode not in ("exhaustive", "convolution", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "convolution" and not check_symmetry(table).passed:
-        raise ValueError("convolution mode requires the symmetry check to pass")
-    if mode == "convolution":
-        witness = _slice_witness(_Residues(table))
-        return _result(table, "convolution-sum", witness, slice_convolution_sides)
-    quads = None
-    if mode == "sampled":
-        quads = np.array(_sample_quadruples(m, sample_count, seed), dtype=np.intp).reshape(-1, 4)
-    witness = _quadruple_witness(_Residues(table), quads)
+def check_convolution_sum(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
+    """Exhaustive check of the convolution-sum identity over all m^4
+    quadruples, decided on the m^3 triples (s1, s2, d)."""
+    witness = _convolution_witness(residues or _Residues(table))
     return _result(table, "convolution-sum", witness, convolution_sum_sides)
 
 
@@ -502,48 +483,30 @@ def _approx_checks(at: ApproxTable, tol: float):
     return t, sym, coc_star, coc_direct
 
 
-def _approx_convolution(at: ApproxTable, t, mode, tol, sample_count, seed):
-    g = at.group
-    m = g.m
-    els = g.elements
-    add, neg, addneg = index_tables(g)
-    if mode == "exhaustive":
-        # one slab per first argument keeps memory at O(m^3)
-        x4 = t[add[:, None, :], addneg[None, :, :]]  # [a, b, g] = J(a+g, b-g)
-        for a1 in range(m):
-            lhs = np.einsum("bg,cdg->bcd", x4[a1], x4)
-            rhs = t[add[a1][None, None, :], add[:, :, None]]
-            idx = _first_bad_index(lhs - rhs, tol)
-            if idx is not None:
-                quad = (els[a1],) + tuple(els[i] for i in idx)
-                return CheckResult("convolution-sum", False, quad, lhs[idx], rhs[idx])
-        return CheckResult("convolution-sum", True)
-    if mode == "convolution":
-        ar = np.arange(m)
-        q = t[addneg, ar[None, :]]
-        for a in range(m):
-            for b in range(m):
-                lhs = q[b][addneg] @ q[a]
-                rhs = q[add[a, b]]
-                idx = _first_bad_index(lhs - rhs, tol)
-                if idx is not None:
-                    chi = idx[0]
-                    return CheckResult(
-                        "convolution-sum",
-                        False,
-                        (els[a], els[b], els[chi]),
-                        lhs[chi],
-                        rhs[chi],
-                    )
-        return CheckResult("convolution-sum", True)
-    for a1, a2, a3, a4 in _sample_quadruples(m, sample_count, seed):
-        acc = 0j
-        for b in range(m):
-            acc += t[add[a1, b], addneg[a2, b]] * t[add[a3, b], addneg[a4, b]]
-        rhs = t[add[a1, a4], add[a2, a3]]
-        if not abs(acc - rhs) <= tol:
-            quad = (els[a1], els[a2], els[a3], els[a4])
-            return CheckResult("convolution-sum", False, quad, acc, rhs)
+def _approx_convolution(at: ApproxTable, t, tol: float) -> CheckResult:
+    """The triple form of the convolution-sum identity on complex values,
+    with each (s1, s2, d) value computed in the direct domain, a few s1
+    rows at a time."""
+    m = at.group.m
+    add, _, addneg = index_tables(at.group)
+    q = t[np.arange(m), addneg]  # q[s, u] = Q_s(u) = J(u, s - u)
+    rows = max(1, _SCAN_BYTES // (16 * m * m))
+    for top in range(0, m, rows):
+        s1 = np.arange(top, min(top + rows, m))
+        lhs = np.empty((len(s1), m, m), dtype=complex)
+        for d in range(m):
+            lhs[:, :, d] = q[s1] @ q[:, add[d]].T  # sum_u Q_s1(u) Q_s2(u + d)
+        rhs = q[add[s1][:, :, None], addneg]  # Q_{s1+s2}(s2 - d)
+        bad = ~(np.abs(lhs - rhs) <= tol)
+        failing = bad.any(axis=(1, 2))
+        if failing.any():
+            i = int(failing.argmax())
+            quad = _first_quadruple(int(s1[i]), bad[i], add)
+            d = quad[2]
+            s2 = add[d, quad[3]]
+            els = at.group.elements
+            witness = tuple(els[x] for x in quad)
+            return CheckResult("convolution-sum", False, witness, lhs[i, s2, d], rhs[i, s2, d])
     return CheckResult("convolution-sum", True)
 
 
@@ -551,59 +514,34 @@ def _approx_convolution(at: ApproxTable, t, mode, tol, sample_count, seed):
 
 
 def verify_all(
-    table: JacobiTable | ApproxTable,
-    *,
-    c_mode: str | None = None,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = DEFAULT_TOLERANCE,
+    table: JacobiTable | ApproxTable, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerificationReport:
-    """Run all axiom checks and aggregate the verdicts.
-
-    The convolution-sum mode defaults by group order (exhaustive, then
-    slice convolution, then sampling).  When the mode was auto-selected
-    as "convolution" but symmetry failed, sampling is used instead; an
-    explicitly requested mode is honored and may raise.
-    """
-    m = table.group.m
-    requested = c_mode
+    """Run all axiom checks and aggregate the verdicts.  An exact table is
+    evaluated once, and every exact scan reads that evaluation."""
     if isinstance(table, ApproxTable):
         t, sym, coc_star, coc_direct = _approx_checks(table, tolerance)
-        mode = requested or default_convolution_mode(m)
-        if requested is None and mode == "convolution" and not sym.passed:
-            mode = "sampled"
-        conv = _approx_convolution(table, t, mode, tolerance, sample_count, seed)
         return VerificationReport(
             symmetry=sym,
             cocycle_star=coc_star,
             cocycle_direct=coc_direct,
-            convolution=conv,
-            convolution_mode=mode,
-            sample_count=sample_count if mode == "sampled" else None,
-            seed=seed if mode == "sampled" else None,
+            convolution=_approx_convolution(table, t, tolerance),
             approximate=True,
             tolerance=tolerance,
         )
 
+    residues = _Residues(table)
     sym = check_symmetry(table)
-    coc_star = check_cocycle_star(table)
-    coc_direct = check_cocycle_direct(table)
+    coc_star = check_cocycle_star(table, residues)
+    coc_direct = check_cocycle_direct(table, residues)
     # the two forms are provably triple-by-triple equivalent whenever the
     # inverse-pair entries are transpose-symmetric, so under symmetry any
     # disagreement is an internal bug; without symmetry they may differ
     # at triples whose middle arguments multiply to the identity
     if sym.passed and coc_star.passed != coc_direct.passed:
         raise RuntimeError("cocycle checkers disagree on a symmetric table; this is a bug")
-    mode = requested or default_convolution_mode(m)
-    if requested is None and mode == "convolution" and not sym.passed:
-        mode = "sampled"
-    conv = check_convolution_sum(table, mode, sample_count=sample_count, seed=seed)
     return VerificationReport(
         symmetry=sym,
         cocycle_star=coc_star,
         cocycle_direct=coc_direct,
-        convolution=conv,
-        convolution_mode=mode,
-        sample_count=sample_count if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
+        convolution=check_convolution_sum(table, residues),
     )

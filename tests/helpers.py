@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import jacobisum as js
 from jacobisum.reconstructor import ZERO_SYM
-from jacobisum.verifier import CheckResult, _sample_quadruples
+from jacobisum.verifier import CheckResult
 
 # every prime power q with 3 <= q <= 32
 PRIME_POWERS = {
@@ -59,22 +59,17 @@ def random_function(rng: random.Random, group: js.GroupSpec) -> dict:
     return {e: random_cyclotomic(rng, group.m) for e in group.elements}
 
 
-def reference_witness(table: js.JacobiTable, check: str, mode: str | None = None,
-                      sample_count: int = 500, seed: int = 3):
+def reference_witness(table: js.JacobiTable, check: str):
     """First failure of an exact check as (point, lhs, rhs), or None: a plain
-    loop over the public *_sides functions in lexicographic order."""
+    loop over the public *_sides functions in lexicographic order, over
+    triples for the cocycle forms and quadruples for the convolution sum."""
     els = table.group.elements
     if check == "cocycle-star":
         sides, points = js.cocycle_star_sides, itertools.product(els, repeat=3)
     elif check == "cocycle-direct":
         sides, points = js.cocycle_direct_sides, itertools.product(els, repeat=3)
-    elif mode == "convolution":
-        sides, points = js.slice_convolution_sides, itertools.product(els, repeat=3)
-    elif mode == "exhaustive":
-        sides, points = js.convolution_sum_sides, itertools.product(els, repeat=4)
     else:
-        quads = _sample_quadruples(table.group.m, sample_count, seed)
-        sides, points = js.convolution_sum_sides, [tuple(els[i] for i in q) for q in quads]
+        sides, points = js.convolution_sum_sides, itertools.product(els, repeat=4)
     for point in points:
         lhs, rhs = sides(table, *point)
         if lhs != rhs:

@@ -175,10 +175,10 @@ def test_report_json_shapes():
 
 
 def test_run_config_validation():
-    cfg = RunConfig()
-    assert cfg.sample_count == 20000 and cfg.seed == 0
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=0.0)
+    assert RunConfig().tolerance == 1e-6
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            RunConfig(tolerance=bad)
 
 
 def _run(*argv) -> int:
@@ -231,6 +231,9 @@ def test_cli_malformed_inputs(tmp_path):
     assert _run("enumerate", "--group", "2,x") == 2
     assert _run("nonsense") == 2
     assert _run("--threads", 2, "jacobi", "--field", tmp_path / "f.json", "--out", tpath) == 2
+    # the convolution-sum check has no modes, samples or seed
+    for flag, value in (("--mode", "exhaustive"), ("--samples", 10), ("--seed", 1)):
+        assert _run("verify", "--table", tpath, flag, value) == 2
 
 
 @pytest.mark.parametrize("cell, coefficient", [
@@ -269,6 +272,42 @@ def test_cli_rejects_non_finite_approximate_tables(tmp_path):
     assert _run("reconstruct", "--table", tpath, "--out", rpath) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+def test_cli_rejects_bad_tolerances(tmp_path, tolerance):
+    # inf used to pass this table, whose entry is off by 5 + 5i
+    doc = approx_table_to_json(approximate(table(9)))
+    doc["entries"][1][2][0] += 5.0
+    doc["entries"][1][2][1] += 5.0
+    tpath = tmp_path / "moved.json"
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 1
+    assert _run("verify", "--table", tpath, "--tolerance", tolerance) == 2
+    rpath = tmp_path / "r.json"
+    assert _run("reconstruct", "--table", tpath, "--out", rpath, "--tolerance", tolerance) == 2
+    assert not rpath.exists()
+
+
+@pytest.mark.parametrize("cell", [
+    pytest.param([True, False], id="booleans"),
+    pytest.param([True, False, 99], id="booleans-and-extra"),
+    pytest.param([0.5, 0.0, 99], id="three-numbers"),
+    pytest.param([0.5], id="one-number"),
+    pytest.param([0.5, None], id="null"),
+    pytest.param([0.5, "0"], id="string"),
+    pytest.param("05", id="string-cell"),
+    pytest.param({"re": 0.5, "im": 0.0}, id="object"),
+    pytest.param([10**400, 0], id="huge-integer"),  # past float range
+])
+def test_cli_rejects_malformed_approximate_cells(tmp_path, capsys, cell):
+    doc = approx_table_to_json(approximate(table(4)))
+    doc["entries"][1][2] = cell
+    tpath = tmp_path / "bad.json"
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
+
+
 def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):
     # GF(67) is small, but its table would live on a group of order 66
     fpath = tmp_path / "f67.json"
@@ -284,6 +323,12 @@ def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):
     write_json(tpath, doc)
     assert _run("verify", "--table", tpath) == 2
     assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
+    # approximate tables share the limit: their scans build m^3 complex arrays
+    doc["schema"] = "jacobi-table-approx/1"
+    with pytest.raises(ValueError, match="limit"):
+        table_from_json(doc)
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 2
 
 
 def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):

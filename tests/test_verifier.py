@@ -1,12 +1,15 @@
-"""Axiom checks: verdicts, witnesses, modes, and the exact engine against a reference scan."""
+"""Axiom checks: verdicts, witnesses, and the exact and complex scans against reference loops."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobisum import (
     Cyclotomic,
@@ -20,11 +23,11 @@ from jacobisum import (
     cocycle_direct_sides,
     cocycle_star_sides,
     convolution_sum_sides,
-    default_convolution_mode,
     root_power,
     slice_convolution_sides,
     verify_all,
 )
+from jacobisum import verifier
 from jacobisum.jacobi import ApproxTable
 from jacobisum.verifier import _Residues
 
@@ -42,8 +45,7 @@ def test_classical_tables_pass_all_checks():
         assert check_symmetry(t).passed
         assert check_cocycle_star(t).passed
         assert check_cocycle_direct(t).passed
-        assert check_convolution_sum(t, "exhaustive").passed
-        assert check_convolution_sum(t, "convolution").passed
+        assert check_convolution_sum(t).passed
 
 
 def test_symmetry_witness():
@@ -70,7 +72,7 @@ def test_cocycle_trivial_group_any_value():
 def test_convolution_trivial_group_is_idempotency():
     # the single quadruple reduces to a^2 = a
     for a in (-2, -1, 0, 1, 2, 3, Fraction(1, 2)):
-        result = check_convolution_sum(_one_table(a), "exhaustive")
+        result = check_convolution_sum(_one_table(a))
         assert result.passed == (a in (0, 1))
 
 
@@ -126,32 +128,24 @@ def test_cocycle_forms_can_differ_only_at_identity_products():
 
 
 def _assert_matches_reference(t):
-    runs = [
-        ("cocycle-star", None, check_cocycle_star(t)),
-        ("cocycle-direct", None, check_cocycle_direct(t)),
-    ]
-    modes = ["exhaustive", "sampled"]
-    if check_symmetry(t).passed:
-        modes.append("convolution")
-    for mode in modes:
-        result = check_convolution_sum(t, mode, sample_count=500, seed=3)
-        runs.append(("convolution-sum", mode, result))
-    for check, mode, result in runs:
-        expected = reference_witness(t, check, mode)
-        assert result.passed == (expected is None), (t, check, mode)
+    # verify_all shares one evaluation of the table across its scans
+    report = verify_all(t)
+    alone = (check_cocycle_star(t), check_cocycle_direct(t), check_convolution_sum(t))
+    for result, single in zip(report.checks[1:], alone):
+        assert result == single, (t, result.check)
+        expected = reference_witness(t, result.check)
+        assert result.passed == (expected is None), (t, result.check)
         if expected is not None:
-            assert (result.witness, result.lhs, result.rhs) == expected, (t, check, mode)
+            assert (result.witness, result.lhs, result.rhs) == expected, (t, result.check)
 
 
 def test_engines_agree():
     # the multi-modular engine against a plain scan on random tables
     rng = random.Random(12)
-    for factors in ((1,), (2,), (3,), (2, 2), (4,)):
+    for factors in ((1,), (2,), (3,), (2, 2), (4,), (2, 4), (3, 3), (2, 2, 2)):
         _assert_matches_reference(random_table(rng, factors))
         _assert_matches_reference(symmetric_random_table(rng, factors))
-    t = table(8)
-    for mode in ("exhaustive", "convolution"):
-        assert check_convolution_sum(t, mode).passed
+    assert check_convolution_sum(table(8)).passed
 
 
 def test_engine_fallback_on_huge_entries():
@@ -181,6 +175,30 @@ def test_engine_matches_reference_scan():
             )
 
 
+def _moved(t: JacobiTable, i: int, j: int, shift) -> JacobiTable:
+    return t.with_entry(i, j, t.values[i][j] + shift).with_entry(j, i, t.values[j][i] + shift)
+
+
+def test_chunked_scans_match_reference_scan(monkeypatch):
+    # one pair, one point and one s1 row per chunk.  A move by the first
+    # prime is invisible at that prime's points, which the scan reaches
+    # first: moving (1, 3) so fails the convolution sum at s1 = 0, after
+    # the move of (0, 1) by zeta failed it at s1 = 1, and moving (0, 1)
+    # so fails s1 = 1 at a pair before the ones the move of (0, 5) fails
+    monkeypatch.setattr(verifier, "_SCAN_BYTES", 1)
+    t = table(9)
+    first = int(_Residues(t).moduli[0])
+    zeta = root_power(8, 1)
+    cases = [
+        (_moved(t, 0, 1, zeta), (1, 0, 1)),
+        (_moved(_moved(t, 0, 1, zeta), 1, 3, first), (0, 0, 4)),
+        (_moved(_moved(t, 0, 5, zeta), 0, 1, first), (1, 0, 1)),
+    ]
+    for bad, (s1, d, a4) in cases:
+        assert check_convolution_sum(bad).witness == ((0,), (s1,), (d,), (a4,))
+        _assert_matches_reference(bad)
+
+
 def test_engine_rejects_entries_beyond_its_primes():
     # the denominator 3^600 needs coefficients of about 1900 bits
     tiny = Cyclotomic.from_rational(2, Fraction(1, 3**600))
@@ -208,84 +226,25 @@ def test_approximate_overflow_fails_cocycle_checks():
     assert not report.passed
 
 
-def test_convolution_requires_symmetry():
-    t = table(5)
-    bad = t.with_entry(0, 2, -t.values[0][2])
-    with pytest.raises(ValueError):
-        check_convolution_sum(bad, "convolution")
-
-
 def test_convolution_witness_verifies():
     t = table(4)
     bad = t.with_entry(1, 1, t.values[1][1] + 1)  # diagonal keeps symmetry
-    exhaustive = check_convolution_sum(bad, "exhaustive")
-    assert not exhaustive.passed
-    lhs, rhs = convolution_sum_sides(bad, *exhaustive.witness)
-    assert (lhs, rhs) == (exhaustive.lhs, exhaustive.rhs)
-    slice_mode = check_convolution_sum(bad, "convolution")
-    assert not slice_mode.passed
-    lhs, rhs = slice_convolution_sides(bad, *slice_mode.witness)
-    assert (lhs, rhs) == (slice_mode.lhs, slice_mode.rhs)
+    result = check_convolution_sum(bad)
+    assert not result.passed
+    lhs, rhs = convolution_sum_sides(bad, *result.witness)
+    assert (lhs, rhs) == (result.lhs, result.rhs)
 
 
-def test_cross_mode_verdicts_on_diagonal_perturbations():
-    # exhaustive and slice-convolution modes agree on single-entry
-    # (diagonal, symmetry-preserving) perturbations
-    rng = random.Random(13)
-    count = 0
-    while count < 100:
-        q = rng.choice((3, 4, 5, 7))
-        t = table(q)
-        m = q - 1
-        k = rng.randrange(m)
-        shift = root_power(m, rng.randrange(m)).scale(
-            Fraction(rng.randint(1, 3), rng.randint(1, 3))
-        )
-        bad = t.with_entry(k, k, t.values[k][k] + shift)
-        exhaustive = check_convolution_sum(bad, "exhaustive")
-        slice_mode = check_convolution_sum(bad, "convolution")
-        assert exhaustive.passed == slice_mode.passed
-        count += 1
-
-
-def test_sampled_mode_with_full_coverage_equals_exhaustive():
+def test_slice_convolution_sides():
+    # on a symmetric table the slice identity Q_a * Q_b = Q_ab is the
+    # convolution sum, so it holds everywhere on a classical table and
+    # fails somewhere once the convolution sum does
     t = table(4)
-    m = 3
-    n = 40 * m**4
     bad = t.with_entry(1, 1, t.values[1][1] + 1)
-    from jacobisum.verifier import _sample_quadruples
-
-    assert len(_sample_quadruples(m, n, seed=1)) == m**4  # full coverage
-    for tab in (t, bad):
-        sampled = check_convolution_sum(tab, "sampled", sample_count=n, seed=1)
-        exhaustive = check_convolution_sum(tab, "exhaustive")
-        assert sampled.passed == exhaustive.passed
-        assert sampled.witness == exhaustive.witness
-
-
-def test_sampled_mode_is_deterministic():
-    rng = random.Random(14)
-    t = random_table(rng, (4,))
-    first = check_convolution_sum(t, "sampled", sample_count=100, seed=5)
-    second = check_convolution_sum(t, "sampled", sample_count=100, seed=5)
-    assert first == second
-
-
-def test_sampled_quadruples_follow_the_seeded_stream():
-    from jacobisum.verifier import _sample_quadruples
-
-    # a power of two, where every draw is accepted, and orders that reject
-    for m in (13, 16, 48, 63):
-        rng = random.Random(5)
-        drawn = {tuple(rng.randrange(m) for _ in range(4)) for _ in range(20000)}
-        assert _sample_quadruples(m, 20000, 5) == sorted(drawn)
-
-
-def test_default_mode_thresholds():
-    assert default_convolution_mode(10) == "exhaustive"
-    assert default_convolution_mode(11) == "convolution"
-    assert default_convolution_mode(40) == "convolution"
-    assert default_convolution_mode(41) == "sampled"
+    points = list(itertools.product(t.group.elements, repeat=3))
+    assert all(lhs == rhs for lhs, rhs in (slice_convolution_sides(t, *p) for p in points))
+    assert not check_convolution_sum(bad).passed
+    assert any(lhs != rhs for lhs, rhs in (slice_convolution_sides(bad, *p) for p in points))
 
 
 def test_verify_all_aggregation():
@@ -294,21 +253,12 @@ def test_verify_all_aggregation():
     assert report.convolution_mode == "exhaustive"
     report = verify_all(table(13))
     assert report.passed
-    assert report.convolution_mode == "convolution"
+    assert report.convolution_mode == "exhaustive"
     t = table(5)
     bad = t.with_entry(0, 2, -t.values[0][2])
     report = verify_all(bad)
     assert not report.passed
     assert not report.symmetry.passed
-
-
-def test_verify_all_falls_back_when_symmetry_breaks():
-    t = table(13)  # default mode would be convolution
-    bad = t.with_entry(0, 2, -t.values[0][2])
-    report = verify_all(bad)
-    assert report.convolution_mode == "sampled"
-    with pytest.raises(ValueError):
-        verify_all(bad, c_mode="convolution")  # explicit request propagates
 
 
 def test_verify_all_approximate():
@@ -336,22 +286,58 @@ def test_verify_all_approximate():
     assert not report.passed
 
 
-def test_approximate_modes():
-    at = approximate(table(13))
-    for mode in ("exhaustive", "convolution", "sampled"):
-        report = verify_all(at, c_mode=mode)
-        assert report.passed and report.convolution_mode == mode
-
-
 def test_approximate_agrees_with_exact_on_embedded_tables():
     rng = random.Random(16)
     from helpers import symmetric_random_table
 
     for _ in range(8):
         t = symmetric_random_table(rng, rng.choice(((2,), (3,), (4,), (2, 2))))
-        exact = verify_all(t, c_mode="exhaustive")
-        approx = verify_all(approximate(t), c_mode="exhaustive")
+        exact = verify_all(t)
+        approx = verify_all(approximate(t))
         assert exact.convolution.passed == approx.convolution.passed
         if not exact.convolution.passed:
             assert exact.convolution.witness == approx.convolution.witness
         assert exact.cocycle_star.passed == approx.cocycle_star.passed
+
+
+def _approx_convolution_reference(at: ApproxTable, tol: float):
+    """First quadruple in lexicographic order where the complex
+    convolution-sum identity misses the tolerance, with both sides."""
+    g = at.group
+    t = at.entries
+    idx, add, neg = g.index, g.add, g.neg
+    for quad in itertools.product(g.elements, repeat=4):
+        a1, a2, a3, a4 = quad
+        lhs = sum(
+            t[idx(add(a1, b))][idx(add(a2, neg(b)))] * t[idx(add(a3, b))][idx(add(a4, neg(b)))]
+            for b in g.elements
+        )
+        rhs = t[idx(add(a1, a4))][idx(add(a2, a3))]
+        if not abs(lhs - rhs) <= tol:
+            return quad, lhs, rhs
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_approximate_convolution_matches_quadruple_loop(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if data.draw(st.booleans()):
+        t = table(data.draw(st.sampled_from((3, 4, 5, 7, 8, 9))))
+    else:
+        t = random_table(rng, data.draw(st.sampled_from(((2,), (3,), (2, 2), (4,), (2, 4)))))
+    at = approximate(t)
+    m = t.group.m
+    i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    shift = data.draw(st.sampled_from((0, 1e-3, 0.25j, -1 + 1j, 1e-9)))
+    entries = [list(row) for row in at.entries]
+    entries[i][j] += shift
+    moved = ApproxTable(at.group, tuple(tuple(row) for row in entries))
+    result = verify_all(moved).convolution
+    expected = _approx_convolution_reference(moved, 1e-6)
+    assert result.passed == (expected is None)
+    if expected is not None:
+        witness, lhs, rhs = expected
+        assert result.witness == witness
+        assert abs(result.lhs - lhs) < 1e-9 and abs(result.rhs - rhs) < 1e-9
