@@ -13,23 +13,44 @@ reproduces the input.  Full support forces the trivial group (the
 boolean degenerate case); anything else means the input was never a
 Jacobi function.  The zero symbol annihilates under multiplication:
 0 * x = x * 0 = 0.
+
+Exact transforms are read off the verifier's evaluation of the table:
+the transform of the slice at alpha, scaled by the common denominator
+L, is evaluated at every point as sum_beta L J(alpha - beta, beta)
+chi_x(beta) mod p, one matrix product per point.  A transform is a
+linear sum of entries, so its coefficients stay far below the bound
+under which the evaluation proves equality, and "is 0", "is 1" and "is
+zeta^e" are decided exactly by comparing residues with 0, L and
+L r^e at every point.  The exact value quoted in a failure is computed
+by the scalar transform at the failing point only.
+
+The same stages, run at the first evaluation point only, give the
+candidate that certifies an exact table: once the carrier rebuilt from
+it passes every field axiom and its table equals the input exactly, the
+input is a field's Jacobi-sum table with its characters relabelled by a
+group isomorphism, so it satisfies all three axioms (the forward
+direction, Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2).
+The verifier accepts such a table without scanning, and reconstruct
+reuses the certificate instead of running the stages again.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta, dft, index_tables, pairing
+from .abelian import Element, GroupSpec, delta, index_tables, pairing
 from .cyclotomic import Cyclotomic
 from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
 from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
     VerificationReport,
+    _Residues,
+    _SCAN_BYTES,
     verify_all,
 )
 
@@ -150,25 +171,22 @@ class ReconstructionReport:
 # -- pipeline stages -------------------------------------------------------
 
 
-def fourier_support(table: JacobiTable) -> tuple[Element, ...]:
-    """Support of the transformed unit slice; every transform value must
-    be exactly 0 or 1, else the table is inconsistent."""
-    g = table.group
-    m = g.m
-    unit_slice = slice_function(table, g.identity)
-    transform = dft(g, unit_slice)
-    zero = Cyclotomic.zero(m)
-    one = Cyclotomic.one(m)
-    support = []
-    for x in g.elements:
-        v = transform[x]
-        if v == one:
-            support.append(x)
-        elif v != zero:
-            raise InconsistentTableError(
-                "support", witness=x, detail=f"transform value {v} is not 0 or 1"
-            )
-    return tuple(support)
+def _slice_transforms(r: _Residues, alphas) -> np.ndarray:
+    """T[k, a, x] = sum over beta of L J(alphas[a] - beta, beta) chi_x(beta)
+    at point k, mod the point's prime: the scaled transforms of the slices
+    at the given element indices, evaluated like the table.  The
+    characters are tabulated a chunk of points at a time, in at most
+    _SCAN_BYTES."""
+    m = r.m
+    v = r.values[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1).astype(np.int64)
+    t = np.empty_like(v)
+    width = max(1, _SCAN_BYTES // (8 * m * m))
+    for lo in range(0, len(t), width):
+        ks = slice(lo, lo + width)
+        w = r.root_powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
+        np.matmul(v[ks], w, out=t[ks])
+    t %= r.moduli[:, None, None]
+    return t
 
 
 def _transform_at(table: JacobiTable, alpha: Element, x: Element) -> Cyclotomic:
@@ -180,18 +198,38 @@ def _transform_at(table: JacobiTable, alpha: Element, x: Element) -> Cyclotomic:
     return acc
 
 
+def fourier_support(table: JacobiTable, residues: _Residues | None = None) -> tuple[Element, ...]:
+    """Support of the transformed unit slice; every transform value must
+    be exactly 0 or 1, else the table is inconsistent.  `residues` is the
+    table's evaluation, if the caller has it."""
+    g = table.group
+    r = residues or _Residues(table)
+    t = _slice_transforms(r, [0])[:, 0].T  # [x, k]; index 0 is the identity
+    one = (t == r.scale).all(axis=1)
+    bad = ~one & t.any(axis=1)
+    if bad.any():
+        x = g.elements[bad.argmax()]
+        v = _transform_at(table, g.identity, x)
+        raise InconsistentTableError(
+            "support", witness=x, detail=f"transform value {v} is not 0 or 1"
+        )
+    return tuple(x for x, hit in zip(g.elements, one) if hit)
+
+
 def recover_support_map(
     table: JacobiTable,
     support: tuple[Element, ...],
     generators: tuple[Element, ...] | None = None,
     strict: bool = False,
+    residues: _Residues | None = None,
 ) -> dict[Element, Element]:
     """For each support point x, the unique dual element matched by the
     character a -> Q_a-transform at x.
 
     Only a generating set of characters is interrogated (the pairing
     separates points, so that determines the element); strict mode
-    cross-checks the value at every character.
+    cross-checks the value at every character.  Support points are
+    handled in order, and at each one the generators in order.
     """
     g = table.group
     m = g.m
@@ -199,50 +237,52 @@ def recover_support_map(
         generators = g.generators()
     elif not g.generates(generators):
         raise ValueError("the given elements do not generate the group")
-    roots = [Cyclotomic.root(m, e) for e in range(m)]
-    slices = {gen: slice_function(table, gen) for gen in generators}
-
-    smap: dict[Element, Element] = {}
-    for x in support:
-        exponents = []
-        for gen in generators:
-            acc = Cyclotomic.zero(m)
-            q_gen = slices[gen]
-            for beta in g.elements:
-                acc = acc + q_gen[beta].mul_root(pairing(g, beta, x))
-            for e in range(m):
-                if acc == roots[e]:
-                    exponents.append(e)
-                    break
-            else:
-                raise InconsistentTableError(
-                    "support-map",
-                    witness=(gen, x),
-                    detail=f"transform value {acc} is not a root of unity",
-                )
-        candidates = [
-            y
-            for y in g.elements
-            if all(pairing(g, gen, y) == e for gen, e in zip(generators, exponents))
-        ]
-        if len(candidates) != 1:
+    r = residues or _Residues(table)
+    pair = r.pairing
+    gens = [g.index(gen) for gen in generators]
+    xs = [g.index(x) for x in support]
+    roots = r.scale * r.root_powers % r.moduli  # [e, k] = L r^e at point k
+    t = _slice_transforms(r, gens)[:, :, xs].T  # [support point, generator, k]
+    # read e off the first point where L is not 0 mod p, where the L r^e
+    # differ, then confirm the transform is L r^e at every point
+    k = int(np.flatnonzero(r.scale)[0])
+    hit = t[:, :, k, None] == roots[:, k]  # [x, gen, e]
+    exponents = hit.argmax(axis=-1)
+    found = hit.any(axis=-1) & (t == roots[exponents]).all(axis=-1)
+    # candidates[x, y]: <gen, y> is the exponent read at x for every generator
+    candidates = (pair[gens].T[None] == exponents[:, None, :]).all(axis=-1)
+    counts = candidates.sum(axis=1)
+    failed = ~found.all(axis=1) | (counts != 1)
+    if failed.any():
+        i = int(failed.argmax())
+        x = support[i]
+        if not found[i].all():
+            gen = generators[int((~found[i]).argmax())]
+            acc = _transform_at(table, gen, x)
             raise InconsistentTableError(
                 "support-map",
-                witness=x,
-                detail=f"{len(candidates)} dual elements match the transform values",
+                witness=(gen, x),
+                detail=f"transform value {acc} is not a root of unity",
             )
-        smap[x] = candidates[0]
+        raise InconsistentTableError(
+            "support-map",
+            witness=x,
+            detail=f"{counts[i]} dual elements match the transform values",
+        )
+    ys = candidates.argmax(axis=1)
+    smap = {x: g.elements[y] for x, y in zip(support, ys)}
 
     if strict:
-        for x in support:
-            y = smap[x]
-            for alpha in g.elements:
-                if _transform_at(table, alpha, x) != roots[pairing(g, alpha, y)]:
-                    raise InconsistentTableError(
-                        "support-map",
-                        witness=(alpha, x),
-                        detail="full cross-check failed",
-                    )
+        t = _slice_transforms(r, np.arange(m))[:, :, xs]  # [k, alpha, x]
+        expected = roots[pair[ys]]  # [x, alpha, k] = L zeta^<alpha, i(x)> at point k
+        wrong = (t.T != expected).any(axis=-1)  # [x, alpha]
+        if wrong.any():
+            i, a = np.unravel_index(wrong.argmax(), wrong.shape)
+            raise InconsistentTableError(
+                "support-map",
+                witness=(g.elements[a], support[i]),
+                detail="full cross-check failed",
+            )
     return smap
 
 
@@ -392,6 +432,65 @@ def recompute_table(at: AdditionTable) -> JacobiTable:
     return table_from_pairs(at.group, xs, ys)
 
 
+def _agrees_at_first_point(r: _Residues, us, vs) -> bool:
+    """Whether the table built from the index pairs (u_k, v_k) matches the
+    evaluated input at the first evaluation point, where
+    m J'(alpha, beta) = sum over k of r^<alpha, u_k> r^<beta, v_k>: one
+    product of two small matrices mod p.  A mismatch proves the tables
+    differ; a match proves nothing."""
+    p, powers = int(r.moduli[0]), r.root_powers[:, 0]
+    rebuilt = powers[r.pairing[:, us]] @ powers[r.pairing[:, vs]].T % p * r.scale[0] % p
+    return np.array_equal(rebuilt, r.m * r.values[:, :, 0].astype(np.int64) % p)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Proof that an exact table passes every axiom check: the carrier its
+    support and map rebuild is a field, and that field's table equals the
+    table exactly.  Holds the stage results reconstruct reuses."""
+
+    support: tuple[Element, ...]
+    support_map: dict[Element, Element]
+    case: FieldCase
+    addition: AdditionTable
+    field_checks: FieldChecks
+    residues: _Residues = field(compare=False, repr=False)
+
+
+def certify(table: JacobiTable, residues: _Residues) -> Certificate | None:
+    """Rebuild the field behind an exact table and return the certificate,
+    or None as soon as a step fails.  The support and map are read at the
+    first evaluation point only: the exact comparison, not the stages, is
+    the proof.  The table is compared at that point with the support sum
+    of the candidate, which is the rebuilt field's table when there is
+    one, then the candidate is classified, the field built, its table
+    compared exactly and its axioms checked.  A certified table's
+    transforms are exactly those of the field, so its support and map are
+    the ones the stages read at every point."""
+    g = table.group
+    first = residues.first_point()
+    if not first.scale[0]:
+        return None  # L is divisible by p, so L does not divide m: no field's table
+    try:
+        support = fourier_support(table, first)
+        smap = recover_support_map(table, support, residues=first)
+        us = [g.index(smap[x]) for x in support]
+        if not _agrees_at_first_point(first, us, first.addneg[us, [g.index(x) for x in support]]):
+            return None
+        case = classify_support(g, support, smap)
+    except InconsistentTableError:
+        return None
+    if not isinstance(case, FieldCase):
+        return None
+    addition = build_addition(g, case.involution, smap)
+    if recompute_table(addition) != table:
+        return None
+    checks = verify_field(addition)
+    if not checks.passed:
+        return None
+    return Certificate(support, smap, case, addition, checks, residues)
+
+
 # -- approximate stages -----------------------------------------------------
 
 
@@ -473,11 +572,15 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
-    forced.  Complex-valued tables take the same pipeline after rounding
-    the transform decisions within the tolerance."""
+    forced.  A table the verifier certified reuses the certificate's
+    stage results; strict mode and explicit generators still recover the
+    map again.  Complex-valued tables take the same pipeline after
+    rounding the transform decisions within the tolerance; strict mode
+    cross-checks exact transforms and is refused for them."""
     approx = isinstance(table, ApproxTable)
+    if approx and strict:
+        raise ValueError("strict mode needs an exact table, not an approximate one")
     g = table.group
-    m = g.m
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
 
     verification = verify_all(table, tolerance=tolerance)
@@ -491,17 +594,24 @@ def reconstruct(
         }
         return report
 
+    cert = verification.certificate
     try:
         if approx:
             support = _fourier_support_approx(table, tolerance)
             smap = _recover_map_approx(table, support, generators, tolerance)
+        elif cert is None:
+            residues = _Residues(table)
+            support = fourier_support(table, residues)
+            smap = recover_support_map(table, support, generators, strict, residues)
         else:
-            support = fourier_support(table)
-            smap = recover_support_map(table, support, generators, strict)
+            support, smap = cert.support, cert.support_map
+            if strict or generators is not None:
+                # any generating set reads the same map off a field's table
+                smap = recover_support_map(table, support, generators, strict, cert.residues)
         report.support = support
         report.support_map = smap
         report.image = tuple(sorted(set(smap.values())))
-        case = classify_support(g, support, smap)
+        case = classify_support(g, support, smap) if cert is None else cert.case
     except InconsistentTableError as err:
         report.inconsistency = {
             "stage": err.stage,
@@ -516,10 +626,13 @@ def reconstruct(
     else:
         report.case = "field"
         report.involution = case.involution
-        addition = build_addition(g, case.involution, smap)
-        report.addition = addition
-        report.field_checks = verify_field(addition)
-        rebuilt = recompute_table(addition)
+        if cert is None:
+            report.addition = build_addition(g, case.involution, smap)
+            report.field_checks = verify_field(report.addition)
+            rebuilt = recompute_table(report.addition)
+        else:
+            report.addition, report.field_checks = cert.addition, cert.field_checks
+            rebuilt = table  # the certificate found the field's table equal to this one
     if approx:
         report.baseline = rebuilt.values[0][0] - 1
     else:

@@ -44,6 +44,20 @@ first failing s1 row gives that row's failing (s2, d) pairs.  Each scan
 runs in lexicographic order and stops at its first failure, whose two
 unequal values the scalar *_sides functions compute.
 
+Accepting an exact table is a certificate, not a scan.  A symmetric
+table on a group of order at least 2 is handed, with its evaluation, to
+reconstructor.certify, which reads a candidate support and map off the
+same residues at their first point, rebuilds the field they define, and
+compares that field's table with the input exactly.  If the carrier
+passes every field axiom and the tables are equal, the input is a
+finite field's Jacobi-sum table with its characters relabelled by a
+group isomorphism, which satisfies all three axioms (Berndt, Evans and
+Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
+no witness.  If any step fails, the scans run exactly as they would
+without it, and only they produce witnesses.  Accepting thus costs one
+table build and an O(q^3) field check; rejecting costs the O(m^3 E)
+scans, over E evaluation points, up to the first witness.
+
 Complex-valued tables take the same identities, checked value by value
 against an absolute tolerance (for the convolution sum, at every triple
 (s1, s2, d) in the direct domain) and flagged as approximate; a NaN or
@@ -54,7 +68,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -62,6 +77,9 @@ from .abelian import Element, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import is_prime
 from .jacobi import ApproxTable, JacobiTable
+
+if TYPE_CHECKING:
+    from .reconstructor import Certificate
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -94,11 +112,19 @@ class VerificationReport:
     convolution: CheckResult
     approximate: bool = False
     tolerance: float | None = None
+    # the proof behind a certified pass; not part of a report's verdicts
+    certificate: Certificate | None = field(default=None, compare=False, repr=False)
 
     @property
     def convolution_mode(self) -> str:
         """Always "exhaustive", as reports have recorded it."""
         return "exhaustive"
+
+    @property
+    def method(self) -> str:
+        """How the verdicts were reached: "certificate" when the table was
+        accepted by rebuilding its field, "scan" when the checks ran."""
+        return "scan" if self.certificate is None else "certificate"
 
     @property
     def passed(self) -> bool:
@@ -257,6 +283,20 @@ class _Residues:
         self.root_powers = np.concatenate([powers for _, powers in fields], axis=1)
         self.pairing = pairing_matrix(g)
         self.add, self.neg, self.addneg = index_tables(g)
+
+    def first_point(self) -> "_Residues":
+        """The evaluation restricted to its first point: one root of unity
+        modulo one prime, where a mismatch disproves an identity but a
+        match proves nothing."""
+        view = object.__new__(_Residues)
+        view.__dict__.update(
+            self.__dict__,
+            values=self.values[:, :, :1],
+            moduli=self.moduli[:1],
+            scale=self.scale[:1],
+            root_powers=self.root_powers[:, :1],
+        )
+        return view
 
     def chunks(self, n: int, rows: int):
         """Index arrays that cover range(n) in order.  They grow from one
@@ -517,7 +557,11 @@ def verify_all(
     table: JacobiTable | ApproxTable, *, tolerance: float = DEFAULT_TOLERANCE
 ) -> VerificationReport:
     """Run all axiom checks and aggregate the verdicts.  An exact table is
-    evaluated once, and every exact scan reads that evaluation."""
+    evaluated once, and every exact step reads that evaluation.  A
+    symmetric exact table on a nontrivial group is first offered to the
+    certificate: if the field it rebuilds reproduces it exactly, all four
+    checks pass with no scan; otherwise the scans decide, as they would
+    have without it."""
     if isinstance(table, ApproxTable):
         t, sym, coc_star, coc_direct = _approx_checks(table, tolerance)
         return VerificationReport(
@@ -531,6 +575,18 @@ def verify_all(
 
     residues = _Residues(table)
     sym = check_symmetry(table)
+    if sym.passed and table.group.m >= 2:
+        from .reconstructor import certify  # reconstructor imports this module
+
+        certificate = certify(table, residues)
+        if certificate is not None:
+            return VerificationReport(
+                symmetry=sym,
+                cocycle_star=CheckResult("cocycle-star", True),
+                cocycle_direct=CheckResult("cocycle-direct", True),
+                convolution=CheckResult("convolution-sum", True),
+                certificate=certificate,
+            )
     coc_star = check_cocycle_star(table, residues)
     coc_direct = check_cocycle_direct(table, residues)
     # the two forms are provably triple-by-triple equivalent whenever the

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import jacobisum as js
-from jacobisum.reconstructor import ZERO_SYM
+from jacobisum.reconstructor import ZERO_SYM, InconsistentTableError
 from jacobisum.verifier import CheckResult
 
 # every prime power q with 3 <= q <= 32
@@ -20,10 +20,16 @@ PRIME_POWERS = {
 
 ACCEPTANCE_Q = sorted(PRIME_POWERS)
 
+# every prime power q with 32 < q <= 64, the rest of the exact range
+LARGER_PRIME_POWERS = {
+    37: (37, 1), 41: (41, 1), 43: (43, 1), 47: (47, 1), 49: (7, 2),
+    53: (53, 1), 59: (59, 1), 61: (61, 1), 64: (2, 6),
+}
+
 
 @functools.lru_cache(maxsize=None)
 def field(q: int) -> js.FiniteField:
-    p, n = PRIME_POWERS[q]
+    p, n = {**PRIME_POWERS, **LARGER_PRIME_POWERS}[q]
     return js.build_field(p, n)
 
 
@@ -154,3 +160,80 @@ def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:
             inverses = CheckResult("inverses", False, (s,), len(zeros), 1)
             break
     return commutative, associative, distributive, inverses
+
+
+def _reference_transform(table: js.JacobiTable, alpha, x) -> js.Cyclotomic:
+    g = table.group
+    q_alpha = js.slice_function(table, alpha)
+    acc = js.Cyclotomic.zero(g.m)
+    for beta in g.elements:
+        acc = acc + q_alpha[beta].mul_root(js.pairing(g, beta, x))
+    return acc
+
+
+def reference_fourier_support(table: js.JacobiTable):
+    """The support stage as exact Cyclotomic loops: the unit slice's
+    transform through js.dft, each value compared with 0 and 1."""
+    g = table.group
+    m = g.m
+    transform = js.dft(g, js.slice_function(table, g.identity))
+    zero, one = js.Cyclotomic.zero(m), js.Cyclotomic.one(m)
+    support = []
+    for x in g.elements:
+        v = transform[x]
+        if v == one:
+            support.append(x)
+        elif v != zero:
+            raise InconsistentTableError(
+                "support", witness=x, detail=f"transform value {v} is not 0 or 1"
+            )
+    return tuple(support)
+
+
+def reference_support_map(table: js.JacobiTable, support, generators=None, strict=False):
+    """The support-map stage as exact Cyclotomic loops: each generator's
+    transform at each support point matched against the m roots of unity,
+    and under strict every character's transform at every support point."""
+    g = table.group
+    m = g.m
+    if generators is None:
+        generators = g.generators()
+    elif not g.generates(generators):
+        raise ValueError("the given elements do not generate the group")
+    roots = [js.Cyclotomic.root(m, e) for e in range(m)]
+    smap = {}
+    for x in support:
+        exponents = []
+        for gen in generators:
+            acc = _reference_transform(table, gen, x)
+            for e in range(m):
+                if acc == roots[e]:
+                    exponents.append(e)
+                    break
+            else:
+                raise InconsistentTableError(
+                    "support-map",
+                    witness=(gen, x),
+                    detail=f"transform value {acc} is not a root of unity",
+                )
+        candidates = [
+            y
+            for y in g.elements
+            if all(js.pairing(g, gen, y) == e for gen, e in zip(generators, exponents))
+        ]
+        if len(candidates) != 1:
+            raise InconsistentTableError(
+                "support-map",
+                witness=x,
+                detail=f"{len(candidates)} dual elements match the transform values",
+            )
+        smap[x] = candidates[0]
+    if strict:
+        for x in support:
+            y = smap[x]
+            for alpha in g.elements:
+                if _reference_transform(table, alpha, x) != roots[js.pairing(g, alpha, y)]:
+                    raise InconsistentTableError(
+                        "support-map", witness=(alpha, x), detail="full cross-check failed"
+                    )
+    return smap

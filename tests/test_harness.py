@@ -397,6 +397,15 @@ def test_cli_reconstruct_strict(tmp_path):
     assert _run("reconstruct", "--table", tpath, "--out", rpath, "--strict") == 0
 
 
+def test_cli_reconstruct_strict_rejects_approximate_tables(tmp_path, capsys):
+    tpath = tmp_path / "approx.json"
+    rpath = tmp_path / "r.json"
+    write_json(tpath, approx_table_to_json(approximate(table(9))))
+    assert _run("reconstruct", "--table", tpath, "--out", rpath, "--strict") == 2
+    assert "strict mode needs an exact table" in capsys.readouterr().err
+    assert not rpath.exists()
+
+
 def test_cli_verify_trivial_group(tmp_path):
     tpath = tmp_path / "one.json"
     write_json(

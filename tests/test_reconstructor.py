@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,10 +30,19 @@ from jacobisum import (
     twist_automorphism,
     verify_field,
 )
+from jacobisum import reconstructor, verifier
 from jacobisum.harness import field_addition_rows
 from jacobisum.jacobi import ApproxTable
 
-from helpers import field, random_table, reference_field_checks, table
+from helpers import (
+    field,
+    random_table,
+    reference_field_checks,
+    reference_fourier_support,
+    reference_support_map,
+    symmetric_random_table,
+    table,
+)
 
 ROUNDTRIP_Q = (3, 4, 5, 7, 8, 9)
 
@@ -351,3 +361,124 @@ def test_build_addition_agrees_with_support_sum():
     case = classify_support(t.group, support, smap)
     at = build_addition(t.group, case.involution, smap)
     assert recompute_table(at) == table_from_support(t.group, support, smap)
+
+
+def _stage_outcome(stage, *args, **kwargs):
+    try:
+        return ("ok", stage(*args, **kwargs))
+    except InconsistentTableError as err:
+        return (err.stage, err.witness, err.detail)
+
+
+def _stage_tables():
+    # field tables and symmetric or one-sided moves of them, random tables,
+    # and support-sum tables of random maps, moved once, on cyclic and
+    # non-cyclic groups
+    rng = random.Random(31)
+    for q in (3, 4, 5, 7, 8, 9, 16):
+        t = table(q)
+        m = q - 1
+        yield t
+        for _ in range(10):
+            i, j = rng.randrange(m), rng.randrange(m)
+            shift = rng.choice([
+                Fraction(rng.randint(1, 6), 7),
+                root_power(m, rng.randrange(m)),
+                root_power(m, rng.randrange(m)) - 1,
+            ])
+            bad = t.with_entry(i, j, t.values[i][j] + shift)
+            if rng.random() < 0.6 and i != j:
+                bad = bad.with_entry(j, i, t.values[j][i] + shift)
+            yield bad
+        # moves by the first prime, invisible at that prime's points, in
+        # the unit slice (0, 0) and the generator's slice (1, 0)
+        first = int(verifier._Residues(t).moduli[0])
+        yield t.with_entry(0, 0, t.values[0][0] + first)
+        yield t.with_entry(1, 0, t.values[1][0] + first)
+    for factors in ((2,), (3,), (2, 2), (4,), (2, 3), (3, 3)):
+        yield random_table(rng, factors)
+        yield symmetric_random_table(rng, factors)
+    for factors in ((3,), (5,), (6,), (2, 2), (2, 4), (3, 3)):
+        g = GroupSpec(factors)
+        m = g.m
+        for _ in range(8):
+            support = [x for x in g.elements if rng.random() < 0.85]
+            smap = {x: rng.choice(g.elements) for x in support}
+            t = table_from_support(g, support, smap)
+            yield t
+            i, j = rng.randrange(m), rng.randrange(m)
+            yield t.with_entry(
+                i, j, t.values[i][j] + root_power(m, rng.randrange(m)) - root_power(m, 1)
+            )
+
+
+@pytest.mark.parametrize("scan_bytes", [None, 1])
+def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
+    # the residue transforms give the Cyclotomic loops' support, map,
+    # failing stage, witness and detail, with and without strict mode and
+    # with the default or another generating set; also, on every third
+    # table, with one evaluation point per chunk of characters
+    tables = _stage_tables()
+    if scan_bytes is not None:
+        monkeypatch.setattr(reconstructor, "_SCAN_BYTES", scan_bytes)
+        tables = itertools.islice(tables, 0, None, 3)
+    seen = set()
+    for t in tables:
+        got = _stage_outcome(fourier_support, t)
+        assert got == _stage_outcome(reference_fourier_support, t), t
+        if got[0] != "ok":
+            seen.add(got[2].split(" ")[-1])  # "... is not 0 or 1"
+            continue
+        support = got[1]
+        g = t.group
+        others = [x for x in g.elements if g.generates([x])]
+        for generators in [None] + ([(others[-1],)] if len(others) > 1 else []):
+            for strict in (False, True):
+                got = _stage_outcome(recover_support_map, t, support, generators, strict)
+                want = _stage_outcome(reference_support_map, t, support, generators, strict)
+                assert got == want, (t, generators, strict)
+                seen.add("map" if got[0] == "ok" else got[2].split(" ")[-1])
+    # every outcome occurs: a map, a transform not 0 or 1, not a root of
+    # unity, no single matching dual element, and a failed cross-check
+    if scan_bytes is None:
+        assert seen == {"map", "1", "unity", "values", "failed"}
+
+
+def test_reconstruct_reuses_the_certificate(monkeypatch):
+    # one evaluation, one rebuilt table and one field check per call; the
+    # report equals the one built from the stages, also when strict mode
+    # or other generators recover the map again
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init = verifier._Residues.__init__
+    monkeypatch.setattr(verifier._Residues, "__init__", counted("residues", init))
+    for name in ("recompute_table", "verify_field", "build_addition"):
+        monkeypatch.setattr(reconstructor, name, counted(name, getattr(reconstructor, name)))
+    t = table(9)
+    support = fourier_support(t)
+    smap = recover_support_map(t, support)
+    addition = build_addition(t.group, classify_support(t.group, support, smap).involution, smap)
+    for kwargs in ({}, {"strict": True}, {"generators": ((3,),)}):
+        calls.clear()
+        report = reconstruct(t, **kwargs)
+        assert report.verification.method == "certificate"
+        assert sorted(calls) == [
+            "build_addition", "recompute_table", "residues", "verify_field"
+        ], kwargs
+        assert report.ok and report.roundtrip_ok and report.baseline_ok
+        assert (report.support, report.support_map) == (support, smap)
+        assert report.addition == addition
+        assert report.field_checks == verify_field(addition)
+
+
+def test_reconstruct_refuses_strict_on_approximate_tables():
+    noisy = approximate(table(9))
+    with pytest.raises(ValueError, match="strict"):
+        reconstruct(noisy, strict=True)
+    assert reconstruct(noisy).ok

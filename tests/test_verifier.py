@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,24 +15,43 @@ from hypothesis import strategies as st
 from jacobisum import (
     Cyclotomic,
     GroupSpec,
+    InconsistentTableError,
     JacobiTable,
     approximate,
+    build_addition,
     check_cocycle_direct,
     check_cocycle_star,
     check_convolution_sum,
     check_symmetry,
+    classify_support,
     cocycle_direct_sides,
     cocycle_star_sides,
     convolution_sum_sides,
+    enumerate_jacobi,
+    fourier_support,
+    recompute_table,
+    recover_support_map,
     root_power,
     slice_convolution_sides,
+    twist_automorphism,
+    twist_galois,
     verify_all,
+    verify_field,
 )
 from jacobisum import verifier
-from jacobisum.jacobi import ApproxTable
+from jacobisum.enumerator import _candidate_maps
+from jacobisum.jacobi import ApproxTable, table_from_support
+from jacobisum.reconstructor import _agrees_at_first_point
 from jacobisum.verifier import _Residues
 
-from helpers import reference_witness, random_table, symmetric_random_table, table
+from helpers import (
+    LARGER_PRIME_POWERS,
+    PRIME_POWERS,
+    reference_witness,
+    random_table,
+    symmetric_random_table,
+    table,
+)
 
 
 def _one_table(value) -> JacobiTable:
@@ -130,6 +150,7 @@ def test_cocycle_forms_can_differ_only_at_identity_products():
 def _assert_matches_reference(t):
     # verify_all shares one evaluation of the table across its scans
     report = verify_all(t)
+    assert report.method == ("certificate" if report.passed and t.group.m >= 2 else "scan")
     alone = (check_cocycle_star(t), check_cocycle_direct(t), check_convolution_sum(t))
     for result, single in zip(report.checks[1:], alone):
         assert result == single, (t, result.check)
@@ -176,7 +197,9 @@ def test_engine_matches_reference_scan():
 
 
 def _moved(t: JacobiTable, i: int, j: int, shift) -> JacobiTable:
-    return t.with_entry(i, j, t.values[i][j] + shift).with_entry(j, i, t.values[j][i] + shift)
+    """The table with cell (i, j) and its transpose moved by `shift`."""
+    t = t.with_entry(i, j, t.values[i][j] + shift)
+    return t if i == j else t.with_entry(j, i, t.values[j][i] + shift)
 
 
 def test_chunked_scans_match_reference_scan(monkeypatch):
@@ -261,6 +284,132 @@ def test_verify_all_aggregation():
     assert not report.symmetry.passed
 
 
+def _scans(t: JacobiTable):
+    residues = _Residues(t)
+    return (
+        check_symmetry(t),
+        check_cocycle_star(t, residues),
+        check_cocycle_direct(t, residues),
+        check_convolution_sum(t, residues),
+    )
+
+
+def _assert_certified(t: JacobiTable):
+    report = verify_all(t)
+    assert report.method == "certificate", t
+    assert report.passed and report.checks == _scans(t), t
+
+
+def test_certificate_verdicts_equal_scans_on_field_tables():
+    # every field in the exact range, and twists of the smaller ones: the
+    # certificate accepts them and the scans pass them
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        t = table(q)
+        m = q - 1
+        _assert_certified(t)
+        units = [r for r in range(2, m) if math.gcd(r, m) == 1]
+        for r in units if q <= 16 else units[:1] if q <= 32 else ():
+            _assert_certified(twist_automorphism(t, r))
+            _assert_certified(twist_galois(t, r))
+
+
+def test_certificate_verdicts_equal_scans_on_enumeration_candidates():
+    # every candidate the enumerator tries on groups of order <= 7, the
+    # tables it keeps among them: certified exactly when the scans pass
+    # (the trivial group is never offered to the certificate)
+    certified = kept = 0
+    for factors in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3), (7,)):
+        g = GroupSpec(factors)
+        kept += enumerate_jacobi(g).count if g.m >= 2 else 0
+        for c in g.elements:
+            if g.add(c, c) != g.identity:
+                continue
+            support = tuple(e for e in g.elements if e != c)
+            for smap in _candidate_maps(g, c):
+                t = table_from_support(g, support, smap)
+                report = verify_all(t)
+                assert report.checks == _scans(t), t
+                assert report.method == (
+                    "certificate" if report.passed and g.m >= 2 else "scan"
+                ), t
+                certified += report.method == "certificate"
+    assert certified == kept == 10
+
+
+def _certificate_stop(t: JacobiTable) -> str | None:
+    """The step at which the certificate gives up on a table, or None."""
+    g = t.group
+    first = _Residues(t).first_point()
+    try:
+        support = fourier_support(t, first)
+    except InconsistentTableError:
+        return "support"
+    try:
+        smap = recover_support_map(t, support, residues=first)
+    except InconsistentTableError:
+        return "support-map"
+    us = [g.index(smap[x]) for x in support]
+    if not _agrees_at_first_point(first, us, first.addneg[us, [g.index(x) for x in support]]):
+        return "first point"
+    try:
+        case = classify_support(g, support, smap)
+    except InconsistentTableError:
+        return "classify"
+    at = build_addition(g, case.involution, smap)
+    if recompute_table(at) != t:
+        return "exact compare"
+    return None if verify_field(at).passed else "field"
+
+
+@pytest.mark.parametrize("stage, q, cell, shift, witnesses", [
+    # the unit slice J(-b, b) moved: the transform is no longer 0 or 1
+    ("support", 9, (1, 7), Fraction(3, 7), ((1, 1, 6), (1, 1, 6), (0, 0, 0, 0))),
+    # the generator's slice J(1 - b, b) moved: no longer a root of unity
+    ("support-map", 9, (2, 7), Fraction(3, 7), ((1, 1, 7), (1, 1, 7), (0, 1, 0, 1))),
+    # the benchmark's reject cell and a late one, outside slices 0 and 1
+    ("first point", 64, (1, 2), Fraction(3, 7), ((1, 1, 2), (1, 1, 2), (0, 0, 0, 3))),
+    ("first point", 64, (62, 61), Fraction(3, 7), ((1, 60, 62), (1, 60, 62), (0, 0, 0, 60))),
+    # J(0, 1) moved by 1 on GF(3) is the support sum of the map 0 -> 0,
+    # whose image holds the identity; it satisfies the convolution sum
+    ("classify", 3, (0, 1), 1, ((0, 0, 1), (0, 0, 1), None)),
+    # a move by the first prime is invisible at every point of that prime
+    ("exact compare", 64, (1, 2), "first prime", ((1, 1, 2), (1, 1, 2), (0, 0, 0, 3))),
+])
+def test_certificate_falls_through_to_scans(stage, q, cell, shift, witnesses):
+    # symmetric one-cell moves of field tables, each stopping the
+    # certificate at a different step: the scans then run as without it
+    # and give the witnesses the scans alone give
+    t = table(q)
+    if shift == "first prime":
+        shift = int(_Residues(t).moduli[0])
+    bad = _moved(t, *cell, shift)
+    assert _certificate_stop(bad) == stage
+    report = verify_all(bad)
+    assert report.method == "scan" and report.certificate is None
+    assert report.checks == _scans(bad)
+    assert report.symmetry.passed
+    got = tuple(c.witness and tuple(x for (x,) in c.witness) for c in report.checks[1:])
+    assert got == witnesses
+    if q <= 9:
+        _assert_matches_reference(bad)
+
+
+def test_certificate_preconditions():
+    # no certificate without symmetry or on the trivial group, and none
+    # when the first prime divides the common denominator, which no
+    # field's table has (its denominator divides m)
+    t = table(8)
+    assert verify_all(t.with_entry(1, 2, t.values[1][2] + 1)).method == "scan"
+    for value in (0, 1):
+        report = verify_all(_one_table(value))
+        assert report.passed and report.method == "scan"
+    bad = _moved(t, 1, 2, Fraction(1, int(_Residues(t).moduli[0])))
+    assert _Residues(bad).scale[0] == 0
+    report = verify_all(bad)
+    assert report.method == "scan" and report.checks == _scans(bad)
+    assert not report.passed
+
+
 def test_verify_all_approximate():
     rng = random.Random(15)
     t = table(9)
@@ -276,7 +425,7 @@ def test_verify_all_approximate():
         ),
     )
     report = verify_all(noisy)
-    assert report.approximate and report.passed
+    assert report.approximate and report.passed and report.method == "scan"
     # a perturbation far beyond the tolerance must be caught
     entries = [list(row) for row in noisy.entries]
     entries[1][2] += 0.5
