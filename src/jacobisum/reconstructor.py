@@ -37,7 +37,7 @@ reuses the certificate instead of running the stages again.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -171,21 +171,26 @@ class ReconstructionReport:
 # -- pipeline stages -------------------------------------------------------
 
 
-def _slice_transforms(r: _Residues, alphas) -> np.ndarray:
+_ALL_POINTS = slice(None)
+_FIRST_POINT = slice(0, 1)
+
+
+def _slice_transforms(r: _Residues, alphas, points: slice = _ALL_POINTS) -> np.ndarray:
     """T[k, a, x] = sum over beta of L J(alphas[a] - beta, beta) chi_x(beta)
-    at point k, mod the point's prime: the scaled transforms of the slices
-    at the given element indices, evaluated like the table.  The
-    characters are tabulated a chunk of points at a time, in at most
-    _SCAN_BYTES."""
+    at the k-th of the given evaluation points, mod that point's prime:
+    the scaled transforms of the slices at the given element indices,
+    evaluated like the table.  The characters are tabulated a chunk of
+    points at a time, in at most _SCAN_BYTES."""
     m = r.m
-    v = r.values[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1).astype(np.int64)
+    v = r.values[r.addneg[alphas], np.arange(m), points].transpose(2, 0, 1).astype(np.int64)
+    powers = r.root_powers[:, points]
     t = np.empty_like(v)
     width = max(1, _SCAN_BYTES // (8 * m * m))
     for lo in range(0, len(t), width):
         ks = slice(lo, lo + width)
-        w = r.root_powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
+        w = powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
         np.matmul(v[ks], w, out=t[ks])
-    t %= r.moduli[:, None, None]
+    t %= r.moduli[points, None, None]
     return t
 
 
@@ -198,14 +203,18 @@ def _transform_at(table: JacobiTable, alpha: Element, x: Element) -> Cyclotomic:
     return acc
 
 
-def fourier_support(table: JacobiTable, residues: _Residues | None = None) -> tuple[Element, ...]:
+def fourier_support(
+    table: JacobiTable, residues: _Residues | None = None, *, points: slice = _ALL_POINTS
+) -> tuple[Element, ...]:
     """Support of the transformed unit slice; every transform value must
     be exactly 0 or 1, else the table is inconsistent.  `residues` is the
-    table's evaluation, if the caller has it."""
+    table's evaluation, if the caller has it; `points` restricts the
+    decision to some of its points, where a value that differs from 0 and
+    1 still disproves, but agreement no longer proves."""
     g = table.group
     r = residues or _Residues(table)
-    t = _slice_transforms(r, [0])[:, 0].T  # [x, k]; index 0 is the identity
-    one = (t == r.scale).all(axis=1)
+    t = _slice_transforms(r, [0], points)[:, 0].T  # [x, k]; index 0 is the identity
+    one = (t == r.scale[points]).all(axis=1)
     bad = ~one & t.any(axis=1)
     if bad.any():
         x = g.elements[bad.argmax()]
@@ -222,6 +231,8 @@ def recover_support_map(
     generators: tuple[Element, ...] | None = None,
     strict: bool = False,
     residues: _Residues | None = None,
+    *,
+    points: slice = _ALL_POINTS,
 ) -> dict[Element, Element]:
     """For each support point x, the unique dual element matched by the
     character a -> Q_a-transform at x.
@@ -230,6 +241,7 @@ def recover_support_map(
     separates points, so that determines the element); strict mode
     cross-checks the value at every character.  Support points are
     handled in order, and at each one the generators in order.
+    `residues` and `points` are as for fourier_support.
     """
     g = table.group
     m = g.m
@@ -241,11 +253,12 @@ def recover_support_map(
     pair = r.pairing
     gens = [g.index(gen) for gen in generators]
     xs = [g.index(x) for x in support]
-    roots = r.scale * r.root_powers % r.moduli  # [e, k] = L r^e at point k
-    t = _slice_transforms(r, gens)[:, :, xs].T  # [support point, generator, k]
+    scale = r.scale[points]
+    roots = scale * r.root_powers[:, points] % r.moduli[points]  # [e, k] = L r^e at point k
+    t = _slice_transforms(r, gens, points)[:, :, xs].T  # [support point, generator, k]
     # read e off the first point where L is not 0 mod p, where the L r^e
     # differ, then confirm the transform is L r^e at every point
-    k = int(np.flatnonzero(r.scale)[0])
+    k = int(np.flatnonzero(scale)[0])
     hit = t[:, :, k, None] == roots[:, k]  # [x, gen, e]
     exponents = hit.argmax(axis=-1)
     found = hit.any(axis=-1) & (t == roots[exponents]).all(axis=-1)
@@ -273,7 +286,7 @@ def recover_support_map(
     smap = {x: g.elements[y] for x, y in zip(support, ys)}
 
     if strict:
-        t = _slice_transforms(r, np.arange(m))[:, :, xs]  # [k, alpha, x]
+        t = _slice_transforms(r, np.arange(m), points)[:, :, xs]  # [k, alpha, x]
         expected = roots[pair[ys]]  # [x, alpha, k] = L zeta^<alpha, i(x)> at point k
         wrong = (t.T != expected).any(axis=-1)  # [x, alpha]
         if wrong.any():
@@ -454,41 +467,54 @@ class Certificate:
     case: FieldCase
     addition: AdditionTable
     field_checks: FieldChecks
-    residues: _Residues = field(compare=False, repr=False)
 
 
-def certify(table: JacobiTable, residues: _Residues) -> Certificate | None:
+def certify(table: JacobiTable, residues: _Residues) -> Certificate | str:
     """Rebuild the field behind an exact table and return the certificate,
-    or None as soon as a step fails.  The support and map are read at the
-    first evaluation point only: the exact comparison, not the stages, is
-    the proof.  The table is compared at that point with the support sum
-    of the candidate, which is the rebuilt field's table when there is
-    one, then the candidate is classified, the field built, its table
-    compared exactly and its axioms checked.  A certified table's
-    transforms are exactly those of the field, so its support and map are
-    the ones the stages read at every point."""
+    or, as soon as a step fails, the name of that step.
+
+    Two free tests come first.  A field's table has its common
+    denominator L dividing m ("denominator"), and each of its rows sums to
+    0 ("row sums", tested at the first evaluation point): the sum over
+    beta of J(alpha, beta) collects the pairs x (+) y = 1 with y = 1,
+    and only x = 0 has that.  The support and map are read at the first
+    evaluation point only ("support", "support-map"): the exact
+    comparison, not the stages, is the proof.  The table is compared at
+    that point with the support sum of the candidate ("first point"),
+    which is the rebuilt field's table when there is one; then the
+    candidate is classified ("classify"), the field built, its table
+    compared exactly ("exact compare") and its axioms checked ("field").
+    A certified table's transforms are exactly those of the field, so its
+    support and map are the ones the stages read at every point."""
     g = table.group
-    first = residues.first_point()
-    if not first.scale[0]:
-        return None  # L is divisible by p, so L does not divide m: no field's table
+    if g.m % residues.denominator:
+        return "denominator"
+    if (residues.values[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
+        return "row sums"
     try:
-        support = fourier_support(table, first)
-        smap = recover_support_map(table, support, residues=first)
-        us = [g.index(smap[x]) for x in support]
-        if not _agrees_at_first_point(first, us, first.addneg[us, [g.index(x) for x in support]]):
-            return None
+        support = fourier_support(table, residues, points=_FIRST_POINT)
+    except InconsistentTableError:
+        return "support"
+    try:
+        smap = recover_support_map(table, support, residues=residues, points=_FIRST_POINT)
+    except InconsistentTableError:
+        return "support-map"
+    us = [g.index(smap[x]) for x in support]
+    if not _agrees_at_first_point(residues, us, residues.addneg[us, [g.index(x) for x in support]]):
+        return "first point"
+    try:
         case = classify_support(g, support, smap)
     except InconsistentTableError:
-        return None
+        return "classify"
     if not isinstance(case, FieldCase):
-        return None
+        return "classify"
     addition = build_addition(g, case.involution, smap)
     if recompute_table(addition) != table:
-        return None
+        return "exact compare"
     checks = verify_field(addition)
     if not checks.passed:
-        return None
-    return Certificate(support, smap, case, addition, checks, residues)
+        return "field"
+    return Certificate(support, smap, case, addition, checks)
 
 
 # -- approximate stages -----------------------------------------------------
@@ -573,10 +599,11 @@ def reconstruct(
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
     forced.  A table the verifier certified reuses the certificate's
-    stage results; strict mode and explicit generators still recover the
-    map again.  Complex-valued tables take the same pipeline after
-    rounding the transform decisions within the tolerance; strict mode
-    cross-checks exact transforms and is refused for them."""
+    stage results; strict mode and explicit generators still read the
+    support and map off a new evaluation of the table.  Complex-valued
+    tables take the same pipeline after rounding the transform decisions
+    within the tolerance; strict mode cross-checks exact transforms and
+    is refused for them."""
     approx = isinstance(table, ApproxTable)
     if approx and strict:
         raise ValueError("strict mode needs an exact table, not an approximate one")
@@ -599,15 +626,14 @@ def reconstruct(
         if approx:
             support = _fourier_support_approx(table, tolerance)
             smap = _recover_map_approx(table, support, generators, tolerance)
-        elif cert is None:
+        elif cert is None or strict or generators is not None:
+            # a certified table gives the same support and map again, but
+            # strict mode and explicit generators ask for them to be read
             residues = _Residues(table)
             support = fourier_support(table, residues)
             smap = recover_support_map(table, support, generators, strict, residues)
         else:
             support, smap = cert.support, cert.support_map
-            if strict or generators is not None:
-                # any generating set reads the same map off a field's table
-                smap = recover_support_map(table, support, generators, strict, cert.residues)
         report.support = support
         report.support_map = smap
         report.image = tuple(sorted(set(smap.values())))

@@ -46,7 +46,9 @@ unequal values the scalar *_sides functions compute.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
 table on a group of order at least 2 is handed, with its evaluation, to
-reconstructor.certify, which reads a candidate support and map off the
+reconstructor.certify.  Unless its common denominator fails to divide
+m or a row fails to sum to 0, either of which rules out every field's
+table at no cost, certify reads a candidate support and map off the
 same residues at their first point, rebuilds the field they define, and
 compares that field's table with the input exactly.  If the carrier
 passes every field axiom and the tables are equal, the input is a
@@ -239,7 +241,8 @@ class _Residues:
     """The table scaled to integers over its common denominator L and
     evaluated at every primitive m-th root of unity modulo enough primes:
     values[i, j, k] is L * J(i, j) at point k, modulo moduli[k], stored as
-    int32 and widened to int64 before any product.  root_powers[e, k] is
+    int32 and widened to int64 before any product.  denominator is L and
+    scale[k] is L modulo moduli[k].  root_powers[e, k] is
     r^e for the root r of point k, so chi_x(y) = root_powers[pairing[x, y], k]."""
 
     def __init__(self, table: JacobiTable):
@@ -279,24 +282,11 @@ class _Residues:
                 res %= p
                 self.values[lo:hi, :, i * deg : (i + 1) * deg] = res
         self.moduli = np.repeat(primes, deg)
+        self.denominator = scale
         self.scale = np.repeat([scale % p for p in primes], deg)
         self.root_powers = np.concatenate([powers for _, powers in fields], axis=1)
         self.pairing = pairing_matrix(g)
         self.add, self.neg, self.addneg = index_tables(g)
-
-    def first_point(self) -> "_Residues":
-        """The evaluation restricted to its first point: one root of unity
-        modulo one prime, where a mismatch disproves an identity but a
-        match proves nothing."""
-        view = object.__new__(_Residues)
-        view.__dict__.update(
-            self.__dict__,
-            values=self.values[:, :, :1],
-            moduli=self.moduli[:1],
-            scale=self.scale[:1],
-            root_powers=self.root_powers[:, :1],
-        )
-        return view
 
     def chunks(self, n: int, rows: int):
         """Index arrays that cover range(n) in order.  They grow from one
@@ -576,10 +566,10 @@ def verify_all(
     residues = _Residues(table)
     sym = check_symmetry(table)
     if sym.passed and table.group.m >= 2:
-        from .reconstructor import certify  # reconstructor imports this module
+        from .reconstructor import Certificate, certify  # reconstructor imports this module
 
         certificate = certify(table, residues)
-        if certificate is not None:
+        if isinstance(certificate, Certificate):
             return VerificationReport(
                 symmetry=sym,
                 cocycle_star=CheckResult("cocycle-star", True),

@@ -15,33 +15,25 @@ from hypothesis import strategies as st
 from jacobisum import (
     Cyclotomic,
     GroupSpec,
-    InconsistentTableError,
     JacobiTable,
     approximate,
-    build_addition,
     check_cocycle_direct,
     check_cocycle_star,
     check_convolution_sum,
     check_symmetry,
-    classify_support,
     cocycle_direct_sides,
     cocycle_star_sides,
     convolution_sum_sides,
     enumerate_jacobi,
-    fourier_support,
-    recompute_table,
-    recover_support_map,
     root_power,
     slice_convolution_sides,
     twist_automorphism,
     twist_galois,
     verify_all,
-    verify_field,
 )
-from jacobisum import verifier
+from jacobisum import reconstructor, verifier
 from jacobisum.enumerator import _candidate_maps
 from jacobisum.jacobi import ApproxTable, table_from_support
-from jacobisum.reconstructor import _agrees_at_first_point
 from jacobisum.verifier import _Residues
 
 from helpers import (
@@ -338,51 +330,49 @@ def test_certificate_verdicts_equal_scans_on_enumeration_candidates():
 
 def _certificate_stop(t: JacobiTable) -> str | None:
     """The step at which the certificate gives up on a table, or None."""
-    g = t.group
-    first = _Residues(t).first_point()
-    try:
-        support = fourier_support(t, first)
-    except InconsistentTableError:
-        return "support"
-    try:
-        smap = recover_support_map(t, support, residues=first)
-    except InconsistentTableError:
-        return "support-map"
-    us = [g.index(smap[x]) for x in support]
-    if not _agrees_at_first_point(first, us, first.addneg[us, [g.index(x) for x in support]]):
-        return "first point"
-    try:
-        case = classify_support(g, support, smap)
-    except InconsistentTableError:
-        return "classify"
-    at = build_addition(g, case.involution, smap)
-    if recompute_table(at) != t:
-        return "exact compare"
-    return None if verify_field(at).passed else "field"
+    result = reconstructor.certify(t, _Residues(t))
+    return result if isinstance(result, str) else None
 
 
-@pytest.mark.parametrize("stage, q, cell, shift, witnesses", [
+def _square(t: JacobiTable, a: int, b: int, shift) -> JacobiTable:
+    """The table with cells (a, a) and (b, b) moved by `shift` and (a, b)
+    and (b, a) by -shift: still symmetric, with the same row sums."""
+    t = _moved(_moved(t, a, a, shift), b, b, shift)
+    return _moved(t, a, b, -shift)
+
+
+def _first_prime(q: int) -> int:
+    return int(_Residues(table(q)).moduli[0])
+
+
+@pytest.mark.parametrize("stage, make, witnesses", [
+    # a symmetric one-cell move changes two row sums: the benchmark's cell
+    pytest.param("row sums", lambda: _moved(table(8), 1, 2, Fraction(3, 7)),
+                 ((1, 1, 2), (1, 1, 2), (0, 0, 0, 3)), id="row-sums"),
     # the unit slice J(-b, b) moved: the transform is no longer 0 or 1
-    ("support", 9, (1, 7), Fraction(3, 7), ((1, 1, 6), (1, 1, 6), (0, 0, 0, 0))),
+    pytest.param("support", lambda: _square(table(9), 1, 7, Fraction(3, 8)),
+                 ((1, 1, 2), (1, 1, 2), (0, 0, 0, 0)), id="support"),
     # the generator's slice J(1 - b, b) moved: no longer a root of unity
-    ("support-map", 9, (2, 7), Fraction(3, 7), ((1, 1, 7), (1, 1, 7), (0, 1, 0, 1))),
+    pytest.param("support-map", lambda: _square(table(9), 2, 7, Fraction(3, 8)),
+                 ((1, 1, 2), (1, 1, 2), (0, 0, 0, 4)), id="support-map"),
     # the benchmark's reject cell and a late one, outside slices 0 and 1
-    ("first point", 64, (1, 2), Fraction(3, 7), ((1, 1, 2), (1, 1, 2), (0, 0, 0, 3))),
-    ("first point", 64, (62, 61), Fraction(3, 7), ((1, 60, 62), (1, 60, 62), (0, 0, 0, 60))),
-    # J(0, 1) moved by 1 on GF(3) is the support sum of the map 0 -> 0,
-    # whose image holds the identity; it satisfies the convolution sum
-    ("classify", 3, (0, 1), 1, ((0, 0, 1), (0, 0, 1), None)),
+    pytest.param("first point", lambda: _square(table(64), 1, 2, Fraction(3, 7)),
+                 ((1, 1, 2), (1, 1, 2), (0, 0, 0, 2)), id="first-point"),
+    pytest.param("first point", lambda: _square(table(64), 62, 61, Fraction(3, 7)),
+                 ((1, 60, 61), (1, 60, 61), (0, 0, 0, 59)), id="first-point-late"),
+    # the zero table on the group of order 2 is the support sum of the
+    # empty support; it satisfies the convolution sum
+    pytest.param("classify", lambda: table_from_support(GroupSpec((2,)), [], {}),
+                 ((0, 0, 1), (0, 0, 1), None), id="classify"),
     # a move by the first prime is invisible at every point of that prime
-    ("exact compare", 64, (1, 2), "first prime", ((1, 1, 2), (1, 1, 2), (0, 0, 0, 3))),
+    pytest.param("exact compare", lambda: _square(table(64), 1, 2, _first_prime(64)),
+                 ((1, 1, 2), (1, 1, 2), (0, 0, 0, 2)), id="exact-compare"),
 ])
-def test_certificate_falls_through_to_scans(stage, q, cell, shift, witnesses):
-    # symmetric one-cell moves of field tables, each stopping the
-    # certificate at a different step: the scans then run as without it
-    # and give the witnesses the scans alone give
-    t = table(q)
-    if shift == "first prime":
-        shift = int(_Residues(t).moduli[0])
-    bad = _moved(t, *cell, shift)
+def test_certificate_falls_through_to_scans(stage, make, witnesses):
+    # symmetric tables whose common denominator divides m, each stopping
+    # the certificate at a different step: the scans then run as without
+    # it and give the witnesses the scans alone give
+    bad = make()
     assert _certificate_stop(bad) == stage
     report = verify_all(bad)
     assert report.method == "scan" and report.certificate is None
@@ -390,24 +380,25 @@ def test_certificate_falls_through_to_scans(stage, q, cell, shift, witnesses):
     assert report.symmetry.passed
     got = tuple(c.witness and tuple(x for (x,) in c.witness) for c in report.checks[1:])
     assert got == witnesses
-    if q <= 9:
+    if bad.group.m <= 8:
         _assert_matches_reference(bad)
 
 
 def test_certificate_preconditions():
     # no certificate without symmetry or on the trivial group, and none
-    # when the first prime divides the common denominator, which no
-    # field's table has (its denominator divides m)
+    # when the common denominator does not divide m, which no field's
+    # table has; the scans then decide alone
     t = table(8)
     assert verify_all(t.with_entry(1, 2, t.values[1][2] + 1)).method == "scan"
     for value in (0, 1):
         report = verify_all(_one_table(value))
         assert report.passed and report.method == "scan"
-    bad = _moved(t, 1, 2, Fraction(1, int(_Residues(t).moduli[0])))
-    assert _Residues(bad).scale[0] == 0
-    report = verify_all(bad)
-    assert report.method == "scan" and report.checks == _scans(bad)
-    assert not report.passed
+    for q, shift in ((8, Fraction(1, _first_prime(8))), (8, Fraction(1, 2)), (16, Fraction(3, 7))):
+        bad = _moved(table(q), 1, 2, shift)
+        assert _certificate_stop(bad) == "denominator"
+        report = verify_all(bad)
+        assert report.method == "scan" and report.checks == _scans(bad)
+        assert not report.passed
 
 
 def test_verify_all_approximate():
