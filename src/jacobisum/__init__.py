@@ -1,6 +1,6 @@
 """Exact Jacobi-sum tables, axiom verification, and field reconstruction."""
 
-from .abelian import GroupSpec, convolve, delta, dft, idft, pairing
+from .abelian import GroupSpec, delta, dft, pairing
 from .cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,

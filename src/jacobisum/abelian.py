@@ -1,4 +1,4 @@
-"""Finite abelian groups, the dual pairing, and exact Fourier analysis.
+"""Finite abelian groups, the dual pairing, and the exact Fourier transform.
 
 A group is a product of cyclic factors Z/n_1 x ... x Z/n_k given by its
 factor list; elements are reduced coordinate tuples.  The dual group is
@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -166,35 +165,4 @@ def dft(group: GroupSpec, f: Mapping[Element, Cyclotomic]) -> dict[Element, Cycl
         for a in group.elements:
             acc = acc + f[a].mul_root(pairing(group, a, x))
         out[x] = acc
-    return out
-
-
-def idft(group: GroupSpec, fhat: Mapping[Element, Cyclotomic]) -> dict[Element, Cyclotomic]:
-    """Inverse transform f(alpha) = (1/m) sum_x fhat(x) * zeta^-<alpha,x>."""
-    _check_domain(group, fhat)
-    m = group.m
-    out: dict[Element, Cyclotomic] = {}
-    for a in group.elements:
-        acc = Cyclotomic.zero(m)
-        for x in group.elements:
-            acc = acc + fhat[x].mul_root(-pairing(group, a, x))
-        out[a] = acc.scale(Fraction(1, m))
-    return out
-
-
-def convolve(
-    group: GroupSpec,
-    f1: Mapping[Element, Cyclotomic],
-    f2: Mapping[Element, Cyclotomic],
-) -> dict[Element, Cyclotomic]:
-    """(f1 * f2)(alpha) = sum over beta of f1(beta) f2(alpha - beta)."""
-    _check_domain(group, f1)
-    _check_domain(group, f2)
-    m = group.m
-    out: dict[Element, Cyclotomic] = {}
-    for a in group.elements:
-        acc = Cyclotomic.zero(m)
-        for b in group.elements:
-            acc = acc + f1[b] * f2[group.sub(a, b)]
-        out[a] = acc
     return out

@@ -177,8 +177,8 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     if int(doc["conductor"]) != group.m:
         raise ValueError("conductor does not match the factor list")
     m = group.m
-    # checked before the entries are read; the complex scans also build
-    # m^3 arrays, 3.4 GB each at m = 600
+    # checked before the entries are read; it bounds the complex checks
+    # too, whose convolution-sum scan does O(m^4) work
     require_exact_order(m)
     entries = doc["entries"]
     if len(entries) != m or any(len(row) != m for row in entries):

@@ -21,8 +21,11 @@ chi_x(beta) mod p, one matrix product per point.  A transform is a
 linear sum of entries, so its coefficients stay far below the bound
 under which the evaluation proves equality, and "is 0", "is 1" and "is
 zeta^e" are decided exactly by comparing residues with 0, L and
-L r^e at every point.  The exact value quoted in a failure is computed
-by the scalar transform at the failing point only.
+L r^e at every point.  Complex transforms are one complex matrix product
+per stage, sum_beta J(alpha - beta, beta) zeta^<beta, x>, decided within
+the tolerance, with e the phase rounded half to even to the nearest m-th
+of a turn.  Both kinds share the support-map matcher, and a failure
+quotes the value the scalar transform computes at the failing point only.
 
 The same stages, run at the first evaluation point only, give the
 candidate that certifies an exact table: once the carrier rebuilt from
@@ -42,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta, index_tables, pairing
+from .abelian import Element, GroupSpec, delta, index_tables, pairing, pairing_matrix
 from .cyclotomic import Cyclotomic
 from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
 from .verifier import (
@@ -194,13 +197,73 @@ def _slice_transforms(r: _Residues, alphas, points: slice = _ALL_POINTS) -> np.n
     return t
 
 
-def _transform_at(table: JacobiTable, alpha: Element, x: Element) -> Cyclotomic:
+def _transform_at(table: JacobiTable | ApproxTable, alpha: Element, x: Element):
+    """The transform of the slice at alpha, at x, summed term by term in
+    the table's own arithmetic: the value a failure quotes."""
     g = table.group
+    if isinstance(table, ApproxTable):
+        acc = 0j
+        for beta in g.elements:
+            val = table.entries[g.index(g.sub(alpha, beta))][g.index(beta)]
+            acc += val * cmath.exp(2j * cmath.pi * pairing(g, beta, x) / g.m)
+        return acc
     q_alpha = slice_function(table, alpha)
     acc = Cyclotomic.zero(g.m)
     for beta in g.elements:
         acc = acc + q_alpha[beta].mul_root(pairing(g, beta, x))
     return acc
+
+
+def _off_target(
+    table, stage: str, alpha: Element, x: Element, witness, target: str
+) -> InconsistentTableError:
+    """The error for a transform at x that is not (near, for a complex
+    table) the target value, quoting the value at that point alone."""
+    near = " near" if isinstance(table, ApproxTable) else ""
+    detail = f"transform value {_transform_at(table, alpha, x)} is not{near} {target}"
+    return InconsistentTableError(stage, witness=witness, detail=detail)
+
+
+def _support(table, one, bad) -> tuple[Element, ...]:
+    """The points x where the unit slice's transform is 1 (one[x]), unless
+    it is neither 0 nor 1 somewhere (bad[x]): the first such x disproves."""
+    g = table.group
+    if bad.any():
+        x = g.elements[bad.argmax()]
+        raise _off_target(table, "support", g.identity, x, x, "0 or 1")
+    return tuple(x for x, hit in zip(g.elements, one) if hit)
+
+
+def _generators(g: GroupSpec, generators: tuple[Element, ...] | None) -> tuple[Element, ...]:
+    """The given generators, checked to generate g, or its standard ones."""
+    if generators is not None and not g.generates(generators):
+        raise ValueError("the given elements do not generate the group")
+    return g.generators() if generators is None else generators
+
+
+def _match_support(table, support, generators, exponents, found) -> np.ndarray:
+    """Index of the dual element y matched at each support point: the
+    unique y with <gen, y> = exponents[x, gen] for every generator, where
+    found[x, gen] says the transform there is (near) a root of unity.  At
+    the first support point, in order, where one is not (at its first
+    such generator) or the match is not unique, the table is inconsistent."""
+    g = table.group
+    pair = pairing_matrix(g)[[g.index(gen) for gen in generators]]
+    candidates = (pair.T[None] == exponents[:, None, :]).all(axis=-1)  # [x, y]
+    counts = candidates.sum(axis=1)
+    failed = ~found.all(axis=1) | (counts != 1)
+    if failed.any():
+        i = int(failed.argmax())
+        x = support[i]
+        if not found[i].all():
+            gen = generators[int((~found[i]).argmax())]
+            raise _off_target(table, "support-map", gen, x, (gen, x), "a root of unity")
+        raise InconsistentTableError(
+            "support-map",
+            witness=x,
+            detail=f"{counts[i]} dual elements match the transform values",
+        )
+    return candidates.argmax(axis=1)
 
 
 def fourier_support(
@@ -215,14 +278,7 @@ def fourier_support(
     r = residues or _Residues(table)
     t = _slice_transforms(r, [0], points)[:, 0].T  # [x, k]; index 0 is the identity
     one = (t == r.scale[points]).all(axis=1)
-    bad = ~one & t.any(axis=1)
-    if bad.any():
-        x = g.elements[bad.argmax()]
-        v = _transform_at(table, g.identity, x)
-        raise InconsistentTableError(
-            "support", witness=x, detail=f"transform value {v} is not 0 or 1"
-        )
-    return tuple(x for x, hit in zip(g.elements, one) if hit)
+    return _support(table, one, ~one & t.any(axis=1))
 
 
 def recover_support_map(
@@ -245,12 +301,8 @@ def recover_support_map(
     """
     g = table.group
     m = g.m
-    if generators is None:
-        generators = g.generators()
-    elif not g.generates(generators):
-        raise ValueError("the given elements do not generate the group")
+    generators = _generators(g, generators)
     r = residues or _Residues(table)
-    pair = r.pairing
     gens = [g.index(gen) for gen in generators]
     xs = [g.index(x) for x in support]
     scale = r.scale[points]
@@ -262,32 +314,12 @@ def recover_support_map(
     hit = t[:, :, k, None] == roots[:, k]  # [x, gen, e]
     exponents = hit.argmax(axis=-1)
     found = hit.any(axis=-1) & (t == roots[exponents]).all(axis=-1)
-    # candidates[x, y]: <gen, y> is the exponent read at x for every generator
-    candidates = (pair[gens].T[None] == exponents[:, None, :]).all(axis=-1)
-    counts = candidates.sum(axis=1)
-    failed = ~found.all(axis=1) | (counts != 1)
-    if failed.any():
-        i = int(failed.argmax())
-        x = support[i]
-        if not found[i].all():
-            gen = generators[int((~found[i]).argmax())]
-            acc = _transform_at(table, gen, x)
-            raise InconsistentTableError(
-                "support-map",
-                witness=(gen, x),
-                detail=f"transform value {acc} is not a root of unity",
-            )
-        raise InconsistentTableError(
-            "support-map",
-            witness=x,
-            detail=f"{counts[i]} dual elements match the transform values",
-        )
-    ys = candidates.argmax(axis=1)
+    ys = _match_support(table, support, generators, exponents, found)
     smap = {x: g.elements[y] for x, y in zip(support, ys)}
 
     if strict:
         t = _slice_transforms(r, np.arange(m), points)[:, :, xs]  # [k, alpha, x]
-        expected = roots[pair[ys]]  # [x, alpha, k] = L zeta^<alpha, i(x)> at point k
+        expected = roots[r.pairing[ys]]  # [x, alpha, k] = L zeta^<alpha, i(x)> at point k
         wrong = (t.T != expected).any(axis=-1)  # [x, alpha]
         if wrong.any():
             i, a = np.unravel_index(wrong.argmax(), wrong.shape)
@@ -520,29 +552,20 @@ def certify(table: JacobiTable, residues: _Residues) -> Certificate | str:
 # -- approximate stages -----------------------------------------------------
 
 
-def _approx_transform(at: ApproxTable, alpha_idx: int, x: Element) -> complex:
+def _approx_transforms(at: ApproxTable, alphas) -> np.ndarray:
+    """T[a, x] = sum over beta of J(alphas[a] - beta, beta) zeta^<beta, x>:
+    the transforms of the slices at the given element indices, as one
+    complex matrix product."""
     g = at.group
     m = g.m
-    acc = 0j
-    alpha = g.element(alpha_idx)
-    for beta in g.elements:
-        val = at.entries[g.index(g.sub(alpha, beta))][g.index(beta)]
-        acc += val * cmath.exp(2j * cmath.pi * pairing(g, beta, x) / m)
-    return acc
+    v = np.array(at.entries, dtype=complex)[index_tables(g)[2][alphas], np.arange(m)]
+    return v @ np.exp(2j * np.pi * pairing_matrix(g) / m)
 
 
 def _fourier_support_approx(at: ApproxTable, tol: float) -> tuple[Element, ...]:
-    g = at.group
-    support = []
-    for x in g.elements:
-        v = _approx_transform(at, 0, x)
-        if abs(v - 1) <= tol:
-            support.append(x)
-        elif abs(v) > tol:
-            raise InconsistentTableError(
-                "support", witness=x, detail=f"transform value {v} is not near 0 or 1"
-            )
-    return tuple(support)
+    t = _approx_transforms(at, [0])[0]
+    one = np.abs(t - 1) <= tol
+    return _support(at, one, ~one & (np.abs(t) > tol))
 
 
 def _recover_map_approx(
@@ -551,38 +574,18 @@ def _recover_map_approx(
     generators: tuple[Element, ...] | None,
     tol: float,
 ) -> dict[Element, Element]:
+    """The support map read off the complex transforms: each exponent is
+    the phase rounded, half to even, to the nearest m-th of a turn, and
+    counts as found when the transform lies within tol of that root."""
     g = at.group
     m = g.m
-    if generators is None:
-        generators = g.generators()
-    elif not g.generates(generators):
-        raise ValueError("the given elements do not generate the group")
-    smap: dict[Element, Element] = {}
-    for x in support:
-        exponents = []
-        for gen in generators:
-            v = _approx_transform(at, g.index(gen), x)
-            e = round(m * (cmath.phase(v) / (2 * cmath.pi))) % m
-            if abs(v - cmath.exp(2j * cmath.pi * e / m)) > tol:
-                raise InconsistentTableError(
-                    "support-map",
-                    witness=(gen, x),
-                    detail=f"transform value {v} is not near a root of unity",
-                )
-            exponents.append(e)
-        candidates = [
-            y
-            for y in g.elements
-            if all(pairing(g, gen, y) == e for gen, e in zip(generators, exponents))
-        ]
-        if len(candidates) != 1:
-            raise InconsistentTableError(
-                "support-map",
-                witness=x,
-                detail=f"{len(candidates)} dual elements match the transform values",
-            )
-        smap[x] = candidates[0]
-    return smap
+    generators = _generators(g, generators)
+    t = _approx_transforms(at, [g.index(gen) for gen in generators])
+    t = t[:, [g.index(x) for x in support]].T  # [support point, generator]
+    exponents = np.rint(m * (np.angle(t) / (2 * np.pi))).astype(np.intp) % m
+    found = np.abs(t - np.exp(2j * np.pi * exponents / m)) <= tol
+    ys = _match_support(at, support, generators, exponents, found)
+    return {x: g.elements[y] for x, y in zip(support, ys)}
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -659,34 +662,18 @@ def reconstruct(
         else:
             report.addition, report.field_checks = cert.addition, cert.field_checks
             rebuilt = table  # the certificate found the field's table equal to this one
-    if approx:
-        report.baseline = rebuilt.values[0][0] - 1
-    else:
-        report.baseline = table.values[0][0] - 1
-    report.roundtrip_ok = _tables_agree(table, rebuilt, approx, tolerance)
-    report.baseline_ok = _baseline_holds(table, report.baseline, approx, tolerance)
+    report.baseline = (rebuilt if approx else table).values[0][0] - 1
+    report.roundtrip_ok = _agrees(table, rebuilt.values, tolerance)
+    # J(1, alpha) = baseline + delta(alpha) for every alpha
+    expected = [report.baseline + delta(alpha) for alpha in g.elements]
+    report.baseline_ok = _agrees(table, [expected], tolerance)
     return report
 
 
-def _tables_agree(table, rebuilt: JacobiTable, approx: bool, tol: float) -> bool:
-    if not approx:
-        return table == rebuilt
-    m = table.group.m
-    for i in range(m):
-        for j in range(m):
-            if abs(table.entries[i][j] - rebuilt.values[i][j].to_complex()) > tol:
-                return False
-    return True
-
-
-def _baseline_holds(table, baseline: Cyclotomic, approx: bool, tol: float) -> bool:
-    # J(1, alpha) = baseline + delta(alpha) for every alpha
-    g = table.group
-    for j, alpha in enumerate(g.elements):
-        expected = baseline + delta(alpha)
-        if approx:
-            if abs(table.entries[0][j] - expected.to_complex()) > tol:
-                return False
-        elif table.values[0][j] != expected:
-            return False
-    return True
+def _agrees(table, rows, tol: float) -> bool:
+    """Whether the table's leading rows equal the given rows of exact
+    values, or, for a complex table, lie within tol of them."""
+    if isinstance(table, JacobiTable):
+        return table.values[: len(rows)] == tuple(map(tuple, rows))
+    want = np.array([[v.to_complex() for v in row] for row in rows])
+    return bool((np.abs(np.array(table.entries[: len(rows)]) - want) <= tol).all())

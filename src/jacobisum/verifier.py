@@ -61,9 +61,10 @@ table build and an O(q^3) field check; rejecting costs the O(m^3 E)
 scans, over E evaluation points, up to the first witness.
 
 Complex-valued tables take the same identities, checked value by value
-against an absolute tolerance (for the convolution sum, at every triple
-(s1, s2, d) in the direct domain) and flagged as approximate; a NaN or
-infinite difference fails.
+against an absolute tolerance, a few first indices at a time (the cocycle
+forms at every triple (a, b, c), the convolution sum at every triple
+(s1, s2, d) in the direct domain), and are flagged as approximate; a NaN
+or infinite difference fails.
 """
 
 from __future__ import annotations
@@ -452,65 +453,51 @@ def check_convolution_sum(table: JacobiTable, residues: _Residues | None = None)
 
 def _first_bad_index(diff, tol: float) -> tuple[int, ...] | None:
     # a NaN difference fails: it is not within the tolerance
-    bad = np.argwhere(~(np.abs(diff) <= tol))
-    return tuple(int(i) for i in bad[0]) if bad.size else None
+    bad = ~(np.abs(diff) <= tol)
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def _approx_checks(at: ApproxTable, tol: float):
-    g = at.group
-    m = g.m
-    els = g.elements
-    add, neg, addneg = index_tables(g)
-    t = np.array(at.entries, dtype=complex)
-
+def _approx_symmetry(at: ApproxTable, t, tol: float) -> CheckResult:
     idx = _first_bad_index(t - t.T, tol)
     if idx is None:
-        sym = CheckResult("symmetry", True)
-    else:
-        i, j = idx
-        sym = CheckResult("symmetry", False, (els[i], els[j]), t[i, j], t[j, i])
+        return CheckResult("symmetry", True)
+    witness = tuple(at.group.elements[i] for i in idx)
+    return CheckResult("symmetry", False, witness, t[idx], t.T[idx])
 
-    star = t.copy()
-    star[0, :] -= 1
-    star[:, 0] -= 1
-    lhs3 = star[:, :, None] * star[add, :]
-    rhs3 = star[:, add] * star[None, :, :]
-    idx = _first_bad_index(lhs3 - rhs3, tol)
-    if idx is None:
-        coc_star = CheckResult("cocycle-star", True)
-    else:
-        a, b, c = idx
-        coc_star = CheckResult(
-            "cocycle-star", False, (els[a], els[b], els[c]), lhs3[a, b, c], rhs3[a, b, c]
-        )
 
-    ar = np.arange(m)
-    j_inv = t[ar, neg]
-    d_vec = (ar == 0).astype(float)
-    d_pair = (add == 0).astype(float)
-    lhs3 = (
-        t[:, :, None] * t[add, :]
-        - (j_inv[:, None] * d_pair)[:, :, None]
-        + np.outer(d_vec, d_vec)[:, :, None]
-    )
-    rhs3 = (
-        t[:, add] * t[None, :, :]
-        - j_inv[None, None, :] * d_pair[None, :, :]
-        + np.outer(d_vec, d_vec)[None, :, :]
-    )
-    idx = _first_bad_index(lhs3 - rhs3, tol)
-    if idx is None:
-        coc_direct = CheckResult("cocycle-direct", True)
+def _approx_cocycle(at: ApproxTable, t, tol: float, star: bool) -> CheckResult:
+    """The starred or the delta-corrected cocycle identity on complex
+    values, a few first indices a at a time; each chunk holds the (a, b, c)
+    values that whole m^3 arrays would."""
+    m = at.group.m
+    add, neg, _ = index_tables(at.group)
+    name = "cocycle-star" if star else "cocycle-direct"
+    if star:
+        t = t.copy()
+        t[0, :] -= 1
+        t[:, 0] -= 1
     else:
-        a, b, c = idx
-        coc_direct = CheckResult(
-            "cocycle-direct",
-            False,
-            (els[a], els[b], els[c]),
-            lhs3[a, b, c],
-            rhs3[a, b, c],
-        )
-    return t, sym, coc_star, coc_direct
+        j_inv = t[np.arange(m), neg]
+        d_vec = (np.arange(m) == 0).astype(float)
+        d_pair = (add == 0).astype(float)
+        d_both = np.outer(d_vec, d_vec)
+        left = j_inv[:, None] * d_pair  # J(a, a^-1) delta(ab)
+        right = j_inv[None, None, :] * d_pair[None, :, :]  # J(c, c^-1) delta(bc)
+    rows = max(1, _SCAN_BYTES // (16 * m * m))
+    for top in range(0, m, rows):
+        a = slice(top, top + rows)
+        lhs = t[a, :, None] * t[add[a], :]
+        rhs = t[a][:, add] * t[None, :, :]
+        if not star:
+            lhs = lhs - left[a, :, None] + d_both[a, :, None]
+            rhs = rhs - right + d_both[None, :, :]
+        idx = _first_bad_index(lhs - rhs, tol)
+        if idx is not None:
+            witness = tuple(at.group.elements[i] for i in (top + idx[0], *idx[1:]))
+            return CheckResult(name, False, witness, lhs[idx], rhs[idx])
+    return CheckResult(name, True)
 
 
 def _approx_convolution(at: ApproxTable, t, tol: float) -> CheckResult:
@@ -553,11 +540,11 @@ def verify_all(
     checks pass with no scan; otherwise the scans decide, as they would
     have without it."""
     if isinstance(table, ApproxTable):
-        t, sym, coc_star, coc_direct = _approx_checks(table, tolerance)
+        t = np.array(table.entries, dtype=complex)
         return VerificationReport(
-            symmetry=sym,
-            cocycle_star=coc_star,
-            cocycle_direct=coc_direct,
+            symmetry=_approx_symmetry(table, t, tolerance),
+            cocycle_star=_approx_cocycle(table, t, tolerance, star=True),
+            cocycle_direct=_approx_cocycle(table, t, tolerance, star=False),
             convolution=_approx_convolution(table, t, tolerance),
             approximate=True,
             tolerance=tolerance,

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import jacobisum as js
+from jacobisum.abelian import index_tables
 from jacobisum.reconstructor import ZERO_SYM, InconsistentTableError
 from jacobisum.verifier import CheckResult
 
@@ -63,6 +67,30 @@ def symmetric_random_table(rng: random.Random, factors) -> js.JacobiTable:
 
 def random_function(rng: random.Random, group: js.GroupSpec) -> dict:
     return {e: random_cyclotomic(rng, group.m) for e in group.elements}
+
+
+def idft(group: js.GroupSpec, fhat: dict) -> dict:
+    """Inverse transform f(alpha) = (1/m) sum_x fhat(x) * zeta^-<alpha,x>."""
+    m = group.m
+    out = {}
+    for a in group.elements:
+        acc = js.Cyclotomic.zero(m)
+        for x in group.elements:
+            acc = acc + fhat[x].mul_root(-js.pairing(group, a, x))
+        out[a] = acc.scale(Fraction(1, m))
+    return out
+
+
+def convolve(group: js.GroupSpec, f1: dict, f2: dict) -> dict:
+    """(f1 * f2)(alpha) = sum over beta of f1(beta) f2(alpha - beta)."""
+    m = group.m
+    out = {}
+    for a in group.elements:
+        acc = js.Cyclotomic.zero(m)
+        for b in group.elements:
+            acc = acc + f1[b] * f2[group.sub(a, b)]
+        out[a] = acc
+    return out
 
 
 def reference_witness(table: js.JacobiTable, check: str):
@@ -237,3 +265,113 @@ def reference_support_map(table: js.JacobiTable, support, generators=None, stric
                         "support-map", witness=(alpha, x), detail="full cross-check failed"
                     )
     return smap
+
+
+def moved_approx(at: js.ApproxTable, cells, change) -> js.ApproxTable:
+    """The complex table with change applied to each of the given cells."""
+    entries = [list(row) for row in at.entries]
+    for i, j in cells:
+        entries[i][j] = change(entries[i][j])
+    return js.ApproxTable(at.group, tuple(tuple(row) for row in entries))
+
+
+def _reference_approx_transform(at: js.ApproxTable, alpha_idx: int, x) -> complex:
+    g = at.group
+    m = g.m
+    acc = 0j
+    alpha = g.element(alpha_idx)
+    for beta in g.elements:
+        val = at.entries[g.index(g.sub(alpha, beta))][g.index(beta)]
+        acc += val * cmath.exp(2j * cmath.pi * js.pairing(g, beta, x) / m)
+    return acc
+
+
+def reference_fourier_support_approx(at: js.ApproxTable, tol: float):
+    """The complex support stage as a loop: one transform per point,
+    summed term by term and compared with 0 and 1 within tol."""
+    g = at.group
+    support = []
+    for x in g.elements:
+        v = _reference_approx_transform(at, 0, x)
+        if abs(v - 1) <= tol:
+            support.append(x)
+        elif abs(v) > tol:
+            raise InconsistentTableError(
+                "support", witness=x, detail=f"transform value {v} is not near 0 or 1"
+            )
+    return tuple(support)
+
+
+def reference_support_map_approx(at: js.ApproxTable, support, generators, tol: float):
+    """The complex support-map stage as a loop: each generator's transform
+    at each support point rounded to the nearest root of unity, which must
+    lie within tol, then matched against every dual element."""
+    g = at.group
+    m = g.m
+    if generators is None:
+        generators = g.generators()
+    elif not g.generates(generators):
+        raise ValueError("the given elements do not generate the group")
+    smap = {}
+    for x in support:
+        exponents = []
+        for gen in generators:
+            v = _reference_approx_transform(at, g.index(gen), x)
+            e = round(m * (cmath.phase(v) / (2 * cmath.pi))) % m
+            if abs(v - cmath.exp(2j * cmath.pi * e / m)) > tol:
+                raise InconsistentTableError(
+                    "support-map",
+                    witness=(gen, x),
+                    detail=f"transform value {v} is not near a root of unity",
+                )
+            exponents.append(e)
+        candidates = [
+            y
+            for y in g.elements
+            if all(js.pairing(g, gen, y) == e for gen, e in zip(generators, exponents))
+        ]
+        if len(candidates) != 1:
+            raise InconsistentTableError(
+                "support-map",
+                witness=x,
+                detail=f"{len(candidates)} dual elements match the transform values",
+            )
+        smap[x] = candidates[0]
+    return smap
+
+
+def reference_cocycle_approx(at: js.ApproxTable, tol: float, star: bool):
+    """First failure of a complex cocycle check as (witness, lhs, rhs), or
+    None: both sides built as whole m^3 arrays, the first triple whose
+    difference is not within tol (NaN included) taken in index order."""
+    g = at.group
+    m = g.m
+    add, neg, _ = index_tables(g)
+    t = np.array(at.entries, dtype=complex)
+    if star:
+        s = t.copy()
+        s[0, :] -= 1
+        s[:, 0] -= 1
+        lhs3 = s[:, :, None] * s[add, :]
+        rhs3 = s[:, add] * s[None, :, :]
+    else:
+        ar = np.arange(m)
+        j_inv = t[ar, neg]
+        d_vec = (ar == 0).astype(float)
+        d_pair = (add == 0).astype(float)
+        lhs3 = (
+            t[:, :, None] * t[add, :]
+            - (j_inv[:, None] * d_pair)[:, :, None]
+            + np.outer(d_vec, d_vec)[:, :, None]
+        )
+        rhs3 = (
+            t[:, add] * t[None, :, :]
+            - j_inv[None, None, :] * d_pair[None, :, :]
+            + np.outer(d_vec, d_vec)[None, :, :]
+        )
+    bad = np.argwhere(~(np.abs(lhs3 - rhs3) <= tol))
+    if not bad.size:
+        return None
+    a, b, c = bad[0]
+    els = g.elements
+    return (els[a], els[b], els[c]), lhs3[a, b, c], rhs3[a, b, c]

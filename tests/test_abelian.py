@@ -9,15 +9,13 @@ import pytest
 from jacobisum import (
     Cyclotomic,
     GroupSpec,
-    convolve,
     delta,
     dft,
-    idft,
     pairing,
 )
 from jacobisum.abelian import index_tables, pairing_matrix
 
-from helpers import random_function
+from helpers import convolve, idft, random_function
 
 
 def test_pairing_examples():

@@ -323,7 +323,7 @@ def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):
     write_json(tpath, doc)
     assert _run("verify", "--table", tpath) == 2
     assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
-    # approximate tables share the limit: their scans build m^3 complex arrays
+    # approximate tables share the limit
     doc["schema"] = "jacobi-table-approx/1"
     with pytest.raises(ValueError, match="limit"):
         table_from_json(doc)

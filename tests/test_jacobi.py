@@ -17,7 +17,6 @@ from jacobisum import (
     JacobiTable,
     approximate,
     compute_jacobi,
-    convolve,
     delta,
     jacobi_star,
     root_power,
@@ -29,7 +28,7 @@ from jacobisum import (
 )
 from jacobisum.jacobi import table_from_pairs
 
-from helpers import field, reference_table, table
+from helpers import convolve, field, reference_table, table
 
 KERNEL_GROUPS = ((1,), (2,), (2, 2), (2, 4), (3, 3), (7,))
 

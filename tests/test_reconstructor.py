@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -20,6 +22,7 @@ from jacobisum import (
     build_addition,
     classify_support,
     delta,
+    enumerate_jacobi,
     fourier_support,
     jacobi_star,
     recompute_table,
@@ -36,10 +39,13 @@ from jacobisum.jacobi import ApproxTable
 
 from helpers import (
     field,
+    moved_approx,
     random_table,
     reference_field_checks,
     reference_fourier_support,
+    reference_fourier_support_approx,
     reference_support_map,
+    reference_support_map_approx,
     symmetric_random_table,
     table,
 )
@@ -442,6 +448,97 @@ def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
     # unity, no single matching dual element, and a failed cross-check
     if scan_bytes is None:
         assert seen == {"map", "1", "unity", "values", "failed"}
+
+
+def test_approximate_round_trip_and_baseline_use_the_tolerance():
+    # cells outside the slices at 0 and 1 leave the support and map as
+    # they are; the round trip compares every cell within the tolerance,
+    # the baseline the cells of the first row
+    at = approximate(table(9))
+    for cell, in_first_row in (((3, 4), False), ((0, 3), True)):
+        for shift, tol in ((0.03, 1e-6), (0.03, 0.05), (0.07, 0.05)):
+            moved = moved_approx(at, {cell}, lambda z: z + shift)
+            report = reconstruct(moved, force=True, tolerance=tol)
+            assert report.case == "field"
+            assert report.roundtrip_ok == (shift <= tol)
+            assert report.baseline_ok == (shift <= tol or not in_first_row)
+
+
+def _noisy(t: JacobiTable, rng: random.Random) -> ApproxTable:
+    noise = lambda: complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
+    rows = approximate(t).entries
+    return ApproxTable(t.group, tuple(tuple(z + noise() for z in row) for row in rows))
+
+
+def _slice_cells(at: ApproxTable, s: int):
+    """The cells (i, j) with i + j = s, by element index."""
+    g = at.group
+    return [(i, g.index(g.sub(g.element(s), x))) for i, x in enumerate(g.elements)]
+
+
+def _complex_stage_cases():
+    """(table, tolerance, generators) inputs that reach every outcome of
+    the complex support and support-map stages."""
+    rng = random.Random(28)
+    cases = []
+    for q in (4, 8, 9, 16, 64):
+        at = _noisy(table(q), rng)
+        m = q - 1
+        cases.append((at, 1e-6, None))
+        for s in (0, 1):  # the slices the two stages transform
+            i = rng.randrange(m)
+            j = _slice_cells(at, s)[i][1]
+            for shift in (0.5, 1e-3, 0.3j):
+                moved = moved_approx(at, {(i, j), (j, i)}, lambda z: z + shift)
+                cases.append((moved, 1e-6, None))
+        for _ in range(2):
+            i, j = rng.randrange(m), rng.randrange(m)
+            cases.append((moved_approx(at, {(i, j)}, lambda z: 0j), 1e-6, None))
+    # at q = 64 and tolerance 0.05 two neighbouring 63rd roots of unity lie
+    # within tolerance of a transform half a step between them
+    at = _noisy(table(64), rng)
+    for turn in (0.3, 0.5, 0.7):
+        rotate = cmath.exp(2j * cmath.pi * turn / 63)
+        moved = moved_approx(at, _slice_cells(at, 1), lambda z: z * rotate)
+        cases.append((moved, 0.05, None))
+    cases.append((at, 0.05, None))
+    cases.append((moved_approx(at, _slice_cells(at, 1), lambda z: z * 1.07), 0.05, None))
+    cases.append((moved_approx(at, {(5, 58), (58, 5)}, lambda z: z + 0.04j), 0.05, None))
+    cases.append((moved_approx(at, {(3, 60)}, lambda z: 0j), 0.05, None))
+    # explicit generators; an odd exponent at (2,) or (3,) on Z/6 matches
+    # no dual element
+    at = _noisy(table(7), rng)
+    for gens in (((5,),), ((2,), (3,))):
+        cases.append((at, 1e-6, gens))
+        zeta = cmath.exp(2j * cmath.pi / 6)
+        moved = moved_approx(at, _slice_cells(at, 2), lambda z: z * zeta)
+        cases.append((moved, 1e-6, gens))
+    # an enumerated table on a multi-factor group; its slice at (1, 0),
+    # rotated by zeta^2, reads an exponent that <(1, 0), y> never takes
+    at = approximate(enumerate_jacobi(GroupSpec((2, 3))).tables[0])
+    zeta2 = cmath.exp(2j * cmath.pi * 2 / 6)
+    for gens in (None, ((1, 1),)):
+        cases.append((at, 1e-6, gens))
+        moved = moved_approx(at, _slice_cells(at, 3), lambda z: z * zeta2)
+        cases.append((moved, 1e-6, gens))
+    return cases
+
+
+def test_complex_stages_match_the_loop_references():
+    outcomes = collections.Counter()
+    for n, (at, tol, gens) in enumerate(_complex_stage_cases()):
+        got = _stage_outcome(reconstructor._fourier_support_approx, at, tol)
+        assert got == _stage_outcome(reference_fourier_support_approx, at, tol), n
+        if got[0] != "ok":
+            outcomes["support"] += 1
+            continue
+        args = at, got[1], gens, tol
+        got = _stage_outcome(reconstructor._recover_map_approx, *args)
+        assert got == _stage_outcome(reference_support_map_approx, *args), n
+        outcomes["mapped" if got[0] == "ok" else got[2].split()[-1]] += 1
+    # support failures, transforms far from every root, non-unique matches
+    # and complete maps all occur
+    assert set(outcomes) == {"support", "unity", "values", "mapped"}, outcomes
 
 
 def test_reconstruct_reuses_the_certificate(monkeypatch):

@@ -39,6 +39,8 @@ from jacobisum.verifier import _Residues
 from helpers import (
     LARGER_PRIME_POWERS,
     PRIME_POWERS,
+    moved_approx,
+    reference_cocycle_approx,
     reference_witness,
     random_table,
     symmetric_random_table,
@@ -237,8 +239,52 @@ def test_approximate_overflow_fails_cocycle_checks():
     big = ApproxTable(g, tuple(tuple(1e200 + 0j for _ in range(3)) for _ in range(3)))
     with np.errstate(over="ignore", invalid="ignore"):
         report = verify_all(big)
+        forced = reconstructor.reconstruct(big, force=True)
     assert not report.cocycle_star.passed and not report.cocycle_direct.passed
     assert not report.passed
+    # the transforms stay finite, and the unit slice's is 3e200 everywhere
+    assert forced.inconsistency == {
+        "stage": "support",
+        "witness": (0,),
+        "detail": "transform value (3e+200+0j) is not near 0 or 1",
+    }
+
+
+@pytest.mark.parametrize("one_index_per_chunk", [False, True])
+def test_chunked_complex_cocycle_scans_match_whole_arrays(monkeypatch, one_index_per_chunk):
+    # the witness and both of its values, signed zeros included, must be
+    # those of the whole m^3 arrays; with one first index per chunk, the
+    # move of (62, 61) at q = 64 first fails at a = 1, in the second chunk
+    if one_index_per_chunk:
+        monkeypatch.setattr(verifier, "_SCAN_BYTES", 1)
+    rng = random.Random(34)
+    big = ApproxTable(GroupSpec((3,)), tuple(tuple(1e200 + 0j for _ in range(3)) for _ in range(3)))
+    at64 = approximate(table(64))
+    cases = [big, at64, moved_approx(at64, {(62, 61)}, lambda z: z + 0.5)]
+    for q in (4, 8, 9, 16):
+        at = approximate(table(q))
+        m = q - 1
+        i, j = rng.randrange(m), rng.randrange(m)
+        cases.append(moved_approx(at, {(i, j)}, lambda z: z + 0.25j))
+        cases.append(moved_approx(at, {(i, j), (j, i)}, lambda z: 0j))
+    # one side of (1, 0) moved: the direct form first fails at (1, 0, 0),
+    # where both delta terms of its right side are nonzero
+    at = approximate(table(8))
+    cases.append(moved_approx(at, {(1, 0)}, lambda z: z + 0.25))
+    for factors in ((2, 2), (2, 3)):
+        cases.append(approximate(random_table(rng, factors)))
+    for at in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_all(at)
+            expected = [reference_cocycle_approx(at, 1e-6, star) for star in (True, False)]
+        for result, reference in zip((report.cocycle_star, report.cocycle_direct), expected):
+            assert result.passed == (reference is None)
+            if reference is not None:
+                witness, lhs, rhs = reference
+                assert result.witness == witness
+                assert (repr(result.lhs), repr(result.rhs)) == (repr(lhs), repr(rhs))
+    moved = verify_all(cases[2])
+    assert moved.cocycle_star.witness == moved.cocycle_direct.witness == ((1,), (61,), (61,))
 
 
 def test_convolution_witness_verifies():
