@@ -39,10 +39,15 @@ their product exceeds 2B, so every coefficient is zero and the sides
 are equal.  At a point with root r the characters are
 chi(x) = r^<chi, x> in F_p, and the transform is invertible there
 because p does not divide m, so the convolution-sum check compares m^3
-products per point and remains a proof; the inverse transform of its
-first failing s1 row gives that row's failing (s2, d) pairs.  Each scan
-runs in lexicographic order and stops at its first failure, whose two
-unequal values the scalar *_sides functions compute.
+products per point and remains a proof.  That scan settles its witness,
+then confirms it: at the first chunk of points where an s1 row fails,
+the inverse transform of the first such row gives the row's first
+failing pair (d, a4) there.  Later points are checked only where an
+earlier failure could hide: in the rows before it, by the transforms
+(none when it is row 0), and in the pairs of its row before that pair,
+in the direct domain at O(m) per pair and point.  The cocycle scans run
+in lexicographic order and stop at their first failure.  The scalar
+*_sides functions compute the two unequal values of every witness.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
 table on a group of order at least 2 is handed, with its evaluation, to
@@ -57,8 +62,10 @@ group isomorphism, which satisfies all three axioms (Berndt, Evans and
 Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
 no witness.  If any step fails, the scans run exactly as they would
 without it, and only they produce witnesses.  Accepting thus costs one
-table build and an O(q^3) field check; rejecting costs the O(m^3 E)
-scans, over E evaluation points, up to the first witness.
+table build and an O(q^3) field check; rejecting costs, over E
+evaluation points, the O(m^3 E) cocycle scans up to their first witness,
+and the convolution scan's O(m^3) per point until its candidate is
+found, O(K m) per point for the K pairs before the candidate after it.
 
 Complex-valued tables take the same identities, checked value by value
 against an absolute tolerance, a few first indices at a time (the cocycle
@@ -70,6 +77,7 @@ or infinite difference fails.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -252,11 +260,20 @@ class _Residues:
         red = reduction_data(m)
         deg = red.degree
         entries = [e for row in table.values for e in row]
-        scale = math.lcm(*(e.den for e in entries))
-        mults = [scale // e.den for e in entries]
-        peaks = [max(map(abs, e.num)) for e in entries]
-        top = max(c * k for c, k in zip(peaks, mults))
-        wide = max(peaks) >= 1 << 63  # such numerators stay Python ints
+        flat = itertools.chain.from_iterable(e.num for e in entries)
+        try:
+            nums = np.fromiter(flat, np.int64, m * m * deg).reshape(m, m, deg)
+            # |-2^63| wraps to itself, which reads 2^63 unsigned
+            peaks = np.abs(nums).view(np.uint64).max(axis=2)
+        except OverflowError:  # numerators of 2^63 and beyond stay Python ints
+            nums = np.array([e.num for e in entries], dtype=object).reshape(m, m, deg)
+            peaks = np.abs(nums).max(axis=2)
+        # entries share few denominators: den_index[i, j] numbers that of J(i, j)
+        dens = {}
+        den_index = np.array([dens.setdefault(e.den, len(dens)) for e in entries]).reshape(m, m)
+        scale = math.lcm(*dens)
+        mults = [scale // den for den in dens]
+        top = max(k * int(peaks[den_index == i].max()) for i, k in enumerate(mults))
         # every scaled identity has both sides built from at most max(m, 2)
         # products of centered entries (coefficients <= top + 2L) plus delta
         # terms, so `bound` caps each coefficient of their difference
@@ -270,14 +287,12 @@ class _Residues:
         primes = [p for p, _ in fields]
         self.m = m
         self.values = np.empty((m, m, len(fields) * deg), dtype=np.int32)
-        for idx in self.chunks(m, m):
-            lo, hi = idx[0], idx[-1] + 1
-            nums = np.array(
-                [e.num for e in entries[lo * m : hi * m]], dtype=object if wide else np.int64
-            ).reshape(hi - lo, m, deg)
-            for i, (p, powers) in enumerate(fields):
-                res = np.remainder(nums, p).astype(np.int64, copy=False)
-                res *= np.array([c % p for c in mults[lo * m : hi * m]]).reshape(hi - lo, m, 1)
+        for i, (p, powers) in enumerate(fields):
+            mult = np.array([k % p for k in mults])[den_index, None]  # L / den mod p
+            for idx in self.chunks(m, m):
+                lo, hi = idx[0], idx[-1] + 1
+                res = np.remainder(nums[lo:hi], p).astype(np.int64, copy=False)
+                res *= mult[lo:hi]
                 res %= p
                 res = res @ powers[:deg]
                 res %= p
@@ -361,47 +376,94 @@ def _first_quadruple(s1: int, bad, add) -> tuple[int, int, int, int]:
     return (0, s1, d, a4)
 
 
+def _first_failing_pair(r: _Residues, s1: int, n: int, ks: slice) -> int:
+    """The first of the pairs d * m + a4 < n of row s1 whose triple fails at
+    some point of ks, or n if none does.  Each is checked in the direct
+    domain: with u = b and s2 = d + a4, the identity at (0, s1, d, a4) reads
+    sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
+    and point."""
+    m, add, addneg = r.m, r.add, r.addneg
+    u = np.arange(m)
+    # each pair gathers m int32 values per point and multiplies them in int64
+    width = max(1, _SCAN_BYTES // (12 * m))
+    for lo in range(ks.start, ks.stop, width):
+        k = slice(lo, min(lo + width, ks.stop))
+        P, L = r.moduli[k], r.scale[k]
+        q = r.values[u, addneg[s1], k]  # L Q_s1(u)
+        step = max(1, _SCAN_BYTES // (12 * m * len(P)))
+        for top in range(0, n, step):
+            d, a4 = np.divmod(np.arange(top, min(top + step, n)), m)
+            diff = np.multiply(r.values[add[d], addneg[a4], k], q, dtype=np.int64).sum(axis=1)
+            diff -= L * r.values[a4, add[s1, d], k]
+            diff %= P
+            fails = diff.any(axis=1)
+            if fails.any():
+                # pairs after this one cannot come first any more
+                n = top + int(fails.argmax())
+                break
+    return n
+
+
+def _first_failing_row(r: _Residues, below: int, ks: slice) -> tuple[int, int] | None:
+    """The first row s1 < below whose triple fails at some point of ks, with
+    the first of its pairs d * m + a4 that fails there, or None.  The points
+    are transformed and checked as C_s1 Q^_s2 = L C_{s1+s2} row by row; the
+    inverse transform of the failing row gives all its failing pairs."""
+    m, add, neg, addneg = r.m, r.add, r.neg, r.addneg
+    P, L = r.moduli[ks, None, None], r.scale[ks, None, None]
+    # w[k, x, y] = chi_x(y) at point k, symmetric in x and y
+    w = np.moveaxis(r.root_powers[:, ks][r.pairing], -1, 0)
+    qh = np.moveaxis(r.values[np.arange(m), addneg, ks], -1, 0) @ w  # L Q_s(u), transformed
+    qh %= P
+    c = qh[:, :, neg]
+    c *= w
+    c %= P
+    lc = L * c
+    lc %= P
+    rows = max(1, _SCAN_BYTES // (2 * 8 * m * m * len(w)))
+    for top in range(0, below, rows):
+        s1 = np.arange(top, min(top + rows, below))
+        prod = c[:, s1, None] * qh[:, None]
+        prod %= P[..., None]
+        fails = (prod != lc[:, add[s1]]).any(axis=(0, 2, 3))
+        if fails.any():
+            s = int(s1[fails.argmax()])
+            diff = (c[:, s, None] * qh - lc[:, add[s]]) % P
+            # e[k, s2, y] = m D(s, s2, y - s) at point k, where D is the
+            # difference of the two sides at the triple (s, s2, y - s)
+            e = diff @ w[:, :, neg] % P
+            _, _, d, a4 = _first_quadruple(s, e.any(axis=0)[:, add[s]], add)
+            return s, d * m + a4
+    return None
+
+
 def _convolution_witness(r: _Residues):
     """First quadruple, in lexicographic order, where the convolution-sum
-    identity fails at some point.  Each chunk of points is transformed
-    once and checked as C_s1 Q^_s2 = L C_{s1+s2} row by row over s1, up to
-    the first row that failed so far; the inverse transform of a failing
-    row marks its failing (s2, d) pairs, collected over all points."""
-    m, add, neg, addneg = r.m, r.add, r.neg, r.addneg
-    ar = np.arange(m)
+    identity fails at some point.  The scan settles a candidate, then
+    confirms it: the first chunk of points with a failing row `best` gives
+    the row's first failing pair there as the candidate, and each later
+    chunk is checked only for what could precede it, the rows before
+    `best` by transforms (none once `best` is 0) and the pairs of row
+    `best` before the candidate in the direct domain.  A failing row
+    replaces both; a failing pair becomes the candidate."""
+    m = r.m
+    npoints = r.values.shape[2]
     # the four transforms of a chunk (w, qh, c, lc) share _SCAN_BYTES, and
     # so do the two int64 operands of a row block's comparison
     width = max(1, _SCAN_BYTES // (4 * 8 * m * m))  # points per chunk
-    best, bad = m, None  # the first failing s1 row and its bad[s2, d]
-    for lo in range(0, r.values.shape[2], width):
-        ks = slice(lo, lo + width)
-        P, L = r.moduli[ks, None, None], r.scale[ks, None, None]
-        # w[k, x, y] = chi_x(y) at point k, symmetric in x and y
-        w = np.moveaxis(r.root_powers[:, ks][r.pairing], -1, 0)
-        qh = np.moveaxis(r.values[ar, addneg, ks], -1, 0) @ w  # L Q_s(u), transformed
-        qh %= P
-        c = qh[:, :, neg]
-        c *= w
-        c %= P
-        lc = L * c
-        lc %= P
-        rows = max(1, _SCAN_BYTES // (2 * 8 * m * m * len(w)))
-        for top in range(0, min(best + 1, m), rows):
-            s1 = np.arange(top, min(top + rows, best + 1, m))
-            prod = c[:, s1, None] * qh[:, None]
-            prod %= P[..., None]
-            fails = (prod != lc[:, add[s1]]).any(axis=(0, 2, 3))
-            if fails.any():
-                s = int(s1[fails.argmax()])
-                diff = (c[:, s, None] * qh - lc[:, add[s]]) % P
-                # e[k, s2, y] = m D(s, s2, y - s) at point k, where D is the
-                # difference of the two sides at the triple (s, s2, y - s)
-                e = diff @ w[:, :, neg] % P
-                if s < best:
-                    best, bad = s, np.zeros((m, m), dtype=bool)
-                bad |= e.any(axis=0)[:, add[s]]
-                break
-    return None if bad is None else _first_quadruple(best, bad, add)
+    best, first = m, None  # the first failing s1 row and its first failing pair
+    lo = 0
+    while lo < npoints:
+        # with best = 0 no transforms are left to do, and the remaining
+        # points only confirm the candidate
+        ks = slice(lo, min(lo + width, npoints) if best else npoints)
+        lo = ks.stop
+        row = _first_failing_row(r, best, ks) if best else None
+        if row is not None:
+            best, first = row
+        elif first is not None:
+            first = _first_failing_pair(r, best, first, ks)
+    return None if first is None else (0, best, *divmod(first, m))
 
 
 # -- exact checks --------------------------------------------------------

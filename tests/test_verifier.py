@@ -175,6 +175,26 @@ def test_engine_fallback_on_huge_entries():
         assert isinstance(check_cocycle_star(t).passed, bool)
 
 
+def test_residue_primes_depend_on_entry_sizes_only():
+    # the coefficient bound, and so the primes, depend on the sizes of the
+    # entries, not on their signs or cells: -2^63 fits int64 and 2^63 does
+    # not, yet both have size 2^63, and an integer entry is scaled by the
+    # common denominator whichever cell the denominator's entry sits in
+    g = GroupSpec((2,))
+    one = Cyclotomic.one(2)
+    pairs = (
+        (1 << 63, 1),
+        (1 << 40, Fraction(1, 1 << 40)),
+        (Fraction(1 << 70, 3), Fraction(5, 2**31 - 1)),
+    )
+    for a, b in pairs:
+        primes = set()
+        for x, y in ((a, b), (b, a), (-a, b), (b, -a)):
+            rows = [[Cyclotomic.from_rational(2, x), one], [one, Cyclotomic.from_rational(2, y)]]
+            primes.add(tuple(_Residues(JacobiTable(g, rows)).moduli))
+        assert len(primes) == 1, (a, b)
+
+
 def test_engine_matches_reference_scan():
     # perturbations chosen to be invisible modulo some but not all primes
     for q in (8, 9):
@@ -197,23 +217,65 @@ def _moved(t: JacobiTable, i: int, j: int, shift) -> JacobiTable:
 
 
 def test_chunked_scans_match_reference_scan(monkeypatch):
-    # one pair, one point and one s1 row per chunk.  A move by the first
-    # prime is invisible at that prime's points, which the scan reaches
-    # first: moving (1, 3) so fails the convolution sum at s1 = 0, after
-    # the move of (0, 1) by zeta failed it at s1 = 1, and moving (0, 1)
-    # so fails s1 = 1 at a pair before the ones the move of (0, 5) fails
-    monkeypatch.setattr(verifier, "_SCAN_BYTES", 1)
+    # with one pair, one point and one s1 row per chunk, and again with the
+    # default chunks.  A move by the first prime is invisible at that
+    # prime's points, which the scan reaches first: moving (1, 3) so fails
+    # the convolution sum at s1 = 0, after the move of (0, 1) by zeta failed
+    # it at s1 = 1, and moving (0, 1) or (1, 4) so fails s1 = 1 at a pair
+    # before the ones the move of (0, 5) fails, (1, 4) at the pair just
+    # before.  The move of (2, 5), in slice m - 1, first fails the pair
+    # (d, a4) = (1, 5) of row 1, after 13 passing pairs; moving (4, 7) by
+    # the first prime fails (1, 2), which only the second prime's points
+    # show.  On the group (3, 3), a table built from a candidate support
+    # map passes the convolution sum until (8, 7) moves, and a move of
+    # (1, 2) by the first prime then fails an earlier pair
     t = table(9)
     first = int(_Residues(t).moduli[0])
     zeta = root_power(8, 1)
+    g = GroupSpec((3, 3))
+    support = [x for x in g.elements if x != g.identity]
+    t33 = table_from_support(g, support, next(_candidate_maps(g, g.identity)))
+    first33 = int(_Residues(t33).moduli[0])
     cases = [
         (_moved(t, 0, 1, zeta), (1, 0, 1)),
         (_moved(_moved(t, 0, 1, zeta), 1, 3, first), (0, 0, 4)),
         (_moved(_moved(t, 0, 5, zeta), 0, 1, first), (1, 0, 1)),
+        (_moved(_moved(t, 0, 5, zeta), 1, 4, first), (1, 0, 4)),
+        (_moved(t, 2, 5, zeta), (1, 1, 5)),
+        (_moved(_moved(t, 2, 5, zeta), 4, 7, first), (1, 1, 2)),
+        (_moved(t33, 8, 7, Fraction(1, 3)), (0, 0, 3)),
+        (_moved(_moved(t33, 8, 7, Fraction(1, 3)), 1, 2, first33), (0, 0, 0)),
     ]
-    for bad, (s1, d, a4) in cases:
-        assert check_convolution_sum(bad).witness == ((0,), (s1,), (d,), (a4,))
-        _assert_matches_reference(bad)
+    assert check_convolution_sum(t33).passed
+    for scan_bytes in (1, verifier._SCAN_BYTES):
+        monkeypatch.setattr(verifier, "_SCAN_BYTES", scan_bytes)
+        for bad, (s1, d, a4) in cases:
+            els = bad.group.elements
+            assert check_convolution_sum(bad).witness == (els[0], els[s1], els[d], els[a4])
+            _assert_matches_reference(bad)
+
+
+def test_reject_witnesses_at_q64():
+    # cell (1, 2) moved alone by a root of unity, and with its transpose by
+    # a root of unity, by 3/7 and by c/(2^31 - 1), whose denominator needs
+    # more primes; the m^4 reference loop is too slow at this size
+    t = table(64)
+    zeta = root_power(63, 5)
+    cases = [
+        (t.with_entry(1, 2, t.values[1][2] + zeta), (1, 1, 1)),
+        (_moved(t, 1, 2, zeta), (1, 1, 2)),
+        (_moved(t, 1, 2, Fraction(3, 7)), (1, 1, 2)),
+        (_moved(t, 1, 2, Fraction(12345, 2**31 - 1)), (1, 1, 2)),
+    ]
+    for bad, cocycle in cases:
+        report = verify_all(bad)
+        assert report.symmetry.passed == (bad.values[1][2] == bad.values[2][1])
+        for result in report.checks[1:3]:
+            assert result.witness == tuple((i,) for i in cocycle)
+        conv = report.convolution
+        assert conv.witness == ((0,), (0,), (0,), (3,))
+        assert (conv.lhs, conv.rhs) == convolution_sum_sides(bad, *conv.witness)
+        assert conv.lhs != conv.rhs
 
 
 def test_engine_rejects_entries_beyond_its_primes():
