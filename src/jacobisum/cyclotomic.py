@@ -5,7 +5,8 @@ zeta^(phi(m)-1), reduced modulo the m-th cyclotomic polynomial.  It is
 stored as an integer coefficient vector over a single positive
 denominator with the content divided out, so the representation is
 canonical: equal values compare and hash equal.  Coefficients are plain
-Python integers and never overflow.
+Python integers and never overflow.  A JacobiTable keeps this form for
+all its entries at once, in integer arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import math
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -147,6 +149,19 @@ def reduction_data(m: int) -> _Reduction:
     return _Reduction(m)
 
 
+def _fold(m: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficient vector of the sum of c * zeta_m**e over the (e, c) terms,
+    for exponents e that have a reduction row."""
+    red = reduction_data(m)
+    vec = [0] * red.degree
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(red.rows[e]):
+                if r:
+                    vec[i] += c * r
+    return vec
+
+
 class Cyclotomic:
     """An element of Q(zeta_m) in canonical reduced form.
 
@@ -170,12 +185,10 @@ class Cyclotomic:
         if den < 0:
             vec = [-c for c in vec]
             den = -den
-        g = math.gcd(den, *vec) if vec else den
+        g = math.gcd(den, *vec)  # den itself when every coefficient is 0
         if g > 1:
             vec = [c // g for c in vec]
             den //= g
-        if not any(vec):
-            den = 1
         self.m = m
         self.num = tuple(vec)
         self.den = den
@@ -212,18 +225,7 @@ class Cyclotomic:
     @classmethod
     def root_sum(cls, m: int, exponents: Iterable[int], den: int = 1) -> "Cyclotomic":
         """(1/den) * sum of zeta_m**e over the exponents, with repetition."""
-        red = reduction_data(m)
-        counts: dict[int, int] = {}
-        for e in exponents:
-            e %= m
-            counts[e] = counts.get(e, 0) + 1
-        vec = [0] * red.degree
-        for e, c in counts.items():
-            row = red.rows[e]
-            for i, r in enumerate(row):
-                if r:
-                    vec[i] += c * r
-        return cls(m, vec, den)
+        return cls(m, _fold(m, Counter(e % m for e in exponents).items()), den)
 
     # -- ring operations ----------------------------------------------
 
@@ -240,10 +242,6 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return Cyclotomic(
-                self.m, [a + b for a, b in zip(self.num, other.num)], self.den
-            )
         g = math.gcd(self.den, other.den)
         den = self.den // g * other.den
         sa = den // self.den
@@ -272,22 +270,15 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        red = reduction_data(self.m)
-        d = red.degree
+        d = reduction_data(self.m).degree
         conv = [0] * (2 * d - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in enumerate(other.num):
                     if b:
                         conv[i + j] += a * b
-        vec = conv[:d]
-        for j in range(d, 2 * d - 1):
-            c = conv[j]
-            if c:
-                row = red.rows[j]
-                for i, r in enumerate(row):
-                    if r:
-                        vec[i] += c * r
+        # the degrees from d up fold back through their reduction rows
+        vec = [a + b for a, b in zip(conv, _fold(self.m, enumerate(conv[d:], d)))]
         return Cyclotomic(self.m, vec, self.den * other.den)
 
     __rmul__ = __mul__
@@ -303,30 +294,15 @@ class Cyclotomic:
 
     def mul_root(self, k: int) -> "Cyclotomic":
         """Multiply by zeta_m ** k (a coefficient permutation plus folding)."""
-        red = reduction_data(self.m)
-        vec = [0] * red.degree
-        k %= self.m
-        for i, c in enumerate(self.num):
-            if c:
-                row = red.rows[(i + k) % self.m]
-                for j, r in enumerate(row):
-                    if r:
-                        vec[j] += c * r
-        return Cyclotomic(self.m, vec, self.den)
+        terms = (((i + k) % self.m, c) for i, c in enumerate(self.num))
+        return Cyclotomic(self.m, _fold(self.m, terms), self.den)
 
     def galois(self, r: int) -> "Cyclotomic":
         """Apply the field automorphism zeta -> zeta**r; r must be coprime to m."""
         if math.gcd(r, self.m) != 1:
             raise ValueError(f"{r} is not invertible modulo {self.m}")
-        red = reduction_data(self.m)
-        vec = [0] * red.degree
-        for i, c in enumerate(self.num):
-            if c:
-                row = red.rows[(i * r) % self.m]
-                for j, rr in enumerate(row):
-                    if rr:
-                        vec[j] += c * rr
-        return Cyclotomic(self.m, vec, self.den)
+        terms = ((i * r % self.m, c) for i, c in enumerate(self.num))
+        return Cyclotomic(self.m, _fold(self.m, terms), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.m - 1 if self.m > 1 else 1)
@@ -335,9 +311,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Power-basis coefficients as Fractions in lowest terms."""

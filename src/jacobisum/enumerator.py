@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import Element, GroupSpec
-from .ffield import build_field, is_prime
+from .ffield import build_field, prime_power
 from .jacobi import JacobiTable, table_from_support
 from .verifier import verify_all
 
-DEFAULT_ENUM_MAX = 7
+ENUM_MAX = 7  # largest group order enumerated
 ORACLE_MAX = 1 << 10
 
 AdditionRows = tuple[tuple[int, ...], ...]
@@ -88,12 +88,12 @@ def _candidate_maps(group: GroupSpec, excluded: Element):
     yield from extend(0, {}, set())
 
 
-def enumerate_jacobi(group: GroupSpec, m_max: int = DEFAULT_ENUM_MAX) -> EnumerationResult:
+def enumerate_jacobi(group: GroupSpec) -> EnumerationResult:
     """All distinct tables on the group passing the exhaustive axiom suite,
     cross-counted against the field-structure oracle."""
     m = group.m
-    if m > m_max:
-        raise ValueError(f"group order {m} exceeds the enumeration cap {m_max}")
+    if m > ENUM_MAX:
+        raise ValueError(f"group order {m} exceeds the enumeration cap {ENUM_MAX}")
     found: dict[tuple, JacobiTable] = {}
     for c in group.elements:
         if group.add(c, c) != group.identity:
@@ -114,26 +114,6 @@ def enumerate_jacobi(group: GroupSpec, m_max: int = DEFAULT_ENUM_MAX) -> Enumera
     )
 
 
-def _prime_power(q: int) -> tuple[int, int] | None:
-    if q < 2:
-        return None
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    if not is_prime(p):
-        return None
-    n = 0
-    k = q
-    while k % p == 0:
-        k //= p
-        n += 1
-    return (p, n) if k == 1 else None
-
-
 def oracle_addition_tables(group: GroupSpec) -> tuple[AdditionRows, ...]:
     """Distinct addition tables on {0} + group obtained by pulling back
     GF(m+1) through every group isomorphism onto its unit group.
@@ -145,7 +125,7 @@ def oracle_addition_tables(group: GroupSpec) -> tuple[AdditionRows, ...]:
     q = m + 1
     if q > ORACLE_MAX:
         raise ValueError(f"carrier size {q} exceeds the oracle cap {ORACLE_MAX}")
-    pn = _prime_power(q)
+    pn = prime_power(q)
     if pn is None:
         return ()
     field = build_field(*pn)

@@ -12,8 +12,9 @@ generator powers, which is fine at the supported sizes (q <= 2^16).
 from __future__ import annotations
 
 import itertools
+import math
 
-DEFAULT_Q_MAX = 1 << 16
+Q_MAX = 1 << 16  # largest field size build_field constructs
 
 FieldElement = tuple[int, ...]
 
@@ -28,6 +29,18 @@ def is_prime(k: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, n) with q = p^n for a prime p, or None if q is no prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
+    n = 0
+    while q % p == 0:
+        q //= p
+        n += 1
+    return (p, n) if q == 1 else None
 
 
 def _poly_mulmod(a: FieldElement, b: FieldElement, modulus: tuple[int, ...], p: int) -> FieldElement:
@@ -199,15 +212,15 @@ def _multiplicative_order_is_full(field_mul, one, elem, q: int) -> bool:
     return True
 
 
-def build_field(p: int, n: int, q_max: int = DEFAULT_Q_MAX) -> FiniteField:
+def build_field(p: int, n: int) -> FiniteField:
     """Construct GF(p^n) with the deterministic modulus and generator choices."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"extension degree must be >= 1, got {n}")
     q = p**n
-    if q > q_max:
-        raise ValueError(f"field size {q} exceeds the configured bound {q_max}")
+    if q > Q_MAX:
+        raise ValueError(f"field size {q} exceeds the bound {Q_MAX}")
 
     modulus = None
     for value in range(q):

@@ -1,4 +1,4 @@
-"""Command-line front end, JSON file formats, and run configuration.
+"""Command-line front end and JSON file formats.
 
 All files are self-describing JSON with a "schema" field.  Exact table
 entries travel as lists of "p/q" strings (lowest terms, little-endian in
@@ -16,10 +16,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .abelian import GroupSpec
 from .cyclotomic import Cyclotomic, euler_phi, parse_coefficient
@@ -43,18 +44,6 @@ VERIFICATION_SCHEMA = "verification-report/1"
 RECONSTRUCTION_SCHEMA = "reconstruction-report/1"
 
 TABLE_DUMP_MAX = 64  # field files include full op tables up to this size
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by the CLI commands; defaults match the library."""
-
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def __post_init__(self):
-        # inf would pass any table and NaN fail every one
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 # -- JSON helpers -------------------------------------------------------------
@@ -110,25 +99,27 @@ def field_from_json(doc: dict) -> FiniteField:
 # -- table files --------------------------------------------------------------
 
 
-def _encode_entries(values) -> list[list[list[str]]]:
-    """Every entry's to_strings(), formatting each distinct (numerator,
-    denominator) pair of the document once."""
+def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
+    """Every entry's to_strings(), read off the arrays a row at a time,
+    formatting each distinct (numerator, denominator) pair of the
+    document once.  Each cell's list of numerators becomes its list of
+    strings in place."""
     by_den: dict[int, dict[int, str]] = {}
     rows = []
-    for row in values:
-        cells = []
-        for e in row:
-            names = by_den.setdefault(e.den, {})
-            cells.append([
-                names.get(c) or names.setdefault(c, str(Fraction(c, e.den))) for c in e.num
-            ])
+    for nums, dens in zip(table.num, table.den):
+        cells = nums.tolist()
+        for cell, den in zip(cells, dens.tolist()):
+            names = by_den.setdefault(den, {})
+            cell[:] = [names.get(c) or names.setdefault(c, str(Fraction(c, den))) for c in cell]
         rows.append(cells)
     return rows
 
 
-def _decode_entries(m: int, entries) -> list[list[Cyclotomic]]:
-    """Every cell as Cyclotomic.from_strings would read it, parsing each
-    distinct coefficient string of the document once."""
+def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of a table document's cells, as Cyclotomic.from_strings
+    would read each, parsing each distinct coefficient string of the
+    document once and filling the arrays a row at a time.  A cell of
+    lowest-terms coefficients over their lcm has content 1."""
     degree = euler_phi(m)
     if any(type(cell) is not list or len(cell) != degree for row in entries for cell in row):
         raise ValueError(f"each entry must be a list of {degree} coefficient strings")
@@ -137,16 +128,24 @@ def _decode_entries(m: int, entries) -> list[list[Cyclotomic]]:
         distinct = dict.fromkeys(chain.from_iterable(chain.from_iterable(entries)))
     except TypeError:  # an array or object in place of a coefficient
         raise ValueError("coefficients must be strings") from None
-    pairs = {s: parse_coefficient(s) for s in distinct}
-    rows = []
-    for row in entries:
-        cells = []
-        for cell in row:
-            ratios = [pairs[s] for s in cell]
-            den = math.lcm(*[d for _, d in ratios])
-            cells.append(Cyclotomic(m, [n * (den // d) for n, d in ratios], den))
-        rows.append(cells)
-    return rows
+    code = {s: i for i, s in enumerate(distinct)}
+    nums, dens = zip(*map(parse_coefficient, distinct))
+    # int64 holds every cell's lcm when it holds the document's
+    wide = max(map(abs, nums)) >> 63 or math.lcm(*dens) >> 63
+    nums, dens = (np.array(x, dtype=object if wide else np.int64) for x in (nums, dens))
+    num = np.empty((m, m, degree), dtype=nums.dtype)
+    den = np.empty((m, m), dtype=nums.dtype)
+    for i, row in enumerate(entries):
+        idx = np.fromiter(map(code.__getitem__, chain.from_iterable(row)), np.intp, m * degree)
+        n, d = nums[idx].reshape(m, degree), dens[idx].reshape(m, degree)
+        den[i] = np.lcm.reduce(d, axis=1)
+        k = den[i, :, None] // d
+        # a product n * k past int64 makes the whole table Python ints
+        if num.dtype != object and (np.abs(n) > np.iinfo(np.int64).max // k).any():
+            num, nums = num.astype(object), nums.astype(object)
+            n = n.astype(object)
+        num[i] = n * k
+    return num, den
 
 
 def table_to_json(table: JacobiTable) -> dict:
@@ -154,7 +153,7 @@ def table_to_json(table: JacobiTable) -> dict:
         "schema": TABLE_SCHEMA,
         "factors": list(table.group.factors),
         "conductor": table.group.m,
-        "entries": _encode_entries(table.values),
+        "entries": _encode_entries(table),
     }
 
 
@@ -184,7 +183,7 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     if len(entries) != m or any(len(row) != m for row in entries):
         raise ValueError(f"entries must form an {m} x {m} array")
     if schema == TABLE_SCHEMA:
-        return JacobiTable(group, _decode_entries(m, entries))
+        return JacobiTable._from_arrays(group, *_decode_entries(m, entries))
     return ApproxTable(group, tuple(tuple(map(_complex_cell, row)) for row in entries))
 
 
@@ -306,6 +305,14 @@ def field_addition_rows(field: FiniteField) -> tuple[tuple[int, ...], ...]:
 # -- CLI ----------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A --tolerance value: inf would pass any table and NaN fail every one."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobi",
@@ -325,14 +332,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the three axioms on a table file")
     p.add_argument("--table", required=True)
     p.add_argument("--out")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("reconstruct", help="recover the field structure from a table file")
     p.add_argument("--table", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("roundtrip", help="field -> table -> verify -> reconstruct -> compare")
     p.add_argument("--p", type=int, required=True)
@@ -403,18 +410,16 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        cfg = RunConfig(tolerance=args.tolerance)
         table = table_from_json(read_json(args.table))
-        report = verify_all(table, tolerance=cfg.tolerance)
+        report = verify_all(table, tolerance=args.tolerance)
         _print_verification(report)
         if args.out:
             write_json(args.out, verification_to_json(report))
         return 0 if report.passed else 1
 
     if args.command == "reconstruct":
-        cfg = RunConfig(tolerance=args.tolerance)
         table = table_from_json(read_json(args.table))
-        report = reconstruct(table, force=args.force, strict=args.strict, tolerance=cfg.tolerance)
+        report = reconstruct(table, force=args.force, strict=args.strict, tolerance=args.tolerance)
         write_json(args.out, reconstruction_to_json(report))
         print(f"case: {report.case}; ok: {report.ok}")
         return 0 if report.ok else 1

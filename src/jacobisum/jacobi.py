@@ -7,7 +7,9 @@ with alpha_a(g**t) = zeta_m**(a*t) for the fixed field generator g, and
     J(alpha, beta) = (1/m) * sum over x + y = 1, x, y nonzero
                      of alpha(x) beta(y).
 
-Every entry is exact, with conductor equal to the group order.
+Every entry is exact, with conductor equal to the group order.  A table
+holds its entries as two integer arrays in Cyclotomic's canonical form,
+and every layer reads those arrays rather than Cyclotomic objects.
 """
 
 from __future__ import annotations
@@ -32,10 +34,26 @@ def require_exact_order(m: int) -> None:
         raise ValueError(f"group order {m} exceeds the exact-table limit of {MAX_EXACT_ORDER}")
 
 
-class JacobiTable:
-    """An m x m grid of exact values J(alpha, beta), indexed like the group."""
+def _canonical(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64 when every value lies strictly within
+    +-2^63, else as an array of Python ints."""
+    try:
+        b = a.astype(np.int64, copy=False)
+    except OverflowError:
+        return a
+    return b.astype(object) if b.min() == np.iinfo(np.int64).min else b
 
-    __slots__ = ("group", "values")
+
+class JacobiTable:
+    """An m x m table of exact values J(alpha, beta), indexed like the group.
+
+    num[i, j] is the coefficient vector and den[i, j] the denominator of
+    entry (i, j), in Cyclotomic's canonical form, so equal tables hold
+    equal arrays.  Both are int64 unless some value does not fit (-2^63
+    counts as not fitting), and then arrays of Python ints.
+    """
+
+    __slots__ = ("group", "num", "den", "_values")
 
     def __init__(self, group: GroupSpec, values: Iterable[Iterable[Cyclotomic]]):
         rows = tuple(tuple(row) for row in values)
@@ -45,22 +63,35 @@ class JacobiTable:
         for row in rows:
             for entry in row:
                 if entry.m != m:
-                    raise ValueError(
-                        f"entry conductor {entry.m} differs from group order {m}"
-                    )
-        self.group = group
-        self.values = rows
+                    raise ValueError(f"entry conductor {entry.m} differs from group order {m}")
+        num = np.array([[e.num for e in row] for row in rows], dtype=object)
+        den = np.array([[e.den for e in row] for row in rows], dtype=object)
+        self.group, self.num, self.den = group, _canonical(num), _canonical(den)
+        self._values = None
+
+    @classmethod
+    def _from_arrays(cls, group: GroupSpec, num: np.ndarray, den: np.ndarray) -> "JacobiTable":
+        """The table over integer arrays whose entries are already in
+        canonical form; only their dtype is settled here."""
+        table = cls.__new__(cls)
+        table.group, table.num, table.den = group, _canonical(num), _canonical(den)
+        table._values = None
+        return table
 
     @property
-    def conductor(self) -> int:
-        return self.group.m
+    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        """Every entry as a Cyclotomic, built on first use."""
+        if self._values is None:
+            m = self.group.m
+            self._values = tuple(tuple(self.entry(i, j) for j in range(m)) for i in range(m))
+        return self._values
 
     def entry(self, i: int, j: int) -> Cyclotomic:
-        return self.values[i][j]
+        return Cyclotomic(self.group.m, self.num[i, j].tolist(), self.den.item(i, j))
 
     def value(self, alpha: Element, beta: Element) -> Cyclotomic:
         g = self.group
-        return self.values[g.index(alpha)][g.index(beta)]
+        return self.entry(g.index(alpha), g.index(beta))
 
     def with_entry(self, i: int, j: int, value: Cyclotomic) -> "JacobiTable":
         """Copy of the table with one entry replaced (used to build violations)."""
@@ -71,10 +102,15 @@ class JacobiTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, JacobiTable):
             return NotImplemented
-        return self.group == other.group and self.values == other.values
+        return (
+            self.group == other.group
+            and np.array_equal(self.num, other.num)
+            and np.array_equal(self.den, other.den)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.group, self.values))
+        num, den = self.num.ravel().tolist(), self.den.ravel().tolist()  # Python ints
+        return hash((self.group, tuple(num), tuple(den)))
 
     def __repr__(self) -> str:
         return f"JacobiTable(group={self.group.factors}, m={self.group.m})"
@@ -96,11 +132,19 @@ class ApproxTable:
 
 
 def approximate(table: JacobiTable) -> ApproxTable:
-    """Embed every entry into the complex numbers."""
-    return ApproxTable(
-        table.group,
-        tuple(tuple(e.to_complex() for e in row) for row in table.values),
-    )
+    """Embed every entry into the complex numbers, with the floats that
+    Cyclotomic.to_complex gives: the real and imaginary parts summed in
+    the order of the power basis, then each divided by the denominator."""
+    m = table.group.m
+    re, im = np.zeros(table.den.shape), np.zeros(table.den.shape)
+    for i in range(table.num.shape[2]):
+        root = cmath.exp(2j * cmath.pi * i / m)
+        c = table.num[:, :, i].astype(float)
+        re += c * root.real
+        im += c * root.imag
+    z = np.empty(table.den.shape, dtype=complex)
+    z.real, z.imag = re / table.den.astype(float), im / table.den.astype(float)
+    return ApproxTable(table.group, tuple(map(tuple, z.tolist())))
 
 
 def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
@@ -108,7 +152,8 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     zeta_m ** (<alpha, u_k> + <beta, v_k>), for element indices u_k, v_k.
 
     Row by row, a histogram of the exponents times the power-basis rows
-    of zeta^e gives the coefficient vectors of every entry.
+    of zeta^e gives the coefficient vectors of every entry over m; then
+    each entry's content is divided out.
     """
     m = group.m
     pair = pairing_matrix(group)
@@ -116,12 +161,14 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     left = pair[:, np.asarray(us, dtype=np.intp)]  # [alpha, k] = <alpha, u_k>
     right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
     offsets = np.arange(0, m * m, m)[:, None]  # one block of m bins per beta
-    rows = []
+    num = np.empty((m, m, powers.shape[1]), dtype=np.int64)
     for a in range(m):
         bins = (left[a] + right) % m + offsets
         counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
-        rows.append([Cyclotomic(m, c, m) for c in (counts @ powers).tolist()])
-    return JacobiTable(group, rows)
+        np.matmul(counts, powers, out=num[a])
+    content = np.gcd(np.gcd.reduce(num, axis=2), m)
+    num //= content[:, :, None]
+    return JacobiTable._from_arrays(group, num, m // content)
 
 
 def compute_jacobi(field: FiniteField) -> JacobiTable:
@@ -170,17 +217,24 @@ def twist_automorphism(table: JacobiTable, r: int) -> JacobiTable:
     m = g.m
     if math.gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not an automorphism exponent for order {m}")
-    rows = []
-    for alpha in g.elements:
-        ra = g.index(g.scale(r, alpha))
-        rows.append([table.values[ra][g.index(g.scale(r, beta))] for beta in g.elements])
-    return JacobiTable(g, rows)
+    perm = np.array([g.index(g.scale(r, x)) for x in g.elements], dtype=np.intp)
+    grid = np.ix_(perm, perm)
+    return JacobiTable._from_arrays(g, table.num[grid], table.den[grid])
 
 
 def twist_galois(table: JacobiTable, r: int) -> JacobiTable:
-    """Apply the value-side automorphism zeta -> zeta**r to every entry."""
+    """Apply the value-side automorphism zeta -> zeta**r to every entry:
+    one product with the matrix whose row i is the image of zeta^i.  The
+    automorphism keeps each entry's content and denominator."""
     m = table.group.m
     if math.gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not invertible modulo {m}")
-    rows = [[e.galois(r) for e in row] for row in table.values]
-    return JacobiTable(table.group, rows)
+    red = reduction_data(m)
+    image = np.array([red.rows[i * r % m] for i in range(red.degree)], dtype=np.int64)
+    num = table.num
+    # each coefficient of the product is at most the largest |num| times a
+    # column sum of |image|; past int64 it is taken over Python ints
+    peak = int(max(num.max(), -num.min()))
+    if num.dtype == object or peak * int(np.abs(image).sum(axis=0).max()) >> 63:
+        num, image = num.astype(object), image.astype(object)
+    return JacobiTable._from_arrays(table.group, num @ image, table.den)

@@ -47,7 +47,10 @@ import numpy as np
 
 from .abelian import Element, GroupSpec, delta, index_tables, pairing, pairing_matrix
 from .cyclotomic import Cyclotomic
-from .jacobi import ApproxTable, JacobiTable, slice_function, table_from_pairs, table_from_support
+from .ffield import prime_power
+from .jacobi import (
+    ApproxTable, JacobiTable, approximate, slice_function, table_from_pairs, table_from_support,
+)
 from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
@@ -451,14 +454,7 @@ def verify_field(at: AdditionTable) -> FieldChecks:
         copies += 1
     if acc == ZERO_SYM:
         characteristic = copies
-    prime_power_ok = False
-    if characteristic is not None and characteristic >= 2:
-        p = characteristic
-        if all(p % d for d in range(2, int(p**0.5) + 1)):
-            q = p
-            while q < size:
-                q *= p
-            prime_power_ok = q == size
+    pn = prime_power(size)
     return FieldChecks(
         commutative=commutative,
         associative=associative,
@@ -466,7 +462,7 @@ def verify_field(at: AdditionTable) -> FieldChecks:
         identity=identity,
         inverses=inverses,
         characteristic=characteristic,
-        prime_power_ok=prime_power_ok,
+        prime_power_ok=pn is not None and pn[0] == characteristic,
     )
 
 
@@ -662,18 +658,16 @@ def reconstruct(
         else:
             report.addition, report.field_checks = cert.addition, cert.field_checks
             rebuilt = table  # the certificate found the field's table equal to this one
-    report.baseline = (rebuilt if approx else table).values[0][0] - 1
-    report.roundtrip_ok = _agrees(table, rebuilt.values, tolerance)
+    report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
     # J(1, alpha) = baseline + delta(alpha) for every alpha
     expected = [report.baseline + delta(alpha) for alpha in g.elements]
-    report.baseline_ok = _agrees(table, [expected], tolerance)
+    if approx:
+        got = np.array(table.entries)
+        near = np.abs(got - approximate(rebuilt).entries) <= tolerance
+        report.roundtrip_ok = bool(near.all())
+        near = np.abs(got[0] - [v.to_complex() for v in expected]) <= tolerance
+        report.baseline_ok = bool(near.all())
+    else:
+        report.roundtrip_ok = table == rebuilt
+        report.baseline_ok = all(table.entry(0, j) == v for j, v in enumerate(expected))
     return report
-
-
-def _agrees(table, rows, tol: float) -> bool:
-    """Whether the table's leading rows equal the given rows of exact
-    values, or, for a complex table, lie within tol of them."""
-    if isinstance(table, JacobiTable):
-        return table.values[: len(rows)] == tuple(map(tuple, rows))
-    want = np.array([[v.to_complex() for v in row] for row in rows])
-    return bool((np.abs(np.array(table.entries[: len(rows)]) - want) <= tol).all())

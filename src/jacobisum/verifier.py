@@ -77,7 +77,6 @@ or infinite difference fails.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -155,7 +154,7 @@ class VerificationReport:
 
 
 def _star(table: JacobiTable, i: int, j: int) -> Cyclotomic:
-    v = table.values[i][j]
+    v = table.entry(i, j)
     if i == 0:
         v = v - 1
     if j == 0:
@@ -186,15 +185,15 @@ def cocycle_direct_sides(
     g = table.group
     a, b, c = g.index(alpha), g.index(beta), g.index(gamma)
     ab, bc = g.index(g.add(alpha, beta)), g.index(g.add(beta, gamma))
-    v = table.values
-    lhs = v[a][b] * v[ab][c]
+    v = table.entry
+    lhs = v(a, b) * v(ab, c)
     if ab == 0:
-        lhs = lhs - v[a][g.index(g.neg(alpha))]
+        lhs = lhs - v(a, g.index(g.neg(alpha)))
     if a == 0 and b == 0:
         lhs = lhs + 1
-    rhs = v[a][bc] * v[b][c]
+    rhs = v(a, bc) * v(b, c)
     if bc == 0:
-        rhs = rhs - v[c][g.index(g.neg(gamma))]
+        rhs = rhs - v(c, g.index(g.neg(gamma)))
     if b == 0 and c == 0:
         rhs = rhs + 1
     return lhs, rhs
@@ -259,21 +258,14 @@ class _Residues:
         m = g.m
         red = reduction_data(m)
         deg = red.degree
-        entries = [e for row in table.values for e in row]
-        flat = itertools.chain.from_iterable(e.num for e in entries)
-        try:
-            nums = np.fromiter(flat, np.int64, m * m * deg).reshape(m, m, deg)
-            # |-2^63| wraps to itself, which reads 2^63 unsigned
-            peaks = np.abs(nums).view(np.uint64).max(axis=2)
-        except OverflowError:  # numerators of 2^63 and beyond stay Python ints
-            nums = np.array([e.num for e in entries], dtype=object).reshape(m, m, deg)
-            peaks = np.abs(nums).max(axis=2)
-        # entries share few denominators: den_index[i, j] numbers that of J(i, j)
-        dens = {}
-        den_index = np.array([dens.setdefault(e.den, len(dens)) for e in entries]).reshape(m, m)
+        nums = table.num
+        peaks = np.maximum(nums.max(axis=2), -nums.min(axis=2))
+        # entries share few denominators: dens[where[i, j]] is that of J(i, j)
+        dens, where = np.unique(table.den, return_inverse=True)
+        dens, where = dens.tolist(), where.reshape(m, m)
         scale = math.lcm(*dens)
         mults = [scale // den for den in dens]
-        top = max(k * int(peaks[den_index == i].max()) for i, k in enumerate(mults))
+        top = max(k * int(peaks[where == i].max()) for i, k in enumerate(mults))
         # every scaled identity has both sides built from at most max(m, 2)
         # products of centered entries (coefficients <= top + 2L) plus delta
         # terms, so `bound` caps each coefficient of their difference
@@ -288,7 +280,7 @@ class _Residues:
         self.m = m
         self.values = np.empty((m, m, len(fields) * deg), dtype=np.int32)
         for i, (p, powers) in enumerate(fields):
-            mult = np.array([k % p for k in mults])[den_index, None]  # L / den mod p
+            mult = np.array([k % p for k in mults])[where, None]  # L / den mod p
             for idx in self.chunks(m, m):
                 lo, hi = idx[0], idx[-1] + 1
                 res = np.remainder(nums[lo:hi], p).astype(np.int64, copy=False)
@@ -316,9 +308,8 @@ class _Residues:
             step = min(2 * step, cap)
 
 
-def _first_hit(diff) -> tuple[int, ...] | None:
-    """Leading index of the first nonzero evaluation vector, or None."""
-    bad = diff.any(axis=-1)
+def _first_true(bad) -> tuple[int, ...] | None:
+    """Index of the first True in a boolean array, in row-major order, or None."""
     if not bad.any():
         return None
     return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
@@ -361,7 +352,7 @@ def _cocycle_witness(r: _Residues, star: bool):
             diff[at] += left[a[at], None]
             diff[np.arange(len(idx)), neg[b]] -= right[b]
         diff %= P
-        hit = _first_hit(diff)
+        hit = _first_true(diff.any(axis=-1))  # the first nonzero evaluation vector
         if hit is not None:
             i, c = hit
             return (int(a[i]), int(b[i]), c)
@@ -471,16 +462,13 @@ def _convolution_witness(r: _Residues):
 
 def check_symmetry(table: JacobiTable) -> CheckResult:
     """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs."""
-    m = table.group.m
-    v = table.values
-    for i in range(m):
-        for j in range(m):
-            if v[i][j] != v[j][i]:
-                els = table.group.elements
-                return CheckResult(
-                    "symmetry", False, (els[i], els[j]), v[i][j], v[j][i]
-                )
-    return CheckResult("symmetry", True)
+    num, den = table.num, table.den
+    bad = (num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T)
+    if not bad.any():
+        return CheckResult("symmetry", True)
+    i, j = np.unravel_index(bad.argmax(), bad.shape)
+    els = table.group.elements
+    return CheckResult("symmetry", False, (els[i], els[j]), table.entry(i, j), table.entry(j, i))
 
 
 def _result(table: JacobiTable, check: str, witness, sides) -> CheckResult:
@@ -513,16 +501,8 @@ def check_convolution_sum(table: JacobiTable, residues: _Residues | None = None)
 # -- approximate (complex) path ------------------------------------------
 
 
-def _first_bad_index(diff, tol: float) -> tuple[int, ...] | None:
-    # a NaN difference fails: it is not within the tolerance
-    bad = ~(np.abs(diff) <= tol)
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
-
-
 def _approx_symmetry(at: ApproxTable, t, tol: float) -> CheckResult:
-    idx = _first_bad_index(t - t.T, tol)
+    idx = _first_true(~(np.abs(t - t.T) <= tol))  # a NaN difference is not within tol
     if idx is None:
         return CheckResult("symmetry", True)
     witness = tuple(at.group.elements[i] for i in idx)
@@ -555,7 +535,7 @@ def _approx_cocycle(at: ApproxTable, t, tol: float, star: bool) -> CheckResult:
         if not star:
             lhs = lhs - left[a, :, None] + d_both[a, :, None]
             rhs = rhs - right + d_both[None, :, :]
-        idx = _first_bad_index(lhs - rhs, tol)
+        idx = _first_true(~(np.abs(lhs - rhs) <= tol))
         if idx is not None:
             witness = tuple(at.group.elements[i] for i in (top + idx[0], *idx[1:]))
             return CheckResult(name, False, witness, lhs[idx], rhs[idx])

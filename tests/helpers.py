@@ -128,6 +128,35 @@ def reference_table(group: js.GroupSpec, pairs) -> js.JacobiTable:
     ])
 
 
+def reference_twist_automorphism(table: js.JacobiTable, r: int) -> js.JacobiTable:
+    """J(r alpha, r beta) at every (alpha, beta), one entry at a time."""
+    g = table.group
+    return js.JacobiTable(g, [
+        [table.value(g.scale(r, alpha), g.scale(r, beta)) for beta in g.elements]
+        for alpha in g.elements
+    ])
+
+
+def reference_twist_galois(table: js.JacobiTable, r: int) -> js.JacobiTable:
+    """Every entry under zeta -> zeta^r, one Cyclotomic.galois at a time."""
+    return js.JacobiTable(table.group, [[e.galois(r) for e in row] for row in table.values])
+
+
+def moved_tables(q: int):
+    """(name, table) for the field's table and for copies with (1, 2), and
+    (2, 1) too where the move keeps symmetry, moved by a root of unity,
+    3/7, c/(2^31 - 1), 2^70/3 and 1/2^62: int64 tables and tables of
+    Python ints, with small and huge numerators and denominators."""
+    t = table(q)
+    m = q - 1
+    yield f"q{q}", t
+    v = t.values
+    yield f"q{q}+zeta", t.with_entry(1, 2, v[1][2] + js.root_power(m, 1))
+    for name, s in (("3/7", Fraction(3, 7)), ("c/(2^31-1)", Fraction(12345, 2**31 - 1)),
+                    ("2^70/3", Fraction(2**70, 3)), ("1/2^62", Fraction(1, 2**62))):
+        yield f"q{q}+{name}", t.with_entry(1, 2, v[1][2] + s).with_entry(2, 1, v[2][1] + s)
+
+
 def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:
     """The commutative, associative, distributive and inverse checks on an
     addition table, as plain loops over every pair and triple in

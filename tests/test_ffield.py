@@ -109,7 +109,7 @@ def test_errors():
     with pytest.raises(ValueError):
         build_field(4, 1)
     with pytest.raises(ValueError):
-        build_field(2, 1, q_max=1)
+        build_field(2, 17)  # 2^17 is past the 2^16 cap
     f = field(5)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,10 @@ from jacobisum import (
     GroupSpec,
     JacobiTable,
     approximate,
+    build_field,
     compute_jacobi,
     delta,
+    euler_phi,
     jacobi_star,
     root_power,
     slice_function,
@@ -26,9 +30,20 @@ from jacobisum import (
     twist_galois,
     verify_all,
 )
+from jacobisum.harness import dumps, table_from_json, table_to_json
 from jacobisum.jacobi import table_from_pairs
 
-from helpers import convolve, field, reference_table, table
+from helpers import (
+    LARGER_PRIME_POWERS,
+    PRIME_POWERS,
+    convolve,
+    field,
+    moved_tables,
+    reference_table,
+    reference_twist_automorphism,
+    reference_twist_galois,
+    table,
+)
 
 KERNEL_GROUPS = ((1,), (2,), (2, 2), (2, 4), (3, 3), (7,))
 
@@ -258,3 +273,80 @@ def test_random_tables_are_not_jacobi():
     t = JacobiTable(g, rows)
     report = verify_all(t)
     assert not report.passed
+
+
+def _extreme_tables(q: int):
+    """moved_tables(q), and (1, 2) replaced by -2^63, by 2^63 - 1, by a
+    cell whose coefficient strings fit int64 while one of its numerators
+    over the cell's denominator 15 (3 * 2^62) does not, and by c (1 - zeta)
+    with c = 3 * 2^61, whose Galois images can have the coefficient 2c."""
+    yield from moved_tables(q)
+    t, m = table(q), q - 1
+    yield f"q{q}:-2^63", t.with_entry(1, 2, Cyclotomic.from_rational(m, -(2**63)))
+    yield f"q{q}:2^63-1", t.with_entry(1, 2, Cyclotomic.from_rational(m, 2**63 - 1))
+    coeffs = [Fraction(1, 3), Fraction(2**62, 5)] + [0] * (euler_phi(m) - 2)
+    yield f"q{q}:2^62/5", t.with_entry(1, 2, Cyclotomic.from_coefficients(m, coeffs))
+    c = 3 * 2**61
+    yield f"q{q}:c(1-zeta)", t.with_entry(1, 2, c - root_power(m, 1) * c)
+
+
+def _dtype_of(values) -> type:
+    """int64 when every value lies strictly within +-2^63, else object."""
+    return np.int64 if all(-(2**63) < v < 2**63 for v in values) else object
+
+
+@pytest.mark.parametrize("q", [4, 9, 64])
+def test_table_arrays_are_canonical(q):
+    for name, t in _extreme_tables(q):
+        cells = [e for row in t.values for e in row]
+        assert t.num.dtype == _dtype_of(c for e in cells for c in e.num), name
+        assert t.den.dtype == _dtype_of(e.den for e in cells), name
+        routes = (
+            JacobiTable(t.group, t.values),
+            table_from_json(json.loads(dumps(table_to_json(t)))),
+            JacobiTable._from_arrays(t.group, t.num.astype(object), t.den.astype(object)),
+        )
+        for u in routes:
+            assert (u.num.dtype, u.den.dtype) == (t.num.dtype, t.den.dtype), name
+            assert np.array_equal(u.num, t.num) and np.array_equal(u.den, t.den), name
+            assert u == t and hash(u) == hash(t), name
+            assert u.values == t.values, name
+        assert (t == table(q)) == (name == f"q{q}"), name
+
+
+def test_table_equality_across_dtypes():
+    t = table(9)
+    big = t.with_entry(1, 2, t.entry(1, 2) + Fraction(2**70, 3))
+    back = big.with_entry(1, 2, t.entry(1, 2))
+    assert (t.num.dtype, big.num.dtype, back.num.dtype) == (np.int64, object, np.int64)
+    assert big != t and back == t and hash(back) == hash(t)
+
+
+@pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
+def test_approximate_matches_to_complex_bit_for_bit(q):
+    tables = _extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
+    for name, t in tables:
+        want = tuple(tuple(e.to_complex() for e in row) for row in t.values)
+        assert repr(approximate(t).entries) == repr(want), name
+
+
+def test_approximate_on_the_trivial_group():
+    t = compute_jacobi(build_field(2, 1))
+    assert repr(approximate(t).entries) == repr(((t.entry(0, 0).to_complex(),),))
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 27])
+def test_twists_match_per_entry_references(q):
+    m = q - 1
+    for name, t in _extreme_tables(q):
+        for r in range(1, m):
+            if math.gcd(r, m) == 1:
+                assert twist_automorphism(t, r) == reference_twist_automorphism(t, r), (name, r)
+                assert twist_galois(t, r) == reference_twist_galois(t, r), (name, r)
+
+
+def test_twists_match_per_entry_references_at_q64():
+    t = table(64)
+    for r in (5, 62):
+        assert twist_automorphism(t, r) == reference_twist_automorphism(t, r)
+        assert twist_galois(t, r) == reference_twist_galois(t, r)

@@ -21,6 +21,7 @@ from jacobisum import (
     approximate,
     build_addition,
     classify_support,
+    compute_jacobi,
     delta,
     enumerate_jacobi,
     fourier_support,
@@ -31,6 +32,7 @@ from jacobisum import (
     root_power,
     table_from_support,
     twist_automorphism,
+    verify_all,
     verify_field,
 )
 from jacobisum import reconstructor, verifier
@@ -580,3 +582,26 @@ def test_reconstruct_refuses_strict_on_approximate_tables():
     with pytest.raises(ValueError, match="strict"):
         reconstruct(noisy, strict=True)
     assert reconstruct(noisy).ok
+
+
+def test_exact_paths_never_build_the_entry_grid(monkeypatch):
+    t = compute_jacobi(field(64))
+    v, third = t.values, Fraction(3, 7)
+    tables = (
+        t,
+        compute_jacobi(field(64)),  # a table whose grid was never built
+        t.with_entry(1, 2, v[1][2] + third).with_entry(2, 1, v[2][1] + third),
+        t.with_entry(1, 2, v[1][2] + root_power(63, 1)),
+    )
+
+    def forbidden(self):
+        raise AssertionError("the Cyclotomic grid of a table was built")
+
+    monkeypatch.setattr(JacobiTable, "values", property(forbidden))
+    for u in tables:
+        accepted = verify_all(u).passed
+        assert accepted == (u == t)
+        assert reconstruct(u).ok == accepted
+        reconstruct(u, force=True)
+        if accepted:
+            assert reconstruct(u, strict=True).ok
