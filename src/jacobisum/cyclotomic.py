@@ -196,6 +196,14 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _canonical(cls, m: int, num: tuple[int, ...], den: int) -> "Cyclotomic":
+        """The value of coefficients and a denominator already in canonical
+        form, taken as they are."""
+        value = cls.__new__(cls)
+        value.m, value.num, value.den = m, num, den
+        return value
+
+    @classmethod
     def zero(cls, m: int) -> "Cyclotomic":
         return cls(m, [0] * reduction_data(m).degree)
 

@@ -87,7 +87,8 @@ class JacobiTable:
         return self._values
 
     def entry(self, i: int, j: int) -> Cyclotomic:
-        return Cyclotomic(self.group.m, self.num[i, j].tolist(), self.den.item(i, j))
+        num = tuple(self.num[i, j].tolist())
+        return Cyclotomic._canonical(self.group.m, num, self.den.item(i, j))
 
     def value(self, alpha: Element, beta: Element) -> Cyclotomic:
         g = self.group

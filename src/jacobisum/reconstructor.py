@@ -14,18 +14,20 @@ boolean degenerate case); anything else means the input was never a
 Jacobi function.  The zero symbol annihilates under multiplication:
 0 * x = x * 0 = 0.
 
-Exact transforms are read off the verifier's evaluation of the table:
-the transform of the slice at alpha, scaled by the common denominator
-L, is evaluated at every point as sum_beta L J(alpha - beta, beta)
-chi_x(beta) mod p, one matrix product per point.  A transform is a
-linear sum of entries, so its coefficients stay far below the bound
-under which the evaluation proves equality, and "is 0", "is 1" and "is
-zeta^e" are decided exactly by comparing residues with 0, L and
-L r^e at every point.  Complex transforms are one complex matrix product
-per stage, sum_beta J(alpha - beta, beta) zeta^<beta, x>, decided within
-the tolerance, with e the phase rounded half to even to the nearest m-th
-of a turn.  Both kinds share the support-map matcher, and a failure
-quotes the value the scalar transform computes at the failing point only.
+Transforms are read off the verifier's evaluation of the table, the
+same stages for both kinds: the transform of the slice at alpha, scaled
+by the common denominator L, is sum_beta L J(alpha - beta, beta)
+chi_x(beta) at every point, one matrix product per point.  For an exact
+table the points are residues modulo primes; a transform is a linear
+sum of entries, so its coefficients stay far below the bound under which
+the evaluation proves equality, and "is 0", "is 1" and "is zeta^e" are
+decided exactly by comparing residues with 0, L and L r^e at every
+point, with e read where the L r^e are distinct.  A complex table is
+evaluated at one point, its entries, with L = 1 and r = exp(2 pi i / m);
+the same comparisons hold within the tolerance, with e the phase rounded
+half to even to the nearest m-th of a turn.  A failure quotes the value
+the scalar transform computes, in the table's own arithmetic, at the
+failing point only.
 
 The same stages, run at the first evaluation point only, give the
 candidate that certifies an exact table: once the carrier rebuilt from
@@ -55,6 +57,8 @@ from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
     VerificationReport,
+    _evaluate,
+    _Evaluation,
     _Residues,
     _SCAN_BYTES,
     verify_all,
@@ -181,23 +185,22 @@ _ALL_POINTS = slice(None)
 _FIRST_POINT = slice(0, 1)
 
 
-def _slice_transforms(r: _Residues, alphas, points: slice = _ALL_POINTS) -> np.ndarray:
+def _slice_transforms(r: _Evaluation, alphas, points: slice = _ALL_POINTS) -> np.ndarray:
     """T[k, a, x] = sum over beta of L J(alphas[a] - beta, beta) chi_x(beta)
-    at the k-th of the given evaluation points, mod that point's prime:
-    the scaled transforms of the slices at the given element indices,
-    evaluated like the table.  The characters are tabulated a chunk of
-    points at a time, in at most _SCAN_BYTES."""
+    at the k-th of the given evaluation points, reduced there: the scaled
+    transforms of the slices at the given element indices, evaluated like
+    the table.  The characters are tabulated a chunk of points at a time,
+    in at most _SCAN_BYTES."""
     m = r.m
-    v = r.values[r.addneg[alphas], np.arange(m), points].transpose(2, 0, 1).astype(np.int64)
+    v = r.values[r.addneg[alphas], np.arange(m), points].transpose(2, 0, 1).astype(r.wide)
     powers = r.root_powers[:, points]
     t = np.empty_like(v)
-    width = max(1, _SCAN_BYTES // (8 * m * m))
+    width = max(1, _SCAN_BYTES // (r.wide.itemsize * m * m))
     for lo in range(0, len(t), width):
         ks = slice(lo, lo + width)
         w = powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
         np.matmul(v[ks], w, out=t[ks])
-    t %= r.moduli[points, None, None]
-    return t
+    return r.reduce(t, points, 0)
 
 
 def _transform_at(table: JacobiTable | ApproxTable, alpha: Element, x: Element):
@@ -270,26 +273,29 @@ def _match_support(table, support, generators, exponents, found) -> np.ndarray:
 
 
 def fourier_support(
-    table: JacobiTable, residues: _Residues | None = None, *, points: slice = _ALL_POINTS
+    table: JacobiTable | ApproxTable,
+    residues: _Evaluation | None = None,
+    *,
+    points: slice = _ALL_POINTS,
 ) -> tuple[Element, ...]:
     """Support of the transformed unit slice; every transform value must
-    be exactly 0 or 1, else the table is inconsistent.  `residues` is the
+    be 0 or 1 (exactly, or within the tolerance of a complex table's
+    evaluation), else the table is inconsistent.  `residues` is the
     table's evaluation, if the caller has it; `points` restricts the
     decision to some of its points, where a value that differs from 0 and
     1 still disproves, but agreement no longer proves."""
-    g = table.group
-    r = residues or _Residues(table)
+    r = residues or _evaluate(table)
     t = _slice_transforms(r, [0], points)[:, 0].T  # [x, k]; index 0 is the identity
-    one = (t == r.scale[points]).all(axis=1)
-    return _support(table, one, ~one & t.any(axis=1))
+    one = ~r.differs(t - r.scale[points]).any(axis=1)
+    return _support(table, one, ~one & r.differs(t).any(axis=1))
 
 
 def recover_support_map(
-    table: JacobiTable,
+    table: JacobiTable | ApproxTable,
     support: tuple[Element, ...],
     generators: tuple[Element, ...] | None = None,
     strict: bool = False,
-    residues: _Residues | None = None,
+    residues: _Evaluation | None = None,
     *,
     points: slice = _ALL_POINTS,
 ) -> dict[Element, Element]:
@@ -305,18 +311,14 @@ def recover_support_map(
     g = table.group
     m = g.m
     generators = _generators(g, generators)
-    r = residues or _Residues(table)
+    r = residues or _evaluate(table)
     gens = [g.index(gen) for gen in generators]
     xs = [g.index(x) for x in support]
-    scale = r.scale[points]
-    roots = scale * r.root_powers[:, points] % r.moduli[points]  # [e, k] = L r^e at point k
+    roots = r.reduce(r.scale[points] * r.root_powers[:, points], points)  # [e, k] = L r^e
     t = _slice_transforms(r, gens, points)[:, :, xs].T  # [support point, generator, k]
-    # read e off the first point where L is not 0 mod p, where the L r^e
-    # differ, then confirm the transform is L r^e at every point
-    k = int(np.flatnonzero(scale)[0])
-    hit = t[:, :, k, None] == roots[:, k]  # [x, gen, e]
-    exponents = hit.argmax(axis=-1)
-    found = hit.any(axis=-1) & (t == roots[exponents]).all(axis=-1)
+    # read e, then confirm the transform is L r^e at every point
+    exponents = r.exponents(t, roots)
+    found = ~r.differs(t - roots[exponents]).any(axis=-1)
     ys = _match_support(table, support, generators, exponents, found)
     smap = {x: g.elements[y] for x, y in zip(support, ys)}
 
@@ -545,45 +547,6 @@ def certify(table: JacobiTable, residues: _Residues) -> Certificate | str:
     return Certificate(support, smap, case, addition, checks)
 
 
-# -- approximate stages -----------------------------------------------------
-
-
-def _approx_transforms(at: ApproxTable, alphas) -> np.ndarray:
-    """T[a, x] = sum over beta of J(alphas[a] - beta, beta) zeta^<beta, x>:
-    the transforms of the slices at the given element indices, as one
-    complex matrix product."""
-    g = at.group
-    m = g.m
-    v = np.array(at.entries, dtype=complex)[index_tables(g)[2][alphas], np.arange(m)]
-    return v @ np.exp(2j * np.pi * pairing_matrix(g) / m)
-
-
-def _fourier_support_approx(at: ApproxTable, tol: float) -> tuple[Element, ...]:
-    t = _approx_transforms(at, [0])[0]
-    one = np.abs(t - 1) <= tol
-    return _support(at, one, ~one & (np.abs(t) > tol))
-
-
-def _recover_map_approx(
-    at: ApproxTable,
-    support: tuple[Element, ...],
-    generators: tuple[Element, ...] | None,
-    tol: float,
-) -> dict[Element, Element]:
-    """The support map read off the complex transforms: each exponent is
-    the phase rounded, half to even, to the nearest m-th of a turn, and
-    counts as found when the transform lies within tol of that root."""
-    g = at.group
-    m = g.m
-    generators = _generators(g, generators)
-    t = _approx_transforms(at, [g.index(gen) for gen in generators])
-    t = t[:, [g.index(x) for x in support]].T  # [support point, generator]
-    exponents = np.rint(m * (np.angle(t) / (2 * np.pi))).astype(np.intp) % m
-    found = np.abs(t - np.exp(2j * np.pi * exponents / m)) <= tol
-    ys = _match_support(at, support, generators, exponents, found)
-    return {x: g.elements[y] for x, y in zip(support, ys)}
-
-
 # -- the full pipeline -------------------------------------------------------
 
 
@@ -600,9 +563,8 @@ def reconstruct(
     forced.  A table the verifier certified reuses the certificate's
     stage results; strict mode and explicit generators still read the
     support and map off a new evaluation of the table.  Complex-valued
-    tables take the same pipeline after rounding the transform decisions
-    within the tolerance; strict mode cross-checks exact transforms and
-    is refused for them."""
+    tables take the same stages, decided within the tolerance; strict
+    mode cross-checks exact transforms and is refused for them."""
     approx = isinstance(table, ApproxTable)
     if approx and strict:
         raise ValueError("strict mode needs an exact table, not an approximate one")
@@ -622,15 +584,12 @@ def reconstruct(
 
     cert = verification.certificate
     try:
-        if approx:
-            support = _fourier_support_approx(table, tolerance)
-            smap = _recover_map_approx(table, support, generators, tolerance)
-        elif cert is None or strict or generators is not None:
+        if cert is None or strict or generators is not None:
             # a certified table gives the same support and map again, but
             # strict mode and explicit generators ask for them to be read
-            residues = _Residues(table)
-            support = fourier_support(table, residues)
-            smap = recover_support_map(table, support, generators, strict, residues)
+            r = _evaluate(table, tolerance)
+            support = fourier_support(table, r)
+            smap = recover_support_map(table, support, generators, strict, r)
         else:
             support, smap = cert.support, cert.support_map
         report.support = support

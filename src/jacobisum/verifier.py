@@ -23,31 +23,45 @@ product: with C_s(chi) = chi(s) Q^_s(-chi), the identity holds at every
 d exactly when C_s1(chi) Q^_s2(chi) = C_{s1+s2}(chi) at every character
 chi.
 
-Exact checks run on one engine.  The table is scaled to integer
-coefficient vectors over its common denominator L, and each entry is
-evaluated at the phi(m) primitive m-th roots of unity modulo primes
-p = 1 (mod m) below 2^25, all primes stacked on one axis.  Phi_m splits
-into distinct linear factors modulo such p, so Z[zeta_m]/p is F_p^phi(m)
-and every cyclotomic product is a pointwise product of residues.  Each
-identity, multiplied by L^2, says that an element of Z[zeta_m] vanishes;
-its power-basis coefficients are integers bounded by B, computed from
-the table.  A nonzero residue at any point proves the two sides differ.
-Zero residues everywhere mean that the difference, a polynomial of
-degree below phi(m), has phi(m) roots modulo each prime, so every
-coefficient is divisible by every prime; the primes are taken until
-their product exceeds 2B, so every coefficient is zero and the sides
-are equal.  At a point with root r the characters are
+Every check reads one evaluation of the table.  An exact table is
+scaled to integer coefficient vectors over its common denominator L, and
+each entry is evaluated at the phi(m) primitive m-th roots of unity
+modulo primes p = 1 (mod m) below 2^25, the primes' points interleaved
+on one axis.  Phi_m splits into distinct linear factors modulo such p,
+so Z[zeta_m]/p is F_p^phi(m) and every cyclotomic product is a pointwise
+product of residues.  Each identity, multiplied by L^2, says that an
+element of Z[zeta_m] vanishes; its power-basis coefficients are integers
+bounded by B, computed from the table.  A nonzero residue at any point
+proves the two sides differ.  Zero residues everywhere mean that the
+difference, a polynomial of degree below phi(m), has phi(m) roots modulo
+each prime, so every coefficient is divisible by every prime; the primes
+are taken until their product exceeds 2B, so every coefficient is zero
+and the sides are equal.  At a point with root r the characters are
 chi(x) = r^<chi, x> in F_p, and the transform is invertible there
-because p does not divide m, so the convolution-sum check compares m^3
-products per point and remains a proof.  That scan settles its witness,
-then confirms it: at the first chunk of points where an s1 row fails,
-the inverse transform of the first such row gives the row's first
-failing pair (d, a4) there.  Later points are checked only where an
-earlier failure could hide: in the rows before it, by the transforms
-(none when it is row 0), and in the pairs of its row before that pair,
-in the direct domain at O(m) per pair and point.  The cocycle scans run
-in lexicographic order and stop at their first failure.  The scalar
-*_sides functions compute the two unequal values of every witness.
+because p does not divide m.  A complex-valued table is evaluated at one
+point, its entries, with L = 1 and r = exp(2 pi i / m), and flagged as
+approximate.  The two evaluations differ in three operations: reducing
+(modulo each point's prime, or not at all), deciding that a difference
+differs (a nonzero residue, or a value not within an absolute tolerance,
+NaN included) and reading an exponent e from L r^e.
+
+The convolution-sum scan flags the rows s1 where C_s1 Q^_s2 differs from
+L C_{s1+s2} at some character, and inverse-transforms the flagged rows in
+order to decide them in the direct domain.  A flagged exact row always
+fails there, since the transform is invertible.  An unflagged complex row
+passes, because each direct-domain difference D is an average of the
+transform-domain differences F, |D| <= max |F|; a flagged one may still
+pass.  The scan settles its witness at the first chunk of points where a
+row fails, then confirms it at later points only where an earlier
+failure could hide: in the rows before it by the transforms (none when
+it is row 0), and in the pairs of its row before that pair in the direct
+domain, where the identity at (0, s1, d, a4) reads
+sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
+and point.  The symmetry
+and cocycle scans run in lexicographic order and stop at their first
+failure.  The scalar *_sides functions compute the two unequal values of
+every witness, exactly or, for a complex table, on its entries as
+one-point arrays, as its scans do.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
 table on a group of order at least 2 is handed, with its evaluation, to
@@ -66,12 +80,7 @@ table build and an O(q^3) field check; rejecting costs, over E
 evaluation points, the O(m^3 E) cocycle scans up to their first witness,
 and the convolution scan's O(m^3) per point until its candidate is
 found, O(K m) per point for the K pairs before the candidate after it.
-
-Complex-valued tables take the same identities, checked value by value
-against an absolute tolerance, a few first indices at a time (the cocycle
-forms at every triple (a, b, c), the convolution sum at every triple
-(s1, s2, d) in the direct domain), and are flagged as approximate; a NaN
-or infinite difference fails.
+Complex tables are always scanned.
 """
 
 from __future__ import annotations
@@ -92,6 +101,7 @@ if TYPE_CHECKING:
     from .reconstructor import Certificate
 
 DEFAULT_TOLERANCE = 1e-6
+_Table = JacobiTable | ApproxTable
 
 # residues fit int32, and a product of two stays below 2^50, so int64 sums
 # of up to 2^13 such products are exact
@@ -100,6 +110,7 @@ _PRIME_LIMIT = 1 << 25
 # coefficients of about 800 bits, far beyond any table built from a field
 _MAX_PRIMES = 64
 _SCAN_BYTES = 1 << 19  # cap on each array a scan step allocates
+_FIRST_CHUNK_BYTES = 1 << 13  # the first chunk's arrays, smaller so early failures stop early
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,18 @@ class VerificationReport:
 
 
 # -- per-point identities (witness values) --------------------------------
+#
+# Each reads entries through table.entry and computes in their arithmetic.
 
 
-def _star(table: JacobiTable, i: int, j: int) -> Cyclotomic:
+def _symmetry_sides(table, alpha: Element, beta: Element):
+    """J(a, b) and J(b, a)."""
+    g = table.group
+    i, j = g.index(alpha), g.index(beta)
+    return table.entry(i, j), table.entry(j, i)
+
+
+def _star(table, i: int, j: int):
     v = table.entry(i, j)
     if i == 0:
         v = v - 1
@@ -189,14 +209,12 @@ def cocycle_direct_sides(
     lhs = v(a, b) * v(ab, c)
     if ab == 0:
         lhs = lhs - v(a, g.index(g.neg(alpha)))
-    if a == 0 and b == 0:
-        lhs = lhs + 1
     rhs = v(a, bc) * v(b, c)
     if bc == 0:
         rhs = rhs - v(c, g.index(g.neg(gamma)))
-    if b == 0 and c == 0:
-        rhs = rhs + 1
-    return lhs, rhs
+    # the d d terms are added even where they are 0, as the scans add them,
+    # which gives a complex zero component its sign
+    return lhs + (a == b == 0), rhs + (b == c == 0)
 
 
 def convolution_sum_sides(
@@ -204,14 +222,12 @@ def convolution_sum_sides(
 ) -> tuple[Cyclotomic, Cyclotomic]:
     """Both sides of sum_b J(a1 b, a2 b^-1) J(a3 b, a4 b^-1) = J(a1 a4, a2 a3)."""
     g = table.group
-    acc = Cyclotomic.zero(g.m)
-    for b in g.elements:
-        nb = g.neg(b)
-        acc = acc + table.value(g.add(a1, b), g.add(a2, nb)) * table.value(
-            g.add(a3, b), g.add(a4, nb)
-        )
-    rhs = table.value(g.add(a1, a4), g.add(a2, a3))
-    return acc, rhs
+    add, idx, v = g.add, g.index, table.entry
+    terms = [
+        v(idx(add(a1, b)), idx(add(a2, nb))) * v(idx(add(a3, b)), idx(add(a4, nb)))
+        for b, nb in ((b, g.neg(b)) for b in g.elements)
+    ]
+    return sum(terms[1:], terms[0]), v(idx(add(a1, a4)), idx(add(a2, a3)))
 
 
 def slice_convolution_sides(
@@ -228,7 +244,7 @@ def slice_convolution_sides(
     return acc, rhs
 
 
-# -- the exact engine: evaluation modulo primes p = 1 (mod m) -------------
+# -- evaluations: residues modulo primes p = 1 (mod m), or one complex point -
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,17 +261,47 @@ def _prime_field(m: int, below: int) -> tuple[int, np.ndarray]:
     return p, powers
 
 
-class _Residues:
+class _Evaluation:
+    """A table evaluated at some points, as the scans read it: values[i, j, k]
+    is L J(i, j) at point k, scale[k] is L and m_inverse[k] is 1 / m there,
+    and root_powers[e, k] is r^e for the root r of point k, so
+    chi_x(y) = root_powers[pairing[x, y], k].
+    Products are taken in the dtype `wide`.  The kinds differ in reduce,
+    differs and exponents, and in the arithmetic of a witness's sides."""
+
+    def __init__(self, g):
+        self.group = g
+        self.m = g.m
+        self.pairing = pairing_matrix(g)
+        self.add, self.neg, self.addneg = index_tables(g)
+
+    @functools.cached_property
+    def wide(self) -> np.dtype:
+        return np.result_type(self.values, np.int64)
+
+
+def _chunks(n: int, size: int):
+    """Index arrays that cover range(n) in order, for arrays of `size`
+    bytes per index.  The first fits _FIRST_CHUNK_BYTES, so a scan that
+    fails early stops early, and each next one doubles, up to _SCAN_BYTES."""
+    start, step = 0, max(1, min(_FIRST_CHUNK_BYTES, _SCAN_BYTES) // size)
+    while start < n:
+        yield np.arange(start, min(start + step, n))
+        start += step
+        step = max(step, min(2 * step, _SCAN_BYTES // size))
+
+
+class _Residues(_Evaluation):
     """The table scaled to integers over its common denominator L and
     evaluated at every primitive m-th root of unity modulo enough primes:
     values[i, j, k] is L * J(i, j) at point k, modulo moduli[k], stored as
-    int32 and widened to int64 before any product.  denominator is L and
-    scale[k] is L modulo moduli[k].  root_powers[e, k] is
-    r^e for the root r of point k, so chi_x(y) = root_powers[pairing[x, y], k]."""
+    int32 and widened to int64 before any product.  Point k is root
+    k // n of prime k % n, for n primes, so point 0 is the first prime's
+    first root.  denominator is L."""
 
     def __init__(self, table: JacobiTable):
-        g = table.group
-        m = g.m
+        super().__init__(table.group)
+        m = self.m
         red = reduction_data(m)
         deg = red.degree
         nums = table.num
@@ -277,35 +323,95 @@ class _Residues:
                 raise ValueError(f"table entries need more than {_MAX_PRIMES} primes")
             fields.append(_prime_field(m, fields[-1][0]))
         primes = [p for p, _ in fields]
-        self.m = m
-        self.values = np.empty((m, m, len(fields) * deg), dtype=np.int32)
+        n = len(fields)
+        self.values = np.empty((m, m, n * deg), dtype=np.int32)
         for i, (p, powers) in enumerate(fields):
             mult = np.array([k % p for k in mults])[where, None]  # L / den mod p
-            for idx in self.chunks(m, m):
+            for idx in _chunks(m, m * self.values.shape[2] * 8):  # int64 rows
                 lo, hi = idx[0], idx[-1] + 1
                 res = np.remainder(nums[lo:hi], p).astype(np.int64, copy=False)
                 res *= mult[lo:hi]
                 res %= p
                 res = res @ powers[:deg]
                 res %= p
-                self.values[lo:hi, :, i * deg : (i + 1) * deg] = res
-        self.moduli = np.repeat(primes, deg)
+                self.values[lo:hi, :, i::n] = res
+        self.moduli = np.tile(primes, deg)
         self.denominator = scale
-        self.scale = np.repeat([scale % p for p in primes], deg)
-        self.root_powers = np.concatenate([powers for _, powers in fields], axis=1)
-        self.pairing = pairing_matrix(g)
-        self.add, self.neg, self.addneg = index_tables(g)
+        self.scale = np.tile([scale % p for p in primes], deg)
+        self.m_inverse = np.tile([pow(m, -1, p) for p in primes], deg)
+        self.root_powers = np.stack([powers for _, powers in fields], axis=2).reshape(m, -1)
 
-    def chunks(self, n: int, rows: int):
-        """Index arrays that cover range(n) in order.  They grow from one
-        index, so a scan that fails early stops early, up to _SCAN_BYTES of
-        arrays that hold `rows` evaluation vectors per index."""
-        cap = max(1, _SCAN_BYTES // (rows * self.values.shape[2] * 8))  # int64
-        start, step = 0, 1
-        while start < n:
-            yield np.arange(start, min(start + step, n))
-            start += step
-            step = min(2 * step, cap)
+    def reduce(self, x, points: slice = slice(None), axis: int = -1):
+        """x modulo each point's prime, in place, for the given points
+        laid along `axis`."""
+        shape = [1] * x.ndim
+        shape[axis] = -1
+        x %= self.moduli[points].reshape(shape)
+        return x
+
+    @staticmethod
+    def differs(x):
+        """Where a reduced difference is not 0 modulo its prime."""
+        return x != 0
+
+    @staticmethod
+    def sides(sides, table, point) -> tuple:
+        """The two sides of an identity at a witness, in Cyclotomic arithmetic."""
+        return sides(table, *point)
+
+    @staticmethod
+    def exponents(t, roots):
+        """The e with t = L r^e, read where roots[e, k] = L r^e at the first
+        point k at which L is not 0 mod p, so that the L r^e are distinct;
+        t holds points on its last axis.  A value that is no L r^e gets 0."""
+        k = int(np.flatnonzero(roots[0])[0])
+        return (t[..., k, None] == roots[:, k]).argmax(axis=-1)
+
+
+class _Complex(_Evaluation):
+    """A complex table as an evaluation at one point: values[i, j, 0] is
+    J(i, j), L is 1 and root_powers[e, 0] is exp(2 pi i e / m).  Nothing is
+    reduced, and a difference differs unless it lies within `tolerance`."""
+
+    def __init__(self, table: ApproxTable, tolerance: float):
+        super().__init__(table.group)
+        m = self.m
+        self.values = np.array(table.entries, dtype=complex).reshape(m, m, 1)
+        self.scale = np.ones(1)
+        self.m_inverse = np.array([1 / m])
+        self.root_powers = np.exp(2j * np.pi * np.arange(m) / m)[:, None]
+        self.tolerance = tolerance
+
+    @staticmethod
+    def reduce(x, points: slice = slice(None), axis: int = -1):
+        return x
+
+    def differs(self, x):
+        """Where a difference is not within the tolerance, NaN included."""
+        return ~(np.abs(x) <= self.tolerance)
+
+    def entry(self, i: int, j: int) -> np.ndarray:
+        return self.values[i, j]
+
+    def sides(self, sides, table, point) -> tuple:
+        """The two sides of an identity at a witness, computed on the
+        entries as one-point arrays: the arithmetic of the scans, whose
+        vectorised complex products can differ from scalar ones in the
+        last bit."""
+        return tuple(side[0] for side in sides(self, *point))
+
+    def exponents(self, t, roots):
+        """The phase of t, at its one point, rounded half to even to the
+        nearest m-th of a turn."""
+        m = self.m
+        return np.rint(m * (np.angle(t[..., 0]) / (2 * np.pi))).astype(np.intp) % m
+
+
+def _evaluate(table: _Table, tolerance: float = DEFAULT_TOLERANCE):
+    """The evaluation every check of the table reads."""
+    if isinstance(table, ApproxTable):
+        return _Complex(table, tolerance)
+    return _Residues(table)
 
 
 def _first_true(bad) -> tuple[int, ...] | None:
@@ -315,59 +421,58 @@ def _first_true(bad) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def _cocycle_witness(r: _Residues, star: bool):
-    """First (a, b, c) where the starred or the delta-corrected cocycle
-    identity, scaled by L^2, fails at some point.  The starred form centers
-    the values it gathers, never r.values, which other scans share."""
-    m, P, L, add, neg = r.m, r.moduli, r.scale, r.add, r.neg
+def _symmetry_witness(r: _Evaluation):
+    """First (a, b) where J(a, b) and J(b, a) differ at some point, a few
+    rows a at a time."""
     v = r.values
-    if not star:
-        # the delta terms sit at b = -a on the left and at c = -b on the right
-        ar = np.arange(m)
-        left = -L * v[ar, neg] % P
-        right = -L * v[neg, ar] % P
-        left[0] += L * L
-        right[0] += L * L
-    for idx in r.chunks(m * m, m):
-        a, b = np.divmod(idx, m)
-        ab = add[a, b]
-        # L J(ab, c) L J(a, b) - L J(a, bc) L J(b, c) for every c, where the
-        # starred form takes L J*(i, j) = L J(i, j) - L delta(i) - L delta(j)
-        x, y = v[ab], v[a, b, None]
-        if star:
-            x[:, 0] -= L
-            x[ab == 0] -= L
-            y[a == 0] -= L
-            y[b == 0] -= L
-        diff = np.multiply(x, y, dtype=np.int64)
-        x, y = v[a[:, None], add[b]], v[b]
-        if star:
-            x[np.arange(len(idx)), neg[b]] -= L
-            x[a == 0] -= L
-            y[:, 0] -= L
-            y[b == 0] -= L
-        diff -= np.multiply(x, y, dtype=np.int64)
-        if not star:
-            at = b == neg[a]
-            diff[at] += left[a[at], None]
-            diff[np.arange(len(idx)), neg[b]] -= right[b]
-        diff %= P
-        hit = _first_true(diff.any(axis=-1))  # the first nonzero evaluation vector
+    for idx in _chunks(r.m, r.m * v.shape[2] * v.itemsize):
+        hit = _first_true(r.differs(v[idx] - v[:, idx].transpose(1, 0, 2)).any(axis=-1))
         if hit is not None:
-            i, c = hit
-            return (int(a[i]), int(b[i]), c)
+            i, b = hit
+            return (int(idx[i]), b)
     return None
 
 
-def _first_quadruple(s1: int, bad, add) -> tuple[int, int, int, int]:
-    """The lexicographically first quadruple (0, s1, d, a4) whose triple
-    (s1, s2 = d + a4, d) fails, given the failing pairs bad[s2, d] of row s1."""
-    m = len(bad)
-    d, a4 = divmod(int(bad[add, np.arange(m)[:, None]].argmax()), m)
-    return (0, s1, d, a4)
+def _cocycle_witness(r: _Evaluation, star: bool):
+    """First (a, b, c) where the starred or the delta-corrected cocycle
+    identity, scaled by L^2, fails at some point.  The starred form centers
+    r.values in place, L J*(i, j) = L J(i, j) - L delta(i) - L delta(j)
+    (above -2p for residues), and puts back the row and column it moved,
+    which the other scans read."""
+    m, L, add, neg = r.m, r.scale, r.add, r.neg
+    v = r.values
+    if star:
+        row, column = v[0].copy(), v[:, 0].copy()
+        v[0] -= L
+        v[:, 0] -= L
+    else:
+        # the delta terms sit at b = -a on the left and at c = -b on the right
+        ar = np.arange(m)
+        left = r.reduce(-L * v[ar, neg])
+        right = r.reduce(-L * v[neg, ar])
+        left[0] += L * L
+        right[0] += L * L
+    try:
+        for idx in _chunks(m * m, m * v.shape[2] * r.wide.itemsize):
+            a, b = np.divmod(idx, m)
+            # L J(ab, c) L J(a, b) - L J(a, bc) L J(b, c) for every c
+            diff = np.multiply(v[add[a, b]], v[a, b, None], dtype=r.wide)
+            diff -= np.multiply(v[a[:, None], add[b]], v[b], dtype=r.wide)
+            if not star:
+                at = b == neg[a]
+                diff[at] += left[a[at], None]
+                diff[np.arange(len(idx)), neg[b]] -= right[b]
+            hit = _first_true(r.differs(r.reduce(diff)).any(axis=-1))
+            if hit is not None:
+                i, c = hit
+                return (int(a[i]), int(b[i]), c)
+        return None
+    finally:
+        if star:
+            v[0], v[:, 0] = row, column
 
 
-def _first_failing_pair(r: _Residues, s1: int, n: int, ks: slice) -> int:
+def _first_failing_pair(r: _Evaluation, s1: int, n: int, ks: slice) -> int:
     """The first of the pairs d * m + a4 < n of row s1 whose triple fails at
     some point of ks, or n if none does.  Each is checked in the direct
     domain: with u = b and s2 = d + a4, the identity at (0, s1, d, a4) reads
@@ -375,60 +480,60 @@ def _first_failing_pair(r: _Residues, s1: int, n: int, ks: slice) -> int:
     and point."""
     m, add, addneg = r.m, r.add, r.addneg
     u = np.arange(m)
-    # each pair gathers m int32 values per point and multiplies them in int64
-    width = max(1, _SCAN_BYTES // (12 * m))
+    # each pair gathers m values per point and multiplies them widened
+    size = m * (r.values.itemsize + r.wide.itemsize)
+    width = max(1, _SCAN_BYTES // size)
     for lo in range(ks.start, ks.stop, width):
         k = slice(lo, min(lo + width, ks.stop))
-        P, L = r.moduli[k], r.scale[k]
+        L = r.scale[k]
         q = r.values[u, addneg[s1], k]  # L Q_s1(u)
-        step = max(1, _SCAN_BYTES // (12 * m * len(P)))
-        for top in range(0, n, step):
-            d, a4 = np.divmod(np.arange(top, min(top + step, n)), m)
-            diff = np.multiply(r.values[add[d], addneg[a4], k], q, dtype=np.int64).sum(axis=1)
+        for idx in _chunks(n, size * len(L)):
+            d, a4 = np.divmod(idx, m)
+            diff = np.multiply(r.values[add[d], addneg[a4], k], q, dtype=r.wide).sum(axis=1)
             diff -= L * r.values[a4, add[s1, d], k]
-            diff %= P
-            fails = diff.any(axis=1)
+            fails = r.differs(r.reduce(diff, k)).any(axis=1)
             if fails.any():
                 # pairs after this one cannot come first any more
-                n = top + int(fails.argmax())
+                n = int(idx[fails.argmax()])
                 break
     return n
 
 
-def _first_failing_row(r: _Residues, below: int, ks: slice) -> tuple[int, int] | None:
+def _first_failing_row(r: _Evaluation, below: int, ks: slice) -> tuple[int, int] | None:
     """The first row s1 < below whose triple fails at some point of ks, with
     the first of its pairs d * m + a4 that fails there, or None.  The points
-    are transformed and checked as C_s1 Q^_s2 = L C_{s1+s2} row by row; the
-    inverse transform of the failing row gives all its failing pairs."""
+    are transformed and the rows where C_s1 Q^_s2 differs from L C_{s1+s2}
+    are flagged, then inverse-transformed and decided in order in the
+    direct domain, where a flagged complex row may pass."""
     m, add, neg, addneg = r.m, r.add, r.neg, r.addneg
-    P, L = r.moduli[ks, None, None], r.scale[ks, None, None]
+    L = r.scale[ks, None, None]
     # w[k, x, y] = chi_x(y) at point k, symmetric in x and y
-    w = np.moveaxis(r.root_powers[:, ks][r.pairing], -1, 0)
-    qh = np.moveaxis(r.values[np.arange(m), addneg, ks], -1, 0) @ w  # L Q_s(u), transformed
-    qh %= P
+    w = r.root_powers[:, ks][r.pairing].transpose(2, 0, 1)
+    # L Q_s(u), transformed
+    qh = r.reduce(r.values[np.arange(m), addneg, ks].transpose(2, 0, 1) @ w, ks, 0)
     c = qh[:, :, neg]
     c *= w
-    c %= P
-    lc = L * c
-    lc %= P
-    rows = max(1, _SCAN_BYTES // (2 * 8 * m * m * len(w)))
+    c = r.reduce(c, ks, 0)
+    lc = r.reduce(L * c, ks, 0)
+    rows = max(1, _SCAN_BYTES // (2 * r.wide.itemsize * m * m * len(w)))
     for top in range(0, below, rows):
         s1 = np.arange(top, min(top + rows, below))
-        prod = c[:, s1, None] * qh[:, None]
-        prod %= P[..., None]
-        fails = (prod != lc[:, add[s1]]).any(axis=(0, 2, 3))
-        if fails.any():
-            s = int(s1[fails.argmax()])
-            diff = (c[:, s, None] * qh - lc[:, add[s]]) % P
-            # e[k, s2, y] = m D(s, s2, y - s) at point k, where D is the
+        prod = r.reduce(c[:, s1, None] * qh[:, None], ks, 0)
+        prod -= lc[:, add[s1]]
+        for s in s1[r.differs(prod).any(axis=(0, 2, 3))].tolist():
+            diff = r.reduce(c[:, s, None] * qh - lc[:, add[s]], ks, 0)
+            # e[k, s2, y] = D(s, s2, y - s) at point k, where D is the
             # difference of the two sides at the triple (s, s2, y - s)
-            e = diff @ w[:, :, neg] % P
-            _, _, d, a4 = _first_quadruple(s, e.any(axis=0)[:, add[s]], add)
-            return s, d * m + a4
+            inverse = r.reduce(w[:, :, neg] * r.m_inverse[ks, None, None], ks, 0)
+            e = r.reduce(diff @ inverse, ks, 0)
+            bad = r.differs(e).any(axis=0)[:, add[s]]  # [s2, d]
+            if bad.any():
+                # the first pair (d, a4) of the row, at s2 = d + a4
+                return s, int(bad[add, np.arange(m)[:, None]].argmax())
     return None
 
 
-def _convolution_witness(r: _Residues):
+def _convolution_witness(r: _Evaluation):
     """First quadruple, in lexicographic order, where the convolution-sum
     identity fails at some point.  The scan settles a candidate, then
     confirms it: the first chunk of points with a failing row `best` gives
@@ -440,8 +545,8 @@ def _convolution_witness(r: _Residues):
     m = r.m
     npoints = r.values.shape[2]
     # the four transforms of a chunk (w, qh, c, lc) share _SCAN_BYTES, and
-    # so do the two int64 operands of a row block's comparison
-    width = max(1, _SCAN_BYTES // (4 * 8 * m * m))  # points per chunk
+    # so do the two wide operands of a row block's comparison
+    width = max(1, _SCAN_BYTES // (4 * r.wide.itemsize * m * m))  # points per chunk
     best, first = m, None  # the first failing s1 row and its first failing pair
     lo = 0
     while lo < npoints:
@@ -457,147 +562,63 @@ def _convolution_witness(r: _Residues):
     return None if first is None else (0, best, *divmod(first, m))
 
 
-# -- exact checks --------------------------------------------------------
+# -- checks ---------------------------------------------------------------
+#
+# Each takes an exact or a complex table and, if the caller has it, the
+# evaluation to read; a complex table's evaluation carries the tolerance,
+# and without one the default tolerance applies.
 
 
-def check_symmetry(table: JacobiTable) -> CheckResult:
-    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs."""
-    num, den = table.num, table.den
-    bad = (num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T)
-    if not bad.any():
-        return CheckResult("symmetry", True)
-    i, j = np.unravel_index(bad.argmax(), bad.shape)
-    els = table.group.elements
-    return CheckResult("symmetry", False, (els[i], els[j]), table.entry(i, j), table.entry(j, i))
-
-
-def _result(table: JacobiTable, check: str, witness, sides) -> CheckResult:
+def _check(table, residues, check: str, scan, sides) -> CheckResult:
+    r = residues or _evaluate(table)
+    witness = scan(r)
     if witness is None:
         return CheckResult(check, True)
     point = tuple(table.group.elements[i] for i in witness)
-    return CheckResult(check, False, point, *sides(table, *point))
+    return CheckResult(check, False, point, *r.sides(sides, table, point))
 
 
-def check_cocycle_star(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
+def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
+    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs."""
+    return _check(table, residues, "symmetry", _symmetry_witness, _symmetry_sides)
+
+
+def check_cocycle_star(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
     """Exhaustive check of J*(a,b) J*(ab,c) = J*(a,bc) J*(b,c) over all
-    triples.  `residues` is the table's evaluation, if the caller has it."""
-    witness = _cocycle_witness(residues or _Residues(table), star=True)
-    return _result(table, "cocycle-star", witness, cocycle_star_sides)
+    triples."""
+    scan = functools.partial(_cocycle_witness, star=True)
+    return _check(table, residues, "cocycle-star", scan, cocycle_star_sides)
 
 
-def check_cocycle_direct(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
+def check_cocycle_direct(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
     """Exhaustive check of the delta-corrected form of the cocycle identity."""
-    witness = _cocycle_witness(residues or _Residues(table), star=False)
-    return _result(table, "cocycle-direct", witness, cocycle_direct_sides)
+    scan = functools.partial(_cocycle_witness, star=False)
+    return _check(table, residues, "cocycle-direct", scan, cocycle_direct_sides)
 
 
-def check_convolution_sum(table: JacobiTable, residues: _Residues | None = None) -> CheckResult:
+def check_convolution_sum(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
     """Exhaustive check of the convolution-sum identity over all m^4
     quadruples, decided on the m^3 triples (s1, s2, d)."""
-    witness = _convolution_witness(residues or _Residues(table))
-    return _result(table, "convolution-sum", witness, convolution_sum_sides)
-
-
-# -- approximate (complex) path ------------------------------------------
-
-
-def _approx_symmetry(at: ApproxTable, t, tol: float) -> CheckResult:
-    idx = _first_true(~(np.abs(t - t.T) <= tol))  # a NaN difference is not within tol
-    if idx is None:
-        return CheckResult("symmetry", True)
-    witness = tuple(at.group.elements[i] for i in idx)
-    return CheckResult("symmetry", False, witness, t[idx], t.T[idx])
-
-
-def _approx_cocycle(at: ApproxTable, t, tol: float, star: bool) -> CheckResult:
-    """The starred or the delta-corrected cocycle identity on complex
-    values, a few first indices a at a time; each chunk holds the (a, b, c)
-    values that whole m^3 arrays would."""
-    m = at.group.m
-    add, neg, _ = index_tables(at.group)
-    name = "cocycle-star" if star else "cocycle-direct"
-    if star:
-        t = t.copy()
-        t[0, :] -= 1
-        t[:, 0] -= 1
-    else:
-        j_inv = t[np.arange(m), neg]
-        d_vec = (np.arange(m) == 0).astype(float)
-        d_pair = (add == 0).astype(float)
-        d_both = np.outer(d_vec, d_vec)
-        left = j_inv[:, None] * d_pair  # J(a, a^-1) delta(ab)
-        right = j_inv[None, None, :] * d_pair[None, :, :]  # J(c, c^-1) delta(bc)
-    rows = max(1, _SCAN_BYTES // (16 * m * m))
-    for top in range(0, m, rows):
-        a = slice(top, top + rows)
-        lhs = t[a, :, None] * t[add[a], :]
-        rhs = t[a][:, add] * t[None, :, :]
-        if not star:
-            lhs = lhs - left[a, :, None] + d_both[a, :, None]
-            rhs = rhs - right + d_both[None, :, :]
-        idx = _first_true(~(np.abs(lhs - rhs) <= tol))
-        if idx is not None:
-            witness = tuple(at.group.elements[i] for i in (top + idx[0], *idx[1:]))
-            return CheckResult(name, False, witness, lhs[idx], rhs[idx])
-    return CheckResult(name, True)
-
-
-def _approx_convolution(at: ApproxTable, t, tol: float) -> CheckResult:
-    """The triple form of the convolution-sum identity on complex values,
-    with each (s1, s2, d) value computed in the direct domain, a few s1
-    rows at a time."""
-    m = at.group.m
-    add, _, addneg = index_tables(at.group)
-    q = t[np.arange(m), addneg]  # q[s, u] = Q_s(u) = J(u, s - u)
-    rows = max(1, _SCAN_BYTES // (16 * m * m))
-    for top in range(0, m, rows):
-        s1 = np.arange(top, min(top + rows, m))
-        lhs = np.empty((len(s1), m, m), dtype=complex)
-        for d in range(m):
-            lhs[:, :, d] = q[s1] @ q[:, add[d]].T  # sum_u Q_s1(u) Q_s2(u + d)
-        rhs = q[add[s1][:, :, None], addneg]  # Q_{s1+s2}(s2 - d)
-        bad = ~(np.abs(lhs - rhs) <= tol)
-        failing = bad.any(axis=(1, 2))
-        if failing.any():
-            i = int(failing.argmax())
-            quad = _first_quadruple(int(s1[i]), bad[i], add)
-            d = quad[2]
-            s2 = add[d, quad[3]]
-            els = at.group.elements
-            witness = tuple(els[x] for x in quad)
-            return CheckResult("convolution-sum", False, witness, lhs[i, s2, d], rhs[i, s2, d])
-    return CheckResult("convolution-sum", True)
+    return _check(table, residues, "convolution-sum", _convolution_witness, convolution_sum_sides)
 
 
 # -- aggregation ----------------------------------------------------------
 
 
-def verify_all(
-    table: JacobiTable | ApproxTable, *, tolerance: float = DEFAULT_TOLERANCE
-) -> VerificationReport:
-    """Run all axiom checks and aggregate the verdicts.  An exact table is
-    evaluated once, and every exact step reads that evaluation.  A
-    symmetric exact table on a nontrivial group is first offered to the
-    certificate: if the field it rebuilds reproduces it exactly, all four
-    checks pass with no scan; otherwise the scans decide, as they would
-    have without it."""
-    if isinstance(table, ApproxTable):
-        t = np.array(table.entries, dtype=complex)
-        return VerificationReport(
-            symmetry=_approx_symmetry(table, t, tolerance),
-            cocycle_star=_approx_cocycle(table, t, tolerance, star=True),
-            cocycle_direct=_approx_cocycle(table, t, tolerance, star=False),
-            convolution=_approx_convolution(table, t, tolerance),
-            approximate=True,
-            tolerance=tolerance,
-        )
-
-    residues = _Residues(table)
-    sym = check_symmetry(table)
-    if sym.passed and table.group.m >= 2:
+def verify_all(table: _Table, *, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+    """Run all axiom checks and aggregate the verdicts.  The table is
+    evaluated once, and every step reads that evaluation.  A symmetric
+    exact table on a nontrivial group is first offered to the certificate:
+    if the field it rebuilds reproduces it exactly, all four checks pass
+    with no scan; otherwise the scans decide, as they would have without
+    it.  A complex table is compared within the tolerance."""
+    approx = isinstance(table, ApproxTable)
+    r = _evaluate(table, tolerance)
+    sym = check_symmetry(table, r)
+    if not approx and sym.passed and table.group.m >= 2:
         from .reconstructor import Certificate, certify  # reconstructor imports this module
 
-        certificate = certify(table, residues)
+        certificate = certify(table, r)
         if isinstance(certificate, Certificate):
             return VerificationReport(
                 symmetry=sym,
@@ -606,17 +627,19 @@ def verify_all(
                 convolution=CheckResult("convolution-sum", True),
                 certificate=certificate,
             )
-    coc_star = check_cocycle_star(table, residues)
-    coc_direct = check_cocycle_direct(table, residues)
+    coc_star = check_cocycle_star(table, r)
+    coc_direct = check_cocycle_direct(table, r)
     # the two forms are provably triple-by-triple equivalent whenever the
-    # inverse-pair entries are transpose-symmetric, so under symmetry any
-    # disagreement is an internal bug; without symmetry they may differ
+    # inverse-pair entries are transpose-symmetric, so under exact symmetry
+    # any disagreement is an internal bug; without symmetry they may differ
     # at triples whose middle arguments multiply to the identity
-    if sym.passed and coc_star.passed != coc_direct.passed:
+    if not approx and sym.passed and coc_star.passed != coc_direct.passed:
         raise RuntimeError("cocycle checkers disagree on a symmetric table; this is a bug")
     return VerificationReport(
         symmetry=sym,
         cocycle_star=coc_star,
         cocycle_direct=coc_direct,
-        convolution=check_convolution_sum(table, residues),
+        convolution=check_convolution_sum(table, r),
+        approximate=approx,
+        tolerance=tolerance if approx else None,
     )

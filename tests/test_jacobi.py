@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -312,6 +313,23 @@ def test_table_arrays_are_canonical(q):
             assert u == t and hash(u) == hash(t), name
             assert u.values == t.values, name
         assert (t == table(q)) == (name == f"q{q}"), name
+
+
+@pytest.mark.parametrize("q", [4, 9, 64])
+def test_entry_equals_the_canonicalising_constructor(q):
+    # entry takes the arrays' canonical form as it is; the constructor,
+    # which canonicalises again, must give the same value, with Python ints
+    seen = set()
+    for name, t in _extreme_tables(q):
+        seen.add(t.num.dtype)
+        m = t.group.m
+        for i, j in itertools.product(range(m), repeat=2):
+            got = t.entry(i, j)
+            want = Cyclotomic(m, t.num[i, j].tolist(), t.den.item(i, j))
+            assert got == want and hash(got) == hash(want), (name, i, j)
+            assert (got.m, got.num, got.den) == (want.m, want.num, want.den), (name, i, j)
+            assert all(type(c) is int for c in got.num + (got.den,)), (name, i, j)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_table_equality_across_dtypes():

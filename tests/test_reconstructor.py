@@ -529,14 +529,15 @@ def _complex_stage_cases():
 def test_complex_stages_match_the_loop_references():
     outcomes = collections.Counter()
     for n, (at, tol, gens) in enumerate(_complex_stage_cases()):
-        got = _stage_outcome(reconstructor._fourier_support_approx, at, tol)
+        r = verifier._evaluate(at, tol)
+        got = _stage_outcome(fourier_support, at, r)
         assert got == _stage_outcome(reference_fourier_support_approx, at, tol), n
         if got[0] != "ok":
             outcomes["support"] += 1
             continue
-        args = at, got[1], gens, tol
-        got = _stage_outcome(reconstructor._recover_map_approx, *args)
-        assert got == _stage_outcome(reference_support_map_approx, *args), n
+        support = got[1]
+        got = _stage_outcome(recover_support_map, at, support, gens, residues=r)
+        assert got == _stage_outcome(reference_support_map_approx, at, support, gens, tol), n
         outcomes["mapped" if got[0] == "ok" else got[2].split()[-1]] += 1
     # support failures, transforms far from every root, non-unique matches
     # and complete maps all occur

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -33,6 +35,7 @@ from jacobisum import (
 )
 from jacobisum import reconstructor, verifier
 from jacobisum.enumerator import _candidate_maps
+from jacobisum.harness import dumps, verification_to_json
 from jacobisum.jacobi import ApproxTable, table_from_support
 from jacobisum.verifier import _Residues
 
@@ -219,7 +222,8 @@ def _moved(t: JacobiTable, i: int, j: int, shift) -> JacobiTable:
 def test_chunked_scans_match_reference_scan(monkeypatch):
     # with one pair, one point and one s1 row per chunk, and again with the
     # default chunks.  A move by the first prime is invisible at that
-    # prime's points, which the scan reaches first: moving (1, 3) so fails
+    # prime's points, point 0 among them, which the scan reads first:
+    # moving (1, 3) so fails
     # the convolution sum at s1 = 0, after the move of (0, 1) by zeta failed
     # it at s1 = 1, and moving (0, 1) or (1, 4) so fails s1 = 1 at a pair
     # before the ones the move of (0, 5) fails, (1, 4) at the pair just
@@ -253,6 +257,30 @@ def test_chunked_scans_match_reference_scan(monkeypatch):
             els = bad.group.elements
             assert check_convolution_sum(bad).witness == (els[0], els[s1], els[d], els[a4])
             _assert_matches_reference(bad)
+
+
+def test_first_prime_move_at_q64():
+    # (1, 2) and (2, 1) moved by the first prime: invisible at that prime's
+    # points, which are interleaved with the second prime's, so the
+    # convolution scan meets a failing row at its first chunk.  Witnesses
+    # and values are those the prime-by-prime point order gave, pinned
+    # with the report's bytes
+    t = table(64)
+    first = _first_prime(64)
+    bad = _moved(t, 1, 2, first)
+    r = _Residues(bad)
+    assert r.moduli[0] == first and r.moduli[1] != first
+    report = verify_all(bad)
+    assert report.symmetry.passed
+    els = bad.group.elements
+    assert report.cocycle_star.witness == report.cocycle_direct.witness == (els[1], els[1], els[2])
+    conv = report.convolution
+    assert conv.witness == (els[0], els[0], els[0], els[3])
+    assert (conv.lhs, conv.rhs) == (Fraction(-22369033, 21), Fraction(-1, 63))
+    text = dumps(verification_to_json(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1da0514420c238eafde478914388595460c4b44d38e1d97eda26a356cc20c6cb"
+    )
 
 
 def test_reject_witnesses_at_q64():
@@ -588,4 +616,35 @@ def test_approximate_convolution_matches_quadruple_loop(data):
     if expected is not None:
         witness, lhs, rhs = expected
         assert result.witness == witness
+        assert abs(result.lhs - lhs) < 1e-9 and abs(result.rhs - rhs) < 1e-9
+
+
+def _transform_differences(at: ApproxTable, s1: int):
+    """F[s2, x] = C_s1(chi_x) Q^_s2(chi_x) - C_{s1+s2}(chi_x) on a cyclic
+    group, where Q_s(u) = J(u, s - u) and C_s(chi) = chi(s) Q^_s(-chi)."""
+    m = at.group.m
+    ar = np.arange(m)
+    z = np.exp(2j * np.pi * np.outer(ar, ar) / m)  # z[x, u] = chi_x(u)
+    q = np.array(at.entries)[ar[None, :], (ar[:, None] - ar[None, :]) % m]  # [s, u]
+    qh = q @ z
+    c = z * qh[:, -ar % m]
+    return c[s1] * qh - c[(s1 + ar) % m]
+
+
+def test_approximate_convolution_goes_past_rows_the_transforms_flag():
+    # every entry moved by 2e-7 moves the transforms at the trivial
+    # character by about 2e-7 m, past the tolerance, while each
+    # direct-domain difference stays within it: |D| <= max |F| bounds one
+    # way only.  With a cell pair also moved by a root of unity, row 0 is
+    # flagged, then passes in the direct domain, and the witness lies in row 1
+    m = 8
+    shifted = moved_approx(approximate(table(9)), itertools.product(range(m), repeat=2),
+                           lambda z: z + 2e-7)
+    zeta = cmath.exp(2j * cmath.pi / m)
+    for cell in ((0, 1), (0, 5), (2, 5)):
+        moved = moved_approx(shifted, {cell, cell[::-1]}, lambda z: z + zeta)
+        assert np.abs(_transform_differences(moved, 0)).max() > 1e-6, cell
+        result = verify_all(moved).convolution
+        witness, lhs, rhs = _approx_convolution_reference(moved, 1e-6)
+        assert result.witness == witness and witness[1] == (1,), cell
         assert abs(result.lhs - lhs) < 1e-9 and abs(result.rhs - rhs) < 1e-9
