@@ -154,19 +154,25 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
 
     Row by row, a histogram of the exponents times the power-basis rows
     of zeta^e gives the coefficient vectors of every entry over m; then
-    each entry's content is divided out.
+    each entry's content is divided out.  The product is taken in
+    float64: each coefficient sums nonnegative counts, K = len(us) in
+    all, times row entries of size at most row_bound, so every partial
+    sum is an integer below K * row_bound, exact while that is below 2^53.
     """
     m = group.m
+    red = reduction_data(m)
+    if len(us) * red.row_bound >= 1 << 53:
+        raise ValueError(f"{len(us)} pairs exceed the exact float64 table product")
     pair = pairing_matrix(group)
-    powers = np.array(reduction_data(m).rows[:m], dtype=np.int64)
+    powers = np.array(red.rows[:m], dtype=np.float64)
     left = pair[:, np.asarray(us, dtype=np.intp)]  # [alpha, k] = <alpha, u_k>
     right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
     offsets = np.arange(0, m * m, m)[:, None]  # one block of m bins per beta
-    num = np.empty((m, m, powers.shape[1]), dtype=np.int64)
+    num = np.empty((m, m, red.degree), dtype=np.int64)
     for a in range(m):
         bins = (left[a] + right) % m + offsets
         counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
-        np.matmul(counts, powers, out=num[a])
+        num[a] = counts.astype(np.float64) @ powers
     content = np.gcd(np.gcd.reduce(num, axis=2), m)
     num //= content[:, :, None]
     return JacobiTable._from_arrays(group, num, m // content)

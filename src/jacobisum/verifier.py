@@ -59,9 +59,11 @@ domain, where the identity at (0, s1, d, a4) reads
 sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
 and point.  The symmetry
 and cocycle scans run in lexicographic order and stop at their first
-failure.  The scalar *_sides functions compute the two unequal values of
-every witness, exactly or, for a complex table, on its entries as
-one-point arrays, as its scans do.
+failure; an exact table's symmetry is read off its canonical arrays,
+which differ at exactly the pairs where its residues do.  The scalar
+*_sides functions compute the two unequal values of every witness,
+exactly or, for a complex table, on its entries as one-point arrays, as
+its scans do.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
 table on a group of order at least 2 is handed, with its evaluation, to
@@ -104,8 +106,13 @@ DEFAULT_TOLERANCE = 1e-6
 _Table = JacobiTable | ApproxTable
 
 # residues fit int32, and a product of two stays below 2^50, so int64 sums
-# of up to 2^13 such products are exact
+# of up to 2^13 such products are exact.  The evaluation multiplies digits
+# of size at most 2^_DIGIT_BITS by root powers below 2^25 in float64: each
+# sum of phi(m) such products stays below phi(m) 2^45, which is exact
+# while phi(m) <= 256, as it is for every m <= 257
 _PRIME_LIMIT = 1 << 25
+_DIGIT_BITS = 20
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 # the residues take 4 m^2 phi(m) bytes per prime; 64 primes cover
 # coefficients of about 800 bits, far beyond any table built from a field
 _MAX_PRIMES = 64
@@ -295,23 +302,33 @@ class _Residues(_Evaluation):
     """The table scaled to integers over its common denominator L and
     evaluated at every primitive m-th root of unity modulo enough primes:
     values[i, j, k] is L * J(i, j) at point k, modulo moduli[k], stored as
-    int32 and widened to int64 before any product.  Point k is root
-    k // n of prime k % n, for n primes, so point 0 is the first prime's
-    first root.  denominator is L."""
+    int32.  Point k is root k // n of prime k % n, for n primes, so point 0
+    is the first prime's first root, and column k of root_powers holds the
+    powers of that root.  denominator is L.
+
+    Each digit of the scaled numerators is evaluated at every point by one
+    float64 product with root_powers, exact by the bound at _PRIME_LIMIT;
+    a table whose L J fit 2^_DIGIT_BITS in size, as every field's table
+    does, has one digit."""
 
     def __init__(self, table: JacobiTable):
         super().__init__(table.group)
         m = self.m
         red = reduction_data(m)
         deg = red.degree
+        if deg * _PRIME_LIMIT << _DIGIT_BITS > 1 << 53:
+            raise ValueError(f"group order {m} is beyond the exact float64 evaluation")
         nums = table.num
         peaks = np.maximum(nums.max(axis=2), -nums.min(axis=2))
         # entries share few denominators: dens[where[i, j]] is that of J(i, j)
         dens, where = np.unique(table.den, return_inverse=True)
         dens, where = dens.tolist(), where.reshape(m, m)
         scale = math.lcm(*dens)
-        mults = [scale // den for den in dens]
-        top = max(k * int(peaks[where == i].max()) for i, k in enumerate(mults))
+        # L / den scales each entry; entries that are all zero get 0, so
+        # every multiplier is at most top, the largest scaled coefficient
+        group_peaks = [int(peaks[where == i].max()) for i in range(len(dens))]
+        mults = [scale // den if peak else 0 for den, peak in zip(dens, group_peaks)]
+        top = max(k * peak for k, peak in zip(mults, group_peaks))
         # every scaled identity has both sides built from at most max(m, 2)
         # products of centered entries (coefficients <= top + 2L) plus delta
         # terms, so `bound` caps each coefficient of their difference
@@ -323,23 +340,47 @@ class _Residues(_Evaluation):
                 raise ValueError(f"table entries need more than {_MAX_PRIMES} primes")
             fields.append(_prime_field(m, fields[-1][0]))
         primes = [p for p, _ in fields]
-        n = len(fields)
-        self.values = np.empty((m, m, n * deg), dtype=np.int32)
-        for i, (p, powers) in enumerate(fields):
-            mult = np.array([k % p for k in mults])[where, None]  # L / den mod p
-            for idx in _chunks(m, m * self.values.shape[2] * 8):  # int64 rows
-                lo, hi = idx[0], idx[-1] + 1
-                res = np.remainder(nums[lo:hi], p).astype(np.int64, copy=False)
-                res *= mult[lo:hi]
-                res %= p
-                res = res @ powers[:deg]
-                res %= p
-                self.values[lo:hi, :, i::n] = res
         self.moduli = np.tile(primes, deg)
         self.denominator = scale
         self.scale = np.tile([scale % p for p in primes], deg)
         self.m_inverse = np.tile([pow(m, -1, p) for p in primes], deg)
         self.root_powers = np.stack([powers for _, powers in fields], axis=2).reshape(m, -1)
+        # L J(i, j) = num[i, j] * L / den[i, j], exactly, is split into
+        # base-2^_DIGIT_BITS digits: below the top one, (x >> b t) & mask,
+        # in [0, 2^b), and the top one x >> b t, in [-2^b, 2^b), which
+        # carries the sign.  Each digit's residues are folded in with
+        # 2^(b t) mod p, products below 2^50 that int64 sums exactly
+        dtype = np.int64 if top < 1 << 63 else object
+        mult = np.array(mults, dtype=dtype)[where, None]
+        ndigits = max(1, -(-top.bit_length() // _DIGIT_BITS))
+        folds = [np.tile([pow(2, _DIGIT_BITS * t, p) for p in primes], deg) for t in range(1, ndigits)]
+        roots = self.root_powers[:deg].astype(np.float64)
+        npoints = len(self.moduli)
+        self.values = np.empty((m, m, npoints), dtype=np.int32)
+        # per row: L J and a digit, and over every point the float64
+        # product, its int64 copy and the sum of the folded digits
+        rows = max(1, _SCAN_BYTES // (8 * m * (2 * deg + 3 * npoints)))
+
+        def digit_residues(scaled, t):
+            """Digit t of the scaled entries at every point, modulo its prime."""
+            digit = scaled >> (_DIGIT_BITS * t) if t else scaled
+            if t < ndigits - 1:
+                digit = digit & _DIGIT_MASK
+            res = (digit.astype(np.float64) @ roots).astype(np.int64)
+            res %= self.moduli
+            return res
+
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            scaled = (nums[lo:hi].astype(dtype, copy=False) * mult[lo:hi]).reshape(-1, deg)
+            acc = digit_residues(scaled, 0)
+            for t, fold in enumerate(folds, 1):
+                res = digit_residues(scaled, t)
+                res *= fold
+                acc += res
+            if folds:
+                acc %= self.moduli
+            self.values[lo:hi] = acc.reshape(hi - lo, m, npoints)
 
     def reduce(self, x, points: slice = slice(None), axis: int = -1):
         """x modulo each point's prime, in place, for the given points
@@ -423,7 +464,8 @@ def _first_true(bad) -> tuple[int, ...] | None:
 
 def _symmetry_witness(r: _Evaluation):
     """First (a, b) where J(a, b) and J(b, a) differ at some point, a few
-    rows a at a time."""
+    rows a at a time.  Exact tables are compared on their arrays instead
+    (check_symmetry)."""
     v = r.values
     for idx in _chunks(r.m, r.m * v.shape[2] * v.itemsize):
         hit = _first_true(r.differs(v[idx] - v[:, idx].transpose(1, 0, 2)).any(axis=-1))
@@ -569,18 +611,30 @@ def _convolution_witness(r: _Evaluation):
 # and without one the default tolerance applies.
 
 
-def _check(table, residues, check: str, scan, sides) -> CheckResult:
-    r = residues or _evaluate(table)
-    witness = scan(r)
+def _result(check: str, table, witness, sides) -> CheckResult:
+    """The check's outcome at its witness, or a pass; sides(point) gives
+    the two unequal values."""
     if witness is None:
         return CheckResult(check, True)
     point = tuple(table.group.elements[i] for i in witness)
-    return CheckResult(check, False, point, *r.sides(sides, table, point))
+    return CheckResult(check, False, point, *sides(point))
+
+
+def _check(table, residues, check: str, scan, sides) -> CheckResult:
+    r = residues or _evaluate(table)
+    return _result(check, table, scan(r), functools.partial(r.sides, sides, table))
 
 
 def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
-    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs."""
-    return _check(table, residues, "symmetry", _symmetry_witness, _symmetry_sides)
+    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs.  An
+    exact table is decided on its arrays, with no evaluation: equal
+    entries hold equal arrays in canonical form, so the first pair, in
+    row-major order, whose arrays differ is the first the residues show."""
+    if isinstance(table, ApproxTable):
+        return _check(table, residues, "symmetry", _symmetry_witness, _symmetry_sides)
+    num, den = table.num, table.den
+    witness = _first_true((num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T))
+    return _result("symmetry", table, witness, lambda point: _symmetry_sides(table, *point))
 
 
 def check_cocycle_star(table: _Table, residues: _Evaluation | None = None) -> CheckResult:

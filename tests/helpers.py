@@ -5,13 +5,17 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 import jacobisum as js
-from jacobisum.abelian import index_tables
+from jacobisum import verifier
+from jacobisum.abelian import index_tables, pairing_matrix
+from jacobisum.cyclotomic import reduction_data
 from jacobisum.reconstructor import ZERO_SYM, InconsistentTableError
 from jacobisum.verifier import CheckResult
 
@@ -155,6 +159,87 @@ def moved_tables(q: int):
     for name, s in (("3/7", Fraction(3, 7)), ("c/(2^31-1)", Fraction(12345, 2**31 - 1)),
                     ("2^70/3", Fraction(2**70, 3)), ("1/2^62", Fraction(1, 2**62))):
         yield f"q{q}+{name}", t.with_entry(1, 2, v[1][2] + s).with_entry(2, 1, v[2][1] + s)
+
+
+def extreme_tables(q: int):
+    """moved_tables(q), and (1, 2) replaced by -2^63, by 2^63 - 1, by a
+    cell whose coefficient strings fit int64 while one of its numerators
+    over the cell's denominator 15 (3 * 2^62) does not, and by c (1 - zeta)
+    with c = 3 * 2^61, whose Galois images can have the coefficient 2c;
+    and the table divided by 2^63 with (1, 2) set to 0, whose zero cell
+    alone keeps the denominator 1 while the common one, L, passes 2^63."""
+    yield from moved_tables(q)
+    t, m = table(q), q - 1
+    yield f"q{q}:-2^63", t.with_entry(1, 2, js.Cyclotomic.from_rational(m, -(2**63)))
+    yield f"q{q}:2^63-1", t.with_entry(1, 2, js.Cyclotomic.from_rational(m, 2**63 - 1))
+    coeffs = [Fraction(1, 3), Fraction(2**62, 5)] + [0] * (js.euler_phi(m) - 2)
+    yield f"q{q}:2^62/5", t.with_entry(1, 2, js.Cyclotomic.from_coefficients(m, coeffs))
+    c = 3 * 2**61
+    yield f"q{q}:c(1-zeta)", t.with_entry(1, 2, c - js.root_power(m, 1) * c)
+    shrunk = js.JacobiTable(t.group, [[e * Fraction(1, 2**63) for e in row] for row in t.values])
+    yield f"q{q}/2^63:0", shrunk.with_entry(1, 2, js.Cyclotomic.from_rational(m, 0))
+
+
+def reference_table_from_pairs(group: js.GroupSpec, us, vs) -> js.JacobiTable:
+    """table_from_pairs with its product taken in int64: row by row, a
+    histogram of the exponents times the power-basis rows of zeta^e."""
+    m = group.m
+    pair = pairing_matrix(group)
+    powers = np.array(reduction_data(m).rows[:m], dtype=np.int64)
+    left = pair[:, np.asarray(us, dtype=np.intp)]
+    right = pair[:, np.asarray(vs, dtype=np.intp)]
+    offsets = np.arange(0, m * m, m)[:, None]
+    num = np.empty((m, m, powers.shape[1]), dtype=np.int64)
+    for a in range(m):
+        bins = (left[a] + right) % m + offsets
+        counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
+        np.matmul(counts, powers, out=num[a])
+    content = np.gcd(np.gcd.reduce(num, axis=2), m)
+    num //= content[:, :, None]
+    return js.JacobiTable._from_arrays(group, num, m // content)
+
+
+def reference_residues(table: js.JacobiTable) -> SimpleNamespace:
+    """The arrays of verifier._Residues, evaluated prime by prime in int64:
+    the numerators and L / den reduced mod p, their product reduced, times
+    the powers of the prime's roots, each point written to its place in
+    the interleaved order."""
+    m = table.group.m
+    red = reduction_data(m)
+    deg = red.degree
+    nums = table.num
+    peaks = np.maximum(nums.max(axis=2), -nums.min(axis=2))
+    dens, where = np.unique(table.den, return_inverse=True)
+    dens, where = dens.tolist(), where.reshape(m, m)
+    scale = math.lcm(*dens)
+    mults = [scale // den for den in dens]
+    top = max(k * int(peaks[where == i].max()) for i, k in enumerate(mults))
+    s = top + 2 * scale
+    bound = max(m, 2) * deg * s * s * (1 + deg * red.row_bound) + 2 * scale * (s + scale)
+    fields = [verifier._prime_field(m, verifier._PRIME_LIMIT)]
+    while math.prod(p for p, _ in fields) <= 2 * bound:
+        if len(fields) == verifier._MAX_PRIMES:
+            raise ValueError(f"table entries need more than {verifier._MAX_PRIMES} primes")
+        fields.append(verifier._prime_field(m, fields[-1][0]))
+    primes = [p for p, _ in fields]
+    n = len(fields)
+    values = np.empty((m, m, n * deg), dtype=np.int32)
+    for i, (p, powers) in enumerate(fields):
+        mult = np.array([k % p for k in mults])[where, None]
+        res = np.remainder(nums, p).astype(np.int64)
+        res *= mult
+        res %= p
+        res = res @ powers[:deg]
+        res %= p
+        values[:, :, i::n] = res
+    return SimpleNamespace(
+        values=values,
+        moduli=np.tile(primes, deg),
+        denominator=scale,
+        scale=np.tile([scale % p for p in primes], deg),
+        m_inverse=np.tile([pow(m, -1, p) for p in primes], deg),
+        root_powers=np.stack([powers for _, powers in fields], axis=2).reshape(m, -1),
+    )
 
 
 def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:

@@ -320,6 +320,33 @@ def test_cli_rejects_malformed_approximate_cells(tmp_path, capsys, cell):
     assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
 
 
+def test_cli_rejects_entries_beyond_the_prime_cap(tmp_path, capsys):
+    # a cell of 2^1000 parses, but its residues would need more primes
+    # than the verifier takes: malformed input, reported without a traceback
+    t = table(4)
+    tpath = tmp_path / "big.json"
+    write_json(tpath, table_to_json(t.with_entry(1, 2, Cyclotomic.from_rational(3, 2**1000))))
+    assert _run("verify", "--table", tpath) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "primes" in err and "Traceback" not in err
+
+
+def test_cli_verdicts_on_a_zero_cell_over_a_huge_denominator(tmp_path, capsys):
+    # the zero cell keeps denominator 1 while the others' pass 2^63, so
+    # their common one L does too: a well-formed table that fails, not
+    # malformed input
+    t = table(4)
+    shrunk = JacobiTable(t.group, [[e * Fraction(1, 2**63) for e in row] for row in t.values])
+    tpath = tmp_path / "t.json"
+    rpath = tmp_path / "r.json"
+    write_json(tpath, table_to_json(shrunk.with_entry(1, 2, Cyclotomic.from_rational(3, 0))))
+    assert _run("verify", "--table", tpath) == 1
+    assert "symmetry: FAIL witness=((1,), (2,))" in capsys.readouterr().out
+    assert _run("reconstruct", "--table", tpath, "--out", rpath) == 1
+    doc = read_json(rpath)
+    assert doc["case"] == "inconsistent" and doc["inconsistency"]["stage"] == "verification"
+
+
 def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):
     # GF(67) is small, but its table would live on a group of order 66
     fpath = tmp_path / "f67.json"

@@ -22,7 +22,6 @@ from jacobisum import (
     build_field,
     compute_jacobi,
     delta,
-    euler_phi,
     jacobi_star,
     root_power,
     slice_function,
@@ -31,6 +30,7 @@ from jacobisum import (
     twist_galois,
     verify_all,
 )
+from jacobisum.cyclotomic import reduction_data
 from jacobisum.harness import dumps, table_from_json, table_to_json
 from jacobisum.jacobi import table_from_pairs
 
@@ -38,9 +38,10 @@ from helpers import (
     LARGER_PRIME_POWERS,
     PRIME_POWERS,
     convolve,
+    extreme_tables,
     field,
-    moved_tables,
     reference_table,
+    reference_table_from_pairs,
     reference_twist_automorphism,
     reference_twist_galois,
     table,
@@ -236,7 +237,32 @@ def test_table_from_pairs_matches_root_sums(data):
     pairs = data.draw(st.lists(st.tuples(index, index), max_size=2 * g.m))
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    assert table_from_pairs(g, us, vs) == reference_table(g, pairs)
+    got = table_from_pairs(g, us, vs)
+    assert got == reference_table(g, pairs)
+    _assert_same_arrays(got, reference_table_from_pairs(g, us, vs))
+
+
+def _assert_same_arrays(got: JacobiTable, want: JacobiTable):
+    assert (got.num.dtype, got.den.dtype) == (want.num.dtype, want.den.dtype)
+    assert np.array_equal(got.num, want.num) and np.array_equal(got.den, want.den)
+
+
+@pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
+def test_table_kernel_matches_the_int64_kernel(q):
+    # the float64 product gives the arrays, dtypes included, that the
+    # int64 product gave for every field in the exact range
+    f = field(q)
+    xs = f.elements[2:]
+    us = [f.dlog(x) for x in xs]
+    vs = [f.dlog(f.sub(f.one, x)) for x in xs]
+    _assert_same_arrays(compute_jacobi(f), reference_table_from_pairs(GroupSpec((q - 1,)), us, vs))
+
+
+def test_table_kernel_bound_holds_to_order_255():
+    # a table is built from at most m pairs (q - 2 for a field, one per
+    # support point), each adding at most row_bound to a coefficient
+    for m in range(1, 256):
+        assert m * reduction_data(m).row_bound < 2**53, m
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,21 +302,6 @@ def test_random_tables_are_not_jacobi():
     assert not report.passed
 
 
-def _extreme_tables(q: int):
-    """moved_tables(q), and (1, 2) replaced by -2^63, by 2^63 - 1, by a
-    cell whose coefficient strings fit int64 while one of its numerators
-    over the cell's denominator 15 (3 * 2^62) does not, and by c (1 - zeta)
-    with c = 3 * 2^61, whose Galois images can have the coefficient 2c."""
-    yield from moved_tables(q)
-    t, m = table(q), q - 1
-    yield f"q{q}:-2^63", t.with_entry(1, 2, Cyclotomic.from_rational(m, -(2**63)))
-    yield f"q{q}:2^63-1", t.with_entry(1, 2, Cyclotomic.from_rational(m, 2**63 - 1))
-    coeffs = [Fraction(1, 3), Fraction(2**62, 5)] + [0] * (euler_phi(m) - 2)
-    yield f"q{q}:2^62/5", t.with_entry(1, 2, Cyclotomic.from_coefficients(m, coeffs))
-    c = 3 * 2**61
-    yield f"q{q}:c(1-zeta)", t.with_entry(1, 2, c - root_power(m, 1) * c)
-
-
 def _dtype_of(values) -> type:
     """int64 when every value lies strictly within +-2^63, else object."""
     return np.int64 if all(-(2**63) < v < 2**63 for v in values) else object
@@ -298,7 +309,7 @@ def _dtype_of(values) -> type:
 
 @pytest.mark.parametrize("q", [4, 9, 64])
 def test_table_arrays_are_canonical(q):
-    for name, t in _extreme_tables(q):
+    for name, t in extreme_tables(q):
         cells = [e for row in t.values for e in row]
         assert t.num.dtype == _dtype_of(c for e in cells for c in e.num), name
         assert t.den.dtype == _dtype_of(e.den for e in cells), name
@@ -320,7 +331,7 @@ def test_entry_equals_the_canonicalising_constructor(q):
     # entry takes the arrays' canonical form as it is; the constructor,
     # which canonicalises again, must give the same value, with Python ints
     seen = set()
-    for name, t in _extreme_tables(q):
+    for name, t in extreme_tables(q):
         seen.add(t.num.dtype)
         m = t.group.m
         for i, j in itertools.product(range(m), repeat=2):
@@ -342,7 +353,7 @@ def test_table_equality_across_dtypes():
 
 @pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
 def test_approximate_matches_to_complex_bit_for_bit(q):
-    tables = _extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
+    tables = extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
     for name, t in tables:
         want = tuple(tuple(e.to_complex() for e in row) for row in t.values)
         assert repr(approximate(t).entries) == repr(want), name
@@ -356,7 +367,7 @@ def test_approximate_on_the_trivial_group():
 @pytest.mark.parametrize("q", [4, 9, 16, 27])
 def test_twists_match_per_entry_references(q):
     m = q - 1
-    for name, t in _extreme_tables(q):
+    for name, t in extreme_tables(q):
         for r in range(1, m):
             if math.gcd(r, m) == 1:
                 assert twist_automorphism(t, r) == reference_twist_automorphism(t, r), (name, r)

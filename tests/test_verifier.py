@@ -27,6 +27,7 @@ from jacobisum import (
     cocycle_star_sides,
     convolution_sum_sides,
     enumerate_jacobi,
+    euler_phi,
     root_power,
     slice_convolution_sides,
     twist_automorphism,
@@ -42,8 +43,11 @@ from jacobisum.verifier import _Residues
 from helpers import (
     LARGER_PRIME_POWERS,
     PRIME_POWERS,
+    extreme_tables,
     moved_approx,
+    moved_tables,
     reference_cocycle_approx,
+    reference_residues,
     reference_witness,
     random_table,
     symmetric_random_table,
@@ -72,6 +76,29 @@ def test_symmetry_witness():
     assert not result.passed
     assert result.witness == ((0,), (2,))
     assert result.lhs != result.rhs  # the witness re-checks as a genuine inequality
+
+
+def test_symmetry_on_the_arrays_matches_the_residue_scan(monkeypatch):
+    # an exact table's symmetry is read off its arrays, with no residues,
+    # and gives the pair the residue scan finds first: one-cell moves by
+    # small and huge values, int64 and Python-int arrays, and random tables
+    rng = random.Random(12)
+    tables = [t for _, t in extreme_tables(9)] + [t for _, t in moved_tables(16)]
+    for factors in ((3,), (2, 2), (2, 4), (7,)):
+        tables += [random_table(rng, factors), symmetric_random_table(rng, factors)]
+    scans = [verifier._symmetry_witness(_Residues(t)) for t in tables]
+    assert None in scans and len(set(scans)) > 2
+
+    def refuse(self, table):
+        raise AssertionError("symmetry built the residues")
+
+    monkeypatch.setattr(_Residues, "__init__", refuse)
+    for t, scan in zip(tables, scans):
+        result = check_symmetry(t)
+        assert result.passed == (scan is None), t
+        if scan is not None:
+            assert tuple(t.group.index(x) for x in result.witness) == scan, t
+            assert (result.lhs, result.rhs) == (t.entry(*scan), t.entry(*scan[::-1]))
 
 
 def test_symmetry_trivial_group():
@@ -196,6 +223,46 @@ def test_residue_primes_depend_on_entry_sizes_only():
             rows = [[Cyclotomic.from_rational(2, x), one], [one, Cyclotomic.from_rational(2, y)]]
             primes.add(tuple(_Residues(JacobiTable(g, rows)).moduli))
         assert len(primes) == 1, (a, b)
+
+
+def _assert_residues_match_reference(t: JacobiTable, name: str):
+    r, ref = _Residues(t), reference_residues(t)
+    for key in ("values", "moduli", "scale", "m_inverse", "root_powers"):
+        got, want = getattr(r, key), getattr(ref, key)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (name, key)
+    assert r.denominator == ref.denominator, name
+
+
+@pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
+def test_residues_match_the_int64_reference(q):
+    # the float64 digit products give the arrays, dtypes included, of the
+    # prime-by-prime int64 evaluation: every field's table, and at some
+    # sizes its copies with cells moved by zeta, 3/7, c/(2^31 - 1), 2^70/3
+    # and 1/2^62 or replaced by -2^63, 2^63 - 1, (1/3, 2^62/5) and c(1 - zeta),
+    # and divided by 2^63 with a zero cell
+    tables = extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
+    for name, t in tables:
+        _assert_residues_match_reference(t, name)
+
+
+def test_residues_at_the_prime_cap():
+    # over conductor 3, a cell of 2^795 takes all the primes the cap
+    # allows and 40 digits over Python ints; a cell of 2^1000 takes more
+    t = table(4)
+    under = t.with_entry(1, 2, Cyclotomic.from_rational(3, 2**795))
+    assert under.num.dtype == object
+    assert len(set(_Residues(under).moduli.tolist())) == verifier._MAX_PRIMES
+    _assert_residues_match_reference(under, "2^795")
+    over = t.with_entry(1, 2, Cyclotomic.from_rational(3, 2**1000))
+    with pytest.raises(ValueError, match=f"more than {verifier._MAX_PRIMES} primes"):
+        verify_all(over)
+
+
+def test_residue_products_are_exact_to_order_255():
+    # each float64 sum adds phi(m) products of a digit, of size at most
+    # 2^_DIGIT_BITS, and a root power below the prime
+    for m in range(1, 256):
+        assert euler_phi(m) * 2**verifier._DIGIT_BITS * (verifier._PRIME_LIMIT - 1) < 2**53, m
 
 
 def test_engine_matches_reference_scan():
