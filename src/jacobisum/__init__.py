@@ -19,7 +19,6 @@ from .jacobi import (
     JacobiTable,
     approximate,
     compute_jacobi,
-    jacobi_star,
     slice_function,
     table_from_support,
     twist_automorphism,

@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -96,22 +96,6 @@ class GroupSpec:
                 e[j] = 1
                 gens.append(tuple(e))
         return tuple(gens)
-
-    def generates(self, gens: Iterable[Element]) -> bool:
-        """True if the given elements generate the whole group."""
-        span = {self.identity}
-        frontier = [self.identity]
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            self.validate(g)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in span:
-                    span.add(nxt)
-                    frontier.append(nxt)
-        return len(span) == self.m
 
 
 def pairing(group: GroupSpec, alpha: Element, x: Element) -> int:

@@ -208,10 +208,6 @@ class Cyclotomic:
         return cls(m, [0] * reduction_data(m).degree)
 
     @classmethod
-    def one(cls, m: int) -> "Cyclotomic":
-        return cls.root(m, 0)
-
-    @classmethod
     def root(cls, m: int, k: int) -> "Cyclotomic":
         """Canonical representation of zeta_m ** k."""
         return cls(m, reduction_data(m).rows[k % m])
@@ -312,13 +308,7 @@ class Cyclotomic:
         terms = ((i * r % self.m, c) for i, c in enumerate(self.num))
         return Cyclotomic(self.m, _fold(self.m, terms), self.den)
 
-    def conjugate(self) -> "Cyclotomic":
-        return self.galois(self.m - 1 if self.m > 1 else 1)
-
-    # -- predicates and views ------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
+    # -- views ---------------------------------------------------------
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Power-basis coefficients as Fractions in lowest terms."""

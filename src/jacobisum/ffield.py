@@ -158,13 +158,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self._powers[(-self._dlog[a]) % (self.q - 1)]
 
-    def pow(self, a: FieldElement, k: int) -> FieldElement:
-        if a == self.zero:
-            if k <= 0:
-                raise ZeroDivisionError("zero to a non-positive power")
-            return self.zero
-        return self._powers[(self._dlog[a] * k) % (self.q - 1)]
-
     def dlog(self, a: FieldElement) -> int:
         """Exponent t with generator**t == a, for nonzero a."""
         if a == self.zero:

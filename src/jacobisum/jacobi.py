@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta, pairing_matrix
+from .abelian import Element, GroupSpec, pairing_matrix
 from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
 
@@ -191,11 +191,6 @@ def compute_jacobi(field: FiniteField) -> JacobiTable:
     us = [field.dlog(x) for x in xs]
     vs = [field.dlog(field.sub(field.one, x)) for x in xs]
     return table_from_pairs(GroupSpec((m,)), us, vs)
-
-
-def jacobi_star(table: JacobiTable, alpha: Element, beta: Element) -> Cyclotomic:
-    """The centered value J(alpha, beta) - delta(alpha) - delta(beta)."""
-    return table.value(alpha, beta) - delta(alpha) - delta(beta)
 
 
 def slice_function(table: JacobiTable, alpha: Element) -> dict[Element, Cyclotomic]:

@@ -36,7 +36,12 @@ input is a field's Jacobi-sum table with its characters relabelled by a
 group isomorphism, so it satisfies all three axioms (the forward
 direction, Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2).
 The verifier accepts such a table without scanning, and reconstruct
-reuses the certificate instead of running the stages again.
+reuses the certificate in every mode instead of running the stages
+again.  Strict mode needs nothing more: a certified table is the support
+sum over the pairs (i(s), i(s) - s), so the transform of its slice at
+alpha is [x in S] zeta^<alpha, i(x)> at every x, which is all that
+strict mode reads.  Each reconstruct evaluates the table once, and the
+verifier and the stages read that one evaluation.
 """
 
 from __future__ import annotations
@@ -240,13 +245,6 @@ def _support(table, one, bad) -> tuple[Element, ...]:
     return tuple(x for x, hit in zip(g.elements, one) if hit)
 
 
-def _generators(g: GroupSpec, generators: tuple[Element, ...] | None) -> tuple[Element, ...]:
-    """The given generators, checked to generate g, or its standard ones."""
-    if generators is not None and not g.generates(generators):
-        raise ValueError("the given elements do not generate the group")
-    return g.generators() if generators is None else generators
-
-
 def _match_support(table, support, generators, exponents, found) -> np.ndarray:
     """Index of the dual element y matched at each support point: the
     unique y with <gen, y> = exponents[x, gen] for every generator, where
@@ -293,16 +291,15 @@ def fourier_support(
 def recover_support_map(
     table: JacobiTable | ApproxTable,
     support: tuple[Element, ...],
-    generators: tuple[Element, ...] | None = None,
+    *,
     strict: bool = False,
     residues: _Evaluation | None = None,
-    *,
     points: slice = _ALL_POINTS,
 ) -> dict[Element, Element]:
     """For each support point x, the unique dual element matched by the
     character a -> Q_a-transform at x.
 
-    Only a generating set of characters is interrogated (the pairing
+    Only the group's standard generators are interrogated (the pairing
     separates points, so that determines the element); strict mode
     cross-checks the value at every character.  Support points are
     handled in order, and at each one the generators in order.
@@ -310,7 +307,7 @@ def recover_support_map(
     """
     g = table.group
     m = g.m
-    generators = _generators(g, generators)
+    generators = g.generators()
     r = residues or _evaluate(table)
     gens = [g.index(gen) for gen in generators]
     xs = [g.index(x) for x in support]
@@ -523,19 +520,14 @@ def certify(table: JacobiTable, residues: _Residues) -> Certificate | str:
         return "row sums"
     try:
         support = fourier_support(table, residues, points=_FIRST_POINT)
-    except InconsistentTableError:
-        return "support"
-    try:
         smap = recover_support_map(table, support, residues=residues, points=_FIRST_POINT)
-    except InconsistentTableError:
-        return "support-map"
-    us = [g.index(smap[x]) for x in support]
-    if not _agrees_at_first_point(residues, us, residues.addneg[us, [g.index(x) for x in support]]):
-        return "first point"
-    try:
+        us = [g.index(smap[x]) for x in support]
+        vs = residues.addneg[us, [g.index(x) for x in support]]
+        if not _agrees_at_first_point(residues, us, vs):
+            return "first point"
         case = classify_support(g, support, smap)
-    except InconsistentTableError:
-        return "classify"
+    except InconsistentTableError as err:
+        return err.stage
     if not isinstance(case, FieldCase):
         return "classify"
     addition = build_addition(g, case.involution, smap)
@@ -555,23 +547,25 @@ def reconstruct(
     *,
     force: bool = False,
     strict: bool = False,
-    generators: tuple[Element, ...] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
-    forced.  A table the verifier certified reuses the certificate's
-    stage results; strict mode and explicit generators still read the
-    support and map off a new evaluation of the table.  Complex-valued
-    tables take the same stages, decided within the tolerance; strict
-    mode cross-checks exact transforms and is refused for them."""
+    forced.  The table is evaluated once: the verifier and every stage
+    read that evaluation.  A table the verifier certified reuses the
+    certificate's stage results in every mode, strict included: it equals
+    its field's table, whose slice transforms are exactly the ones strict
+    mode cross-checks.  Complex-valued tables take the same stages,
+    decided within the tolerance; strict mode cross-checks exact
+    transforms and is refused for them."""
     approx = isinstance(table, ApproxTable)
     if approx and strict:
         raise ValueError("strict mode needs an exact table, not an approximate one")
     g = table.group
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
 
-    verification = verify_all(table, tolerance=tolerance)
+    r = _evaluate(table, tolerance)
+    verification = verify_all(table, tolerance=tolerance, residues=r)
     report.verification = verification
     if not verification.passed and not force:
         failed = next(c for c in verification.checks if not c.passed)
@@ -584,12 +578,9 @@ def reconstruct(
 
     cert = verification.certificate
     try:
-        if cert is None or strict or generators is not None:
-            # a certified table gives the same support and map again, but
-            # strict mode and explicit generators ask for them to be read
-            r = _evaluate(table, tolerance)
+        if cert is None:
             support = fourier_support(table, r)
-            smap = recover_support_map(table, support, generators, strict, r)
+            smap = recover_support_map(table, support, strict=strict, residues=r)
         else:
             support, smap = cert.support, cert.support_map
         report.support = support

@@ -57,9 +57,10 @@ failure could hide: in the rows before it by the transforms (none when
 it is row 0), and in the pairs of its row before that pair in the direct
 domain, where the identity at (0, s1, d, a4) reads
 sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
-and point.  The symmetry
-and cocycle scans run in lexicographic order and stop at their first
-failure; an exact table's symmetry is read off its canonical arrays,
+and point.  The cocycle scans run in lexicographic order and stop at
+their first failure.  Symmetry is decided on whole arrays, the first
+differing pair in row-major order being the witness: a complex table's
+on its one-point evaluation, an exact table's on its canonical arrays,
 which differ at exactly the pairs where its residues do.  The scalar
 *_sides functions compute the two unequal values of every witness,
 exactly or, for a complex table, on its entries as one-point arrays, as
@@ -462,19 +463,6 @@ def _first_true(bad) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def _symmetry_witness(r: _Evaluation):
-    """First (a, b) where J(a, b) and J(b, a) differ at some point, a few
-    rows a at a time.  Exact tables are compared on their arrays instead
-    (check_symmetry)."""
-    v = r.values
-    for idx in _chunks(r.m, r.m * v.shape[2] * v.itemsize):
-        hit = _first_true(r.differs(v[idx] - v[:, idx].transpose(1, 0, 2)).any(axis=-1))
-        if hit is not None:
-            i, b = hit
-            return (int(idx[i]), b)
-    return None
-
-
 def _cocycle_witness(r: _Evaluation, star: bool):
     """First (a, b, c) where the starred or the delta-corrected cocycle
     identity, scaled by L^2, fails at some point.  The starred form centers
@@ -626,12 +614,17 @@ def _check(table, residues, check: str, scan, sides) -> CheckResult:
 
 
 def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
-    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs.  An
-    exact table is decided on its arrays, with no evaluation: equal
-    entries hold equal arrays in canonical form, so the first pair, in
-    row-major order, whose arrays differ is the first the residues show."""
+    """Exhaustive equality of J(a,b) and J(b,a) over all ordered pairs.  A
+    complex table is decided on its whole one-point evaluation.  An exact
+    table is decided on its arrays, with no evaluation: equal entries hold
+    equal arrays in canonical form, so the first pair, in row-major order,
+    whose arrays differ is the first the residues show."""
     if isinstance(table, ApproxTable):
-        return _check(table, residues, "symmetry", _symmetry_witness, _symmetry_sides)
+        r = residues or _evaluate(table)
+        v = r.values
+        witness = _first_true(r.differs(v - v.transpose(1, 0, 2)).any(axis=2))
+        sides = functools.partial(r.sides, _symmetry_sides, table)
+        return _result("symmetry", table, witness, sides)
     num, den = table.num, table.den
     witness = _first_true((num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T))
     return _result("symmetry", table, witness, lambda point: _symmetry_sides(table, *point))
@@ -659,15 +652,22 @@ def check_convolution_sum(table: _Table, residues: _Evaluation | None = None) ->
 # -- aggregation ----------------------------------------------------------
 
 
-def verify_all(table: _Table, *, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
+def verify_all(
+    table: _Table,
+    *,
+    tolerance: float = DEFAULT_TOLERANCE,
+    residues: _Evaluation | None = None,
+) -> VerificationReport:
     """Run all axiom checks and aggregate the verdicts.  The table is
-    evaluated once, and every step reads that evaluation.  A symmetric
-    exact table on a nontrivial group is first offered to the certificate:
-    if the field it rebuilds reproduces it exactly, all four checks pass
-    with no scan; otherwise the scans decide, as they would have without
-    it.  A complex table is compared within the tolerance."""
+    evaluated once, or not at all when the caller passes its evaluation
+    as `residues` (a complex table's carries the tolerance that decides
+    and that the report records), and every step reads that evaluation.  A symmetric exact table on a
+    nontrivial group is first offered to the certificate: if the field it
+    rebuilds reproduces it exactly, all four checks pass with no scan;
+    otherwise the scans decide, as they would have without it.  A complex
+    table is compared within the tolerance."""
     approx = isinstance(table, ApproxTable)
-    r = _evaluate(table, tolerance)
+    r = residues or _evaluate(table, tolerance)
     sym = check_symmetry(table, r)
     if not approx and sym.passed and table.group.m >= 2:
         from .reconstructor import Certificate, certify  # reconstructor imports this module
@@ -695,5 +695,5 @@ def verify_all(table: _Table, *, tolerance: float = DEFAULT_TOLERANCE) -> Verifi
         cocycle_direct=coc_direct,
         convolution=check_convolution_sum(table, r),
         approximate=approx,
-        tolerance=tolerance if approx else None,
+        tolerance=r.tolerance if approx else None,
     )

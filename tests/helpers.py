@@ -242,6 +242,18 @@ def reference_residues(table: js.JacobiTable) -> SimpleNamespace:
     )
 
 
+def reference_symmetry_witness(r):
+    """First (a, b) where J(a, b) and J(b, a) differ at some point of the
+    evaluation r, a few rows a at a time: the row-chunked residue scan."""
+    v = r.values
+    for idx in verifier._chunks(r.m, r.m * v.shape[2] * v.itemsize):
+        hit = verifier._first_true(r.differs(v[idx] - v[:, idx].transpose(1, 0, 2)).any(axis=-1))
+        if hit is not None:
+            i, b = hit
+            return (int(idx[i]), b)
+    return None
+
+
 def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:
     """The commutative, associative, distributive and inverse checks on an
     addition table, as plain loops over every pair and triple in
@@ -319,7 +331,7 @@ def reference_fourier_support(table: js.JacobiTable):
     g = table.group
     m = g.m
     transform = js.dft(g, js.slice_function(table, g.identity))
-    zero, one = js.Cyclotomic.zero(m), js.Cyclotomic.one(m)
+    zero, one = js.Cyclotomic.zero(m), js.Cyclotomic.root(m, 0)
     support = []
     for x in g.elements:
         v = transform[x]
@@ -332,16 +344,14 @@ def reference_fourier_support(table: js.JacobiTable):
     return tuple(support)
 
 
-def reference_support_map(table: js.JacobiTable, support, generators=None, strict=False):
-    """The support-map stage as exact Cyclotomic loops: each generator's
-    transform at each support point matched against the m roots of unity,
-    and under strict every character's transform at every support point."""
+def reference_support_map(table: js.JacobiTable, support, strict=False):
+    """The support-map stage as exact Cyclotomic loops: each standard
+    generator's transform at each support point matched against the m
+    roots of unity, and under strict every character's transform at every
+    support point."""
     g = table.group
     m = g.m
-    if generators is None:
-        generators = g.generators()
-    elif not g.generates(generators):
-        raise ValueError("the given elements do not generate the group")
+    generators = g.generators()
     roots = [js.Cyclotomic.root(m, e) for e in range(m)]
     smap = {}
     for x in support:
@@ -416,16 +426,13 @@ def reference_fourier_support_approx(at: js.ApproxTable, tol: float):
     return tuple(support)
 
 
-def reference_support_map_approx(at: js.ApproxTable, support, generators, tol: float):
-    """The complex support-map stage as a loop: each generator's transform
-    at each support point rounded to the nearest root of unity, which must
-    lie within tol, then matched against every dual element."""
+def reference_support_map_approx(at: js.ApproxTable, support, tol: float):
+    """The complex support-map stage as a loop: each standard generator's
+    transform at each support point rounded to the nearest root of unity,
+    which must lie within tol, then matched against every dual element."""
     g = at.group
     m = g.m
-    if generators is None:
-        generators = g.generators()
-    elif not g.generates(generators):
-        raise ValueError("the given elements do not generate the group")
+    generators = g.generators()
     smap = {}
     for x in support:
         exponents = []

@@ -140,7 +140,7 @@ def test_criterion_4_trivial_group():
     ok = ok and zero.case == "field" and zero.ok
     ok = ok and zero.addition.table == ((0, 1), (1, 0))
     ok = ok and zero.field_checks.characteristic == 2
-    one = reconstruct(JacobiTable(g, [[Cyclotomic.one(1)]]))
+    one = reconstruct(JacobiTable(g, [[Cyclotomic.root(1, 0)]]))
     ok = ok and one.case == "boolean" and one.ok and one.addition is None
     _report(4, "trivial group accepts exactly the 0/1 tables", ok)
     assert ok

@@ -22,7 +22,6 @@ from jacobisum import (
     build_field,
     compute_jacobi,
     delta,
-    jacobi_star,
     root_power,
     slice_function,
     table_from_support,
@@ -125,13 +124,17 @@ def test_entries_are_integral_after_scaling():
 
 
 def test_jacobi_star_values():
+    # the centered values J*(a, b) = J(a, b) - delta(a) - delta(b)
+    def jacobi_star(t, alpha, beta):
+        return t.value(alpha, beta) - delta(alpha) - delta(beta)
+
     t = table(3)
     m32 = Cyclotomic.from_rational(2, Fraction(-3, 2))
     assert jacobi_star(t, (0,), (0,)) == m32
     assert jacobi_star(t, (0,), (1,)) == m32
     assert jacobi_star(t, (1,), (1,)) == t.values[1][1]  # deltas vanish
     g1 = GroupSpec((1,))
-    t1 = JacobiTable(g1, [[Cyclotomic.one(1)]])
+    t1 = JacobiTable(g1, [[Cyclotomic.root(1, 0)]])
     assert jacobi_star(t1, (0,), (0,)) == Cyclotomic.from_rational(1, -1)
 
 
@@ -195,7 +198,7 @@ def test_twist_galois_examples():
     conjugated = twist_galois(t, 3)  # r = m - 1 conjugates every entry
     for a in range(4):
         for b in range(4):
-            assert conjugated.values[a][b] == t.values[a][b].conjugate()
+            assert conjugated.values[a][b] == t.values[a][b].galois(3)
 
 
 def test_twists_agree_on_classical_tables():
@@ -278,9 +281,9 @@ def test_table_from_support_matches_root_sums(data):
 def test_table_validation():
     g = GroupSpec((2,))
     with pytest.raises(ValueError):
-        JacobiTable(g, [[Cyclotomic.one(2)]])
+        JacobiTable(g, [[Cyclotomic.root(2, 0)]])
     with pytest.raises(ValueError):
-        JacobiTable(g, [[Cyclotomic.one(3)] * 2] * 2)
+        JacobiTable(g, [[Cyclotomic.root(3, 0)] * 2] * 2)
 
 
 def test_approximate_embedding():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,13 +26,13 @@ from jacobisum import (
     delta,
     enumerate_jacobi,
     fourier_support,
-    jacobi_star,
     recompute_table,
     reconstruct,
     recover_support_map,
     root_power,
     table_from_support,
     twist_automorphism,
+    twist_galois,
     verify_all,
     verify_field,
 )
@@ -40,6 +41,8 @@ from jacobisum.harness import field_addition_rows
 from jacobisum.jacobi import ApproxTable
 
 from helpers import (
+    LARGER_PRIME_POWERS,
+    PRIME_POWERS,
     field,
     moved_approx,
     random_table,
@@ -104,31 +107,12 @@ def test_roundtrip_matches_field_addition():
         assert report.addition.table == field_addition_rows(f)
 
 
-def test_recovery_independent_of_generator_choice():
-    t = table(5)
-    support = fourier_support(t)
-    default_map = recover_support_map(t, support)
-    case = classify_support(t.group, support, default_map)
-    base_addition = build_addition(t.group, case.involution, default_map)
-    for gens in (((3,),), ((2,), (3,))):
-        smap = recover_support_map(t, support, generators=gens)
-        assert smap == default_map
-        assert build_addition(t.group, case.involution, smap).table == (
-            base_addition.table
-        )
-    t9 = table(9)
-    support9 = fourier_support(t9)
-    assert recover_support_map(t9, support9, generators=((5,), (6,))) == (
-        recover_support_map(t9, support9)
-    )
-    with pytest.raises(ValueError):
-        recover_support_map(t9, support9, generators=((2,),))  # 2 generates only half
-
-
 def test_strict_mode_agrees():
     t = table(7)
     support = fourier_support(t)
     assert recover_support_map(t, support, strict=True) == recover_support_map(t, support)
+    with pytest.raises(TypeError):  # everything after the support is keyword-only
+        recover_support_map(t, support, None, True)
 
 
 def test_trivial_group_cases():
@@ -272,7 +256,8 @@ def test_star_values_nonzero_off_identity():
         g = t.group
         for alpha in g.elements:
             if alpha != g.identity:
-                assert not jacobi_star(t, g.identity, alpha).is_zero()
+                star = t.value(g.identity, alpha) - delta(g.identity) - delta(alpha)
+                assert any(star.num)
 
 
 def test_inverse_pair_values_in_field_case():
@@ -423,9 +408,9 @@ def _stage_tables():
 @pytest.mark.parametrize("scan_bytes", [None, 1])
 def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
     # the residue transforms give the Cyclotomic loops' support, map,
-    # failing stage, witness and detail, with and without strict mode and
-    # with the default or another generating set; also, on every third
-    # table, with one evaluation point per chunk of characters
+    # failing stage, witness and detail, with and without strict mode;
+    # also, on every third table, with one evaluation point per chunk of
+    # characters
     tables = _stage_tables()
     if scan_bytes is not None:
         monkeypatch.setattr(reconstructor, "_SCAN_BYTES", scan_bytes)
@@ -438,14 +423,11 @@ def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
             seen.add(got[2].split(" ")[-1])  # "... is not 0 or 1"
             continue
         support = got[1]
-        g = t.group
-        others = [x for x in g.elements if g.generates([x])]
-        for generators in [None] + ([(others[-1],)] if len(others) > 1 else []):
-            for strict in (False, True):
-                got = _stage_outcome(recover_support_map, t, support, generators, strict)
-                want = _stage_outcome(reference_support_map, t, support, generators, strict)
-                assert got == want, (t, generators, strict)
-                seen.add("map" if got[0] == "ok" else got[2].split(" ")[-1])
+        for strict in (False, True):
+            got = _stage_outcome(recover_support_map, t, support, strict=strict)
+            want = _stage_outcome(reference_support_map, t, support, strict)
+            assert got == want, (t, strict)
+            seen.add("map" if got[0] == "ok" else got[2].split(" ")[-1])
     # every outcome occurs: a map, a transform not 0 or 1, not a root of
     # unity, no single matching dual element, and a failed cross-check
     if scan_bytes is None:
@@ -479,56 +461,51 @@ def _slice_cells(at: ApproxTable, s: int):
 
 
 def _complex_stage_cases():
-    """(table, tolerance, generators) inputs that reach every outcome of
-    the complex support and support-map stages."""
+    """(table, tolerance) inputs that reach every outcome of the complex
+    support and support-map stages."""
     rng = random.Random(28)
     cases = []
     for q in (4, 8, 9, 16, 64):
         at = _noisy(table(q), rng)
         m = q - 1
-        cases.append((at, 1e-6, None))
+        cases.append((at, 1e-6))
         for s in (0, 1):  # the slices the two stages transform
             i = rng.randrange(m)
             j = _slice_cells(at, s)[i][1]
             for shift in (0.5, 1e-3, 0.3j):
                 moved = moved_approx(at, {(i, j), (j, i)}, lambda z: z + shift)
-                cases.append((moved, 1e-6, None))
+                cases.append((moved, 1e-6))
         for _ in range(2):
             i, j = rng.randrange(m), rng.randrange(m)
-            cases.append((moved_approx(at, {(i, j)}, lambda z: 0j), 1e-6, None))
+            cases.append((moved_approx(at, {(i, j)}, lambda z: 0j), 1e-6))
     # at q = 64 and tolerance 0.05 two neighbouring 63rd roots of unity lie
     # within tolerance of a transform half a step between them
     at = _noisy(table(64), rng)
     for turn in (0.3, 0.5, 0.7):
         rotate = cmath.exp(2j * cmath.pi * turn / 63)
         moved = moved_approx(at, _slice_cells(at, 1), lambda z: z * rotate)
-        cases.append((moved, 0.05, None))
-    cases.append((at, 0.05, None))
-    cases.append((moved_approx(at, _slice_cells(at, 1), lambda z: z * 1.07), 0.05, None))
-    cases.append((moved_approx(at, {(5, 58), (58, 5)}, lambda z: z + 0.04j), 0.05, None))
-    cases.append((moved_approx(at, {(3, 60)}, lambda z: 0j), 0.05, None))
-    # explicit generators; an odd exponent at (2,) or (3,) on Z/6 matches
-    # no dual element
+        cases.append((moved, 0.05))
+    cases.append((at, 0.05))
+    cases.append((moved_approx(at, _slice_cells(at, 1), lambda z: z * 1.07), 0.05))
+    cases.append((moved_approx(at, {(5, 58), (58, 5)}, lambda z: z + 0.04j), 0.05))
+    cases.append((moved_approx(at, {(3, 60)}, lambda z: 0j), 0.05))
+    # Z/6 with its slice at 2 rotated by zeta
     at = _noisy(table(7), rng)
-    for gens in (((5,),), ((2,), (3,))):
-        cases.append((at, 1e-6, gens))
-        zeta = cmath.exp(2j * cmath.pi / 6)
-        moved = moved_approx(at, _slice_cells(at, 2), lambda z: z * zeta)
-        cases.append((moved, 1e-6, gens))
+    zeta = cmath.exp(2j * cmath.pi / 6)
+    cases.append((at, 1e-6))
+    cases.append((moved_approx(at, _slice_cells(at, 2), lambda z: z * zeta), 1e-6))
     # an enumerated table on a multi-factor group; its slice at (1, 0),
     # rotated by zeta^2, reads an exponent that <(1, 0), y> never takes
     at = approximate(enumerate_jacobi(GroupSpec((2, 3))).tables[0])
     zeta2 = cmath.exp(2j * cmath.pi * 2 / 6)
-    for gens in (None, ((1, 1),)):
-        cases.append((at, 1e-6, gens))
-        moved = moved_approx(at, _slice_cells(at, 3), lambda z: z * zeta2)
-        cases.append((moved, 1e-6, gens))
+    cases.append((at, 1e-6))
+    cases.append((moved_approx(at, _slice_cells(at, 3), lambda z: z * zeta2), 1e-6))
     return cases
 
 
 def test_complex_stages_match_the_loop_references():
     outcomes = collections.Counter()
-    for n, (at, tol, gens) in enumerate(_complex_stage_cases()):
+    for n, (at, tol) in enumerate(_complex_stage_cases()):
         r = verifier._evaluate(at, tol)
         got = _stage_outcome(fourier_support, at, r)
         assert got == _stage_outcome(reference_fourier_support_approx, at, tol), n
@@ -536,8 +513,8 @@ def test_complex_stages_match_the_loop_references():
             outcomes["support"] += 1
             continue
         support = got[1]
-        got = _stage_outcome(recover_support_map, at, support, gens, residues=r)
-        assert got == _stage_outcome(reference_support_map_approx, at, support, gens, tol), n
+        got = _stage_outcome(recover_support_map, at, support, residues=r)
+        assert got == _stage_outcome(reference_support_map_approx, at, support, tol), n
         outcomes["mapped" if got[0] == "ok" else got[2].split()[-1]] += 1
     # support failures, transforms far from every root, non-unique matches
     # and complete maps all occur
@@ -545,9 +522,9 @@ def test_complex_stages_match_the_loop_references():
 
 
 def test_reconstruct_reuses_the_certificate(monkeypatch):
-    # one rebuilt table and one field check per call, and one evaluation
-    # unless strict mode or other generators read the map again off a
-    # second one; the report equals the one built from the stages
+    # one evaluation per call in every mode; a certified table, strict or
+    # forced, also takes one rebuilt table and one field check, and its
+    # report equals the one built from the stages
     calls = []
 
     def counted(name, fn):
@@ -556,26 +533,60 @@ def test_reconstruct_reuses_the_certificate(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    init = verifier._Residues.__init__
-    monkeypatch.setattr(verifier._Residues, "__init__", counted("residues", init))
+    for kind in (verifier._Residues, verifier._Complex):
+        monkeypatch.setattr(kind, "__init__", counted("evaluation", kind.__init__))
     for name in ("recompute_table", "verify_field", "build_addition"):
         monkeypatch.setattr(reconstructor, name, counted(name, getattr(reconstructor, name)))
     t = table(9)
     support = fourier_support(t)
     smap = recover_support_map(t, support)
     addition = build_addition(t.group, classify_support(t.group, support, smap).involution, smap)
-    for kwargs in ({}, {"strict": True}, {"generators": ((3,),)}):
+    for kwargs in ({}, {"strict": True}, {"force": True}, {"force": True, "strict": True}):
         calls.clear()
         report = reconstruct(t, **kwargs)
         assert report.verification.method == "certificate"
-        evaluations = ["residues"] * (1 if not kwargs else 2)
         assert sorted(calls) == [
-            "build_addition", "recompute_table", *evaluations, "verify_field"
+            "build_addition", "evaluation", "recompute_table", "verify_field"
         ], kwargs
         assert report.ok and report.roundtrip_ok and report.baseline_ok
         assert (report.support, report.support_map) == (support, smap)
         assert report.addition == addition
         assert report.field_checks == verify_field(addition)
+    third = Fraction(3, 7)
+    moved = t.with_entry(1, 2, t.entry(1, 2) + third).with_entry(2, 1, t.entry(2, 1) + third)
+    runs = (
+        (moved, {}), (moved, {"force": True}), (moved, {"force": True, "strict": True}),
+        (approximate(t), {}), (approximate(moved), {}), (approximate(moved), {"force": True}),
+    )
+    for u, kwargs in runs:
+        calls.clear()
+        reconstruct(u, **kwargs)
+        assert calls.count("evaluation") == 1, (u, kwargs)
+
+
+def _twisted_field_tables():
+    """Every field's table with q <= 64 and its automorphism and Galois
+    twists by each r in {1, 5, m - 1} coprime to m."""
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        t = table(q)
+        m = q - 1
+        yield t
+        for r in sorted({1, 5, m - 1}):
+            if math.gcd(r, m) == 1:
+                yield twist_automorphism(t, r)
+                yield twist_galois(t, r)
+
+
+def test_certificate_holds_what_strict_mode_reads():
+    # a certified table's support and map are those the stages read at
+    # every evaluation point, strict cross-check included, so reconstruct
+    # can take them from the certificate in every mode
+    for t in _twisted_field_tables():
+        cert = verify_all(t).certificate
+        assert cert is not None, t
+        support = fourier_support(t)
+        assert support == cert.support, t
+        assert recover_support_map(t, support, strict=True) == cert.support_map, t
 
 
 def test_reconstruct_refuses_strict_on_approximate_tables():

@@ -48,6 +48,7 @@ from helpers import (
     moved_tables,
     reference_cocycle_approx,
     reference_residues,
+    reference_symmetry_witness,
     reference_witness,
     random_table,
     symmetric_random_table,
@@ -86,7 +87,7 @@ def test_symmetry_on_the_arrays_matches_the_residue_scan(monkeypatch):
     tables = [t for _, t in extreme_tables(9)] + [t for _, t in moved_tables(16)]
     for factors in ((3,), (2, 2), (2, 4), (7,)):
         tables += [random_table(rng, factors), symmetric_random_table(rng, factors)]
-    scans = [verifier._symmetry_witness(_Residues(t)) for t in tables]
+    scans = [reference_symmetry_witness(_Residues(t)) for t in tables]
     assert None in scans and len(set(scans)) > 2
 
     def refuse(self, table):
@@ -198,7 +199,7 @@ def test_engine_fallback_on_huge_entries():
     for value in (Fraction(1 << 70, 3), (1 << 63) + 1):
         huge = Cyclotomic.from_rational(2, value)
         _assert_matches_reference(
-            JacobiTable(GroupSpec((2,)), [[huge, huge], [huge, Cyclotomic.one(2)]])
+            JacobiTable(GroupSpec((2,)), [[huge, huge], [huge, Cyclotomic.root(2, 0)]])
         )
         t = JacobiTable(GroupSpec((2,)), [[huge, huge], [huge, huge]])
         _assert_matches_reference(t)
@@ -211,7 +212,7 @@ def test_residue_primes_depend_on_entry_sizes_only():
     # not, yet both have size 2^63, and an integer entry is scaled by the
     # common denominator whichever cell the denominator's entry sits in
     g = GroupSpec((2,))
-    one = Cyclotomic.one(2)
+    one = Cyclotomic.root(2, 0)
     pairs = (
         (1 << 63, 1),
         (1 << 40, Fraction(1, 1 << 40)),
@@ -643,9 +644,9 @@ def test_approximate_agrees_with_exact_on_embedded_tables():
         assert exact.cocycle_star.passed == approx.cocycle_star.passed
 
 
-def _approx_convolution_reference(at: ApproxTable, tol: float):
-    """First quadruple in lexicographic order where the complex
-    convolution-sum identity misses the tolerance, with both sides."""
+def _approx_convolution_sides(at: ApproxTable):
+    """Every quadruple in lexicographic order with both sides of the
+    complex convolution-sum identity there."""
     g = at.group
     t = at.entries
     idx, add, neg = g.index, g.add, g.neg
@@ -655,10 +656,33 @@ def _approx_convolution_reference(at: ApproxTable, tol: float):
             t[idx(add(a1, b))][idx(add(a2, neg(b)))] * t[idx(add(a3, b))][idx(add(a4, neg(b)))]
             for b in g.elements
         )
-        rhs = t[idx(add(a1, a4))][idx(add(a2, a3))]
+        yield quad, lhs, t[idx(add(a1, a4))][idx(add(a2, a3))]
+
+
+def _approx_convolution_reference(at: ApproxTable, tol: float):
+    """First quadruple in lexicographic order where the complex
+    convolution-sum identity misses the tolerance, with both sides."""
+    for quad, lhs, rhs in _approx_convolution_sides(at):
         if not abs(lhs - rhs) <= tol:
             return quad, lhs, rhs
     return None
+
+
+def _assert_matches_quadruple_loop(at: ApproxTable, result, tol: float = 1e-6):
+    """The scan's verdict agrees with the quadruple loop up to rounding at
+    the tolerance itself: within eps of it either verdict is right, since
+    the scan and the loop sum in different orders.  A witness w must have
+    |D(w)| > tol - eps and every earlier quadruple |D| <= tol + eps; a
+    pass needs every |D| <= tol + eps.  The sides at a witness are
+    compared as they are."""
+    eps = 1e-12
+    for quad, lhs, rhs in _approx_convolution_sides(at):
+        if quad == result.witness:
+            assert abs(lhs - rhs) > tol - eps, quad
+            assert abs(result.lhs - lhs) < 1e-9 and abs(result.rhs - rhs) < 1e-9
+            return
+        assert abs(lhs - rhs) <= tol + eps, (quad, result.witness)
+    assert result.passed
 
 
 @settings(max_examples=40, deadline=None)
@@ -677,13 +701,18 @@ def test_approximate_convolution_matches_quadruple_loop(data):
     entries = [list(row) for row in at.entries]
     entries[i][j] += shift
     moved = ApproxTable(at.group, tuple(tuple(row) for row in entries))
+    _assert_matches_quadruple_loop(moved, verify_all(moved).convolution)
+
+
+def test_approximate_convolution_at_the_tolerance_itself():
+    # on q = 3 with cell (0, 0) moved by 1e-3, |D| at (0, 0, 0, 0) is
+    # delta^2 = 1e-6, the tolerance itself: the loop can read it just
+    # above and the scan just below, and then the scan's witness is
+    # (0, 0, 0, 1); either witness is right
+    moved = moved_approx(approximate(table(3)), {(0, 0)}, lambda z: z + 1e-3)
     result = verify_all(moved).convolution
-    expected = _approx_convolution_reference(moved, 1e-6)
-    assert result.passed == (expected is None)
-    if expected is not None:
-        witness, lhs, rhs = expected
-        assert result.witness == witness
-        assert abs(result.lhs - lhs) < 1e-9 and abs(result.rhs - rhs) < 1e-9
+    assert result.witness in (((0,),) * 4, ((0,), (0,), (0,), (1,)))
+    _assert_matches_quadruple_loop(moved, result)
 
 
 def _transform_differences(at: ApproxTable, s1: int):
