@@ -16,8 +16,9 @@ import argparse
 import json
 import math
 import sys
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, product
 from pathlib import Path
 
 import numpy as np
@@ -100,26 +101,32 @@ def field_from_json(doc: dict) -> FiniteField:
 
 
 def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
-    """Every entry's to_strings(), read off the arrays a row at a time,
-    formatting each distinct (numerator, denominator) pair of the
-    document once.  Each cell's list of numerators becomes its list of
-    strings in place."""
-    by_den: dict[int, dict[int, str]] = {}
-    rows = []
-    for nums, dens in zip(table.num, table.den):
-        cells = nums.tolist()
-        for cell, den in zip(cells, dens.tolist()):
-            names = by_den.setdefault(den, {})
-            cell[:] = [names.get(c) or names.setdefault(c, str(Fraction(c, den))) for c in cell]
-        rows.append(cells)
-    return rows
+    """Every entry's to_strings(): each distinct (denominator, numerator) is
+    formatted once and each row is one gather of the names by its keys, the
+    pair's (denominator rank, numerator - least numerator) when at most m^2
+    keys cover the span, else its number in a dict of the distinct pairs."""
+    num, den = table.num, table.den
+    dens, drank = np.unique(den, return_inverse=True)
+    width = 0 if num.dtype == object else int(num.max()) - int(num.min()) + 1
+    if 0 < len(dens) * width <= den.size:
+        lo, drank = num.min(), drank.reshape(den.shape + (1,)) * width
+        pairs = product(dens.tolist(), (lo + np.arange(width)).tolist())
+        keys = (drank[i] + (num[i] - lo) for i in range(len(num)))
+    else:
+        pairs, dd = defaultdict(count().__next__), np.broadcast_to(den[:, :, None], num.shape)
+        keys = [np.fromiter(map(pairs.__getitem__, zip(d.ravel().tolist(), n.ravel().tolist())),
+                            np.intp, n.size).reshape(n.shape) for n, d in zip(num, dd)]
+    names = np.array([str(Fraction(n, d)) for d, n in pairs], dtype=object)
+    return [names[k].tolist() for k in keys]
 
 
 def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
     """The arrays of a table document's cells, as Cyclotomic.from_strings
-    would read each, parsing each distinct coefficient string of the
-    document once and filling the arrays a row at a time.  A cell of
-    lowest-terms coefficients over their lcm has content 1."""
+    would read each, parsing each distinct coefficient string once and
+    filling the arrays a row at a time; a cell of lowest-terms coefficients
+    over their lcm has content 1.  They are int64 when the lcm L of all and
+    each |num| * L / den are below 2^63.  Most of the time is one pass over
+    the strings json.loads made (q = 64: about 14 of 18 ms on a 2-core Xeon)."""
     degree = euler_phi(m)
     if any(type(cell) is not list or len(cell) != degree for row in entries for cell in row):
         raise ValueError(f"each entry must be a list of {degree} coefficient strings")
@@ -130,21 +137,16 @@ def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("coefficients must be strings") from None
     code = {s: i for i, s in enumerate(distinct)}
     nums, dens = zip(*map(parse_coefficient, distinct))
-    # int64 holds every cell's lcm when it holds the document's
-    wide = max(map(abs, nums)) >> 63 or math.lcm(*dens) >> 63
+    lcm = math.lcm(*dens)
+    wide = lcm >> 63 or max(abs(n) * (lcm // d) for n, d in zip(nums, dens)) >> 63
     nums, dens = (np.array(x, dtype=object if wide else np.int64) for x in (nums, dens))
     num = np.empty((m, m, degree), dtype=nums.dtype)
     den = np.empty((m, m), dtype=nums.dtype)
     for i, row in enumerate(entries):
         idx = np.fromiter(map(code.__getitem__, chain.from_iterable(row)), np.intp, m * degree)
-        n, d = nums[idx].reshape(m, degree), dens[idx].reshape(m, degree)
+        d = dens[idx].reshape(m, degree)
         den[i] = np.lcm.reduce(d, axis=1)
-        k = den[i, :, None] // d
-        # a product n * k past int64 makes the whole table Python ints
-        if num.dtype != object and (np.abs(n) > np.iinfo(np.int64).max // k).any():
-            num, nums = num.astype(object), nums.astype(object)
-            n = n.astype(object)
-        num[i] = n * k
+        num[i] = nums[idx].reshape(m, degree) * (den[i, :, None] // d)
     return num, den
 
 
@@ -189,7 +191,8 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
 
 def _complex_cell(cell) -> complex:
     """A [re, im] cell of an approximate table: exactly two JSON numbers."""
-    if type(cell) is not list or len(cell) != 2 or any(type(x) not in (int, float) for x in cell):
+    if (type(cell) is not list or len(cell) != 2
+            or type(cell[0]) not in (int, float) or type(cell[1]) not in (int, float)):
         raise ValueError("each approximate entry must be a [re, im] pair of numbers")
     try:
         return complex(*cell)

@@ -174,7 +174,8 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
         counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
         num[a] = counts.astype(np.float64) @ powers
     content = np.gcd(np.gcd.reduce(num, axis=2), m)
-    num //= content[:, :, None]
+    if (content > 1).any():  # never for a field table with q <= 64
+        num //= content[:, :, None]
     return JacobiTable._from_arrays(group, num, m // content)
 
 

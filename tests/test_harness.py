@@ -128,6 +128,38 @@ def test_table_bytes_match_per_entry_encoding():
         assert dumps(doc) == dumps(reference)
 
 
+def _cells(m: int, coefficient) -> JacobiTable:
+    """The table on Z/m whose cell (i, j) has the coefficients
+    coefficient(i, j, k) for k < phi(m)."""
+    degree = euler_phi(m)
+    return JacobiTable(GroupSpec((m,)), [
+        [Cyclotomic.from_coefficients(m, [coefficient(i, j, k) for k in range(degree)])
+         for j in range(m)] for i in range(m)
+    ])
+
+
+def _encoder_tables():
+    rng = random.Random(13)
+    # numerators near +-2^40, a span far wider than the 49 cells: the dict path
+    wide = _cells(7, lambda i, j, k: rng.choice([-1, 1]) * (2**40 + rng.randrange(20)))
+    # 20 distinct denominators over the numerators -1, 0, 1: the key table
+    dens = _cells(21, lambda i, j, k: Fraction(k % 3 - 1, 1009 + (i + j) % 20))
+    # every numerator 2^63 - 1: a span of one at the top of int64
+    top = _cells(2, lambda i, j, k: 2**63 - 1)
+    # numerators past int64 over 49 distinct denominators: the dict path
+    huge = _cells(7, lambda i, j, k: Fraction(rng.randrange(-(2**70), 2**70), 1009 + 7 * i + j))
+    return {"field": table(64), "wide-span": wide, "many-denominators": dens,
+            "int64-top": top, "python-ints": huge}
+
+
+@pytest.mark.filterwarnings("error")  # no int64 overflow, even a harmless one
+@pytest.mark.parametrize("name", ["field", "wide-span", "many-denominators", "int64-top", "python-ints"])
+def test_encoder_key_paths_match_per_entry_strings(name):
+    t = _encoder_tables()[name]
+    assert (t.num.dtype == object) == (name == "python-ints")
+    assert table_to_json(t)["entries"] == per_entry_strings(t)
+
+
 # sha256 of the table document and of the reconstruction report
 PINNED = {
     49: ("79d9f6750a8ce3d9eaccc79c453dfc6a7859d4a0e21e8b3959c7bc6e990a9205",
@@ -318,6 +350,32 @@ def test_cli_rejects_malformed_approximate_cells(tmp_path, capsys, cell):
     assert _run("verify", "--table", tpath) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
+
+
+def test_approximate_decode_matches_complex_bit_for_bit():
+    parts = [-0.0, 2**53 + 1, 2**63, -(2**64) - 3, 1.7e308, -1.7e308, 0, 0.1, -(2**53) - 1]
+    cells = [[parts[k % len(parts)], parts[(k * 5 + 1) % len(parts)]] for k in range(9)]
+    doc = {"schema": "jacobi-table-approx/1", "factors": [3], "conductor": 3,
+           "entries": [cells[3 * i:3 * i + 3] for i in range(3)]}
+    loaded = table_from_json(doc)
+    for i in range(3):
+        for j in range(3):
+            got, want = loaded.entry(i, j), complex(*cells[3 * i + j])
+            assert type(got) is complex
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("huge", [(0, 1), (1, 0)])
+def test_cli_names_the_first_faulty_approximate_cell(tmp_path, capsys, huge):
+    # an integer past float range comes before booleans at (1, 2), in an
+    # earlier row or earlier in the same row
+    doc = approx_table_to_json(approximate(table(4)))
+    doc["entries"][huge[0]][huge[1]] = [10**400, 0.0]
+    doc["entries"][1][2] = [True, False]
+    tpath = tmp_path / "bad.json"
+    write_json(tpath, doc)
+    assert _run("verify", "--table", tpath) == 2
+    assert capsys.readouterr().err == "error: approximate entries must be within float range\n"
 
 
 def test_cli_rejects_entries_beyond_the_prime_cap(tmp_path, capsys):
