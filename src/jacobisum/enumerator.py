@@ -12,6 +12,7 @@ isomorphisms onto its multiplicative group, and pulls back addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .abelian import Element, GroupSpec
 from .ffield import build_field, prime_power
@@ -134,15 +135,8 @@ def oracle_addition_tables(group: GroupSpec) -> tuple[AdditionRows, ...]:
     # exponent lattice: u_j = g**t_j needs order dividing n_j, so t_j is a
     # multiple of m / n_j
     choices = [[s * (m // n) % m for s in range(n)] for n in group.factors]
-
-    def maps():
-        stack = [[]]
-        for opts in choices:
-            stack = [prefix + [t] for prefix in stack for t in opts]
-        return stack
-
     tables = set()
-    for ts in maps():
+    for ts in product(*choices):
         exps = [sum(x_j * t_j for x_j, t_j in zip(x, ts)) % m for x in els]
         if len(set(exps)) != m:
             continue  # not injective, not an isomorphism

@@ -89,12 +89,10 @@ def field_to_json(field: FiniteField) -> dict:
 def field_from_json(doc: dict) -> FiniteField:
     if doc.get("schema") != FIELD_SCHEMA:
         raise ValueError(f"not a field file (schema {doc.get('schema')!r})")
-    return FiniteField(
-        int(doc["p"]),
-        int(doc["n"]),
-        tuple(int(c) for c in doc["modulus"]),
-        tuple(int(c) for c in doc["generator"]),
-    )
+    p, n, modulus, generator = doc["p"], doc["n"], doc["modulus"], doc["generator"]
+    if any(type(x) is not int for x in (p, n, *modulus, *generator)):
+        raise ValueError("p, n, modulus and generator must be JSON integers")
+    return FiniteField(p, n, tuple(modulus), tuple(generator))
 
 
 # -- table files --------------------------------------------------------------
@@ -174,8 +172,11 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
     schema = doc.get("schema")
     if schema not in (TABLE_SCHEMA, APPROX_TABLE_SCHEMA):
         raise ValueError(f"not a table file (schema {schema!r})")
-    group = GroupSpec(tuple(int(n) for n in doc["factors"]))
-    if int(doc["conductor"]) != group.m:
+    factors, conductor = doc["factors"], doc["conductor"]
+    if any(type(x) is not int for x in (conductor, *factors)):
+        raise ValueError("factors and conductor must be JSON integers")
+    group = GroupSpec(tuple(factors))
+    if conductor != group.m:
         raise ValueError("conductor does not match the factor list")
     m = group.m
     # checked before the entries are read; it bounds the complex checks

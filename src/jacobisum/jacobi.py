@@ -95,10 +95,14 @@ class JacobiTable:
         return self.entry(g.index(alpha), g.index(beta))
 
     def with_entry(self, i: int, j: int, value: Cyclotomic) -> "JacobiTable":
-        """Copy of the table with one entry replaced (used to build violations)."""
-        rows = [list(row) for row in self.values]
-        rows[i][j] = value
-        return JacobiTable(self.group, rows)
+        """Copy of the table with one entry replaced (used to build violations),
+        in copies of its arrays, over Python ints when the value needs them."""
+        if value.m != self.group.m:
+            raise ValueError(f"entry conductor {value.m} differs from group order {self.group.m}")
+        wide = max(value.den, *map(abs, value.num)) >> 63
+        num, den = (a.astype(object) if wide else a.copy() for a in (self.num, self.den))
+        num[i, j], den[i, j] = value.num, value.den
+        return JacobiTable._from_arrays(self.group, num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JacobiTable):

@@ -29,25 +29,18 @@ half to even to the nearest m-th of a turn.  A failure quotes the value
 the scalar transform computes, in the table's own arithmetic, at the
 failing point only.
 
-The same stages, run at the first evaluation point only, give the
-candidate that certifies an exact table: once the carrier rebuilt from
-it passes every field axiom and its table equals the input exactly, the
-input is a field's Jacobi-sum table with its characters relabelled by a
-group isomorphism, so it satisfies all three axioms (the forward
-direction, Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2).
-The verifier accepts such a table without scanning, and reconstruct
-reuses the certificate in every mode instead of running the stages
-again.  Strict mode needs nothing more: a certified table is the support
-sum over the pairs (i(s), i(s) - s), so the transform of its slice at
-alpha is [x in S] zeta^<alpha, i(x)> at every x, which is all that
-strict mode reads.  Each reconstruct evaluates the table once, and the
-verifier and the stages read that one evaluation.
+The same stages, run at the first evaluation point only, certify an
+exact table, and their report is the certificate (see certify).  The
+verifier accepts a certified table without scanning, and reconstruct
+reports a copy of the certificate in every mode, strict included,
+instead of running the stages again.  Each reconstruct evaluates the
+table once, and the verifier and the stages read that one evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -472,71 +465,90 @@ def recompute_table(at: AdditionTable) -> JacobiTable:
     return table_from_pairs(at.group, xs, ys)
 
 
-def _agrees_at_first_point(r: _Residues, us, vs) -> bool:
-    """Whether the table built from the index pairs (u_k, v_k) matches the
-    evaluated input at the first evaluation point, where
-    m J'(alpha, beta) = sum over k of r^<alpha, u_k> r^<beta, v_k>: one
-    product of two small matrices mod p.  A mismatch proves the tables
-    differ; a match proves nothing."""
-    p, powers = int(r.moduli[0]), r.root_powers[:, 0]
-    rebuilt = powers[r.pairing[:, us]] @ powers[r.pairing[:, vs]].T % p * r.scale[0] % p
-    return np.array_equal(rebuilt, r.m * r.values[:, :, 0].astype(np.int64) % p)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Proof that an exact table passes every axiom check: the carrier its
-    support and map rebuild is a field, and that field's table equals the
-    table exactly.  Holds the stage results reconstruct reuses."""
-
-    support: tuple[Element, ...]
-    support_map: dict[Element, Element]
-    case: FieldCase
-    addition: AdditionTable
-    field_checks: FieldChecks
-
-
-def certify(table: JacobiTable, residues: _Residues) -> Certificate | str:
-    """Rebuild the field behind an exact table and return the certificate,
-    or, as soon as a step fails, the name of that step.
-
-    Two free tests come first.  A field's table has its common
-    denominator L dividing m ("denominator"), and each of its rows sums to
-    0 ("row sums", tested at the first evaluation point): the sum over
-    beta of J(alpha, beta) collects the pairs x (+) y = 1 with y = 1,
-    and only x = 0 has that.  The support and map are read at the first
-    evaluation point only ("support", "support-map"): the exact
-    comparison, not the stages, is the proof.  The table is compared at
-    that point with the support sum of the candidate ("first point"),
-    which is the rebuilt field's table when there is one; then the
-    candidate is classified ("classify"), the field built, its table
-    compared exactly ("exact compare") and its axioms checked ("field").
-    A certified table's transforms are exactly those of the field, so its
-    support and map are the ones the stages read at every point."""
+def _rebuild(
+    table: JacobiTable | ApproxTable,
+    r: _Evaluation,
+    *,
+    strict: bool = False,
+    points: slice = _ALL_POINTS,
+) -> ReconstructionReport:
+    """Run every stage on the evaluation r, read at the given points, into
+    a report: support, map and classification up to the first
+    inconsistency, then the carrier's addition, field checks and table (the
+    support sum in the boolean case), the round trip and the baseline."""
+    approx = isinstance(table, ApproxTable)
     g = table.group
-    if g.m % residues.denominator:
+    report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
+    try:
+        support = fourier_support(table, r, points=points)
+        smap = recover_support_map(table, support, strict=strict, residues=r, points=points)
+        report.support = support
+        report.support_map = smap
+        report.image = tuple(sorted(set(smap.values())))
+        case = classify_support(g, support, smap)
+    except InconsistentTableError as err:
+        report.inconsistency = {
+            "stage": err.stage,
+            "witness": err.witness,
+            "detail": err.detail,
+        }
+        return report
+
+    if isinstance(case, BooleanCase):
+        report.case = "boolean"
+        rebuilt = table_from_support(g, support, smap)
+    else:
+        report.case = "field"
+        report.involution = case.involution
+        report.addition = build_addition(g, case.involution, smap)
+        report.field_checks = verify_field(report.addition)
+        rebuilt = recompute_table(report.addition)
+    report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
+    # J(1, alpha) = baseline + delta(alpha) for every alpha
+    if approx:
+        got = np.array(table.entries)
+        report.roundtrip_ok = not r.differs(got - approximate(rebuilt).entries).any()
+        expected = [(report.baseline + delta(alpha)).to_complex() for alpha in g.elements]
+        report.baseline_ok = not r.differs(got[0] - expected).any()
+    else:
+        report.roundtrip_ok = table == rebuilt
+        # past J(1, 1) = baseline + 1, the row holds the baseline's arrays
+        b = report.baseline
+        report.baseline_ok = bool(
+            (table.num[0, 1:] == b.num).all() and (table.den[0, 1:] == b.den).all()
+        )
+    return report
+
+
+def certify(table: JacobiTable, residues: _Residues) -> ReconstructionReport | str:
+    """Rebuild the field behind an exact table and return the report that
+    proves it is that field's table, or the name of the step that failed.
+
+    Two free tests come first.  A field's table has its common denominator
+    L dividing m ("denominator"), and each of its rows sums to 0 ("row
+    sums", tested at the first evaluation point): the sum over beta of
+    J(alpha, beta) collects the pairs x (+) y = 1 with y = 1, and only
+    x = 0 has that.  Then the stages run with the support and map read at
+    the first evaluation point only; they stop at an inconsistency's
+    stage, or at "classify" in the boolean case.  When the carrier passes
+    every field axiom ("field") and its table equals the input exactly
+    ("exact compare"), the input is a field's Jacobi-sum table with its
+    characters relabelled by a group isomorphism, so it satisfies all
+    three axioms (the forward direction, Berndt, Evans and Williams, Gauss
+    and Jacobi Sums, ch. 2): the exact comparison, not the stages, is the
+    proof."""
+    if table.group.m % residues.denominator:
         return "denominator"
     if (residues.values[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
         return "row sums"
-    try:
-        support = fourier_support(table, residues, points=_FIRST_POINT)
-        smap = recover_support_map(table, support, residues=residues, points=_FIRST_POINT)
-        us = [g.index(smap[x]) for x in support]
-        vs = residues.addneg[us, [g.index(x) for x in support]]
-        if not _agrees_at_first_point(residues, us, vs):
-            return "first point"
-        case = classify_support(g, support, smap)
-    except InconsistentTableError as err:
-        return err.stage
-    if not isinstance(case, FieldCase):
+    report = _rebuild(table, residues, points=_FIRST_POINT)
+    if report.inconsistency is not None:
+        return report.inconsistency["stage"]
+    if report.case != "field":
         return "classify"
-    addition = build_addition(g, case.involution, smap)
-    if recompute_table(addition) != table:
-        return "exact compare"
-    checks = verify_field(addition)
-    if not checks.passed:
-        return "field"
-    return Certificate(support, smap, case, addition, checks)
+    if not report.ok:
+        return "field" if report.roundtrip_ok else "exact compare"
+    return report
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -552,72 +564,34 @@ def reconstruct(
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
     forced.  The table is evaluated once: the verifier and every stage
-    read that evaluation.  A table the verifier certified reuses the
-    certificate's stage results in every mode, strict included: it equals
-    its field's table, whose slice transforms are exactly the ones strict
-    mode cross-checks.  Complex-valued tables take the same stages,
-    decided within the tolerance; strict mode cross-checks exact
-    transforms and is refused for them."""
+    read that evaluation.  A certified table is reported by a copy of the
+    certificate in every mode: it is the support sum over the pairs
+    (i(s), i(s) - s), so the transform of its slice at alpha is
+    [x in S] zeta^<alpha, i(x)> at every x, and the stages, strict
+    cross-check included, read at every point what the certificate read
+    at the first.  Complex-valued tables take the same stages, decided
+    within the tolerance; strict mode cross-checks exact transforms and
+    is refused for them."""
     approx = isinstance(table, ApproxTable)
     if approx and strict:
         raise ValueError("strict mode needs an exact table, not an approximate one")
-    g = table.group
-    report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
-
     r = _evaluate(table, tolerance)
     verification = verify_all(table, tolerance=tolerance, residues=r)
-    report.verification = verification
     if not verification.passed and not force:
         failed = next(c for c in verification.checks if not c.passed)
-        report.inconsistency = {
-            "stage": "verification",
-            "check": failed.check,
-            "witness": failed.witness,
-        }
-        return report
-
-    cert = verification.certificate
-    try:
-        if cert is None:
-            support = fourier_support(table, r)
-            smap = recover_support_map(table, support, strict=strict, residues=r)
-        else:
-            support, smap = cert.support, cert.support_map
-        report.support = support
-        report.support_map = smap
-        report.image = tuple(sorted(set(smap.values())))
-        case = classify_support(g, support, smap) if cert is None else cert.case
-    except InconsistentTableError as err:
-        report.inconsistency = {
-            "stage": err.stage,
-            "witness": err.witness,
-            "detail": err.detail,
-        }
-        return report
-
-    if isinstance(case, BooleanCase):
-        report.case = "boolean"
-        rebuilt = table_from_support(g, support, smap)
+        report = ReconstructionReport(
+            group=table.group,
+            case="inconsistent",
+            inconsistency={
+                "stage": "verification",
+                "check": failed.check,
+                "witness": failed.witness,
+            },
+            approximate=approx,
+        )
+    elif verification.certificate is not None:
+        report = replace(verification.certificate)
     else:
-        report.case = "field"
-        report.involution = case.involution
-        if cert is None:
-            report.addition = build_addition(g, case.involution, smap)
-            report.field_checks = verify_field(report.addition)
-            rebuilt = recompute_table(report.addition)
-        else:
-            report.addition, report.field_checks = cert.addition, cert.field_checks
-            rebuilt = table  # the certificate found the field's table equal to this one
-    report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
-    # J(1, alpha) = baseline + delta(alpha) for every alpha
-    expected = [report.baseline + delta(alpha) for alpha in g.elements]
-    if approx:
-        got = np.array(table.entries)
-        near = np.abs(got - approximate(rebuilt).entries) <= tolerance
-        report.roundtrip_ok = bool(near.all())
-        near = np.abs(got[0] - [v.to_complex() for v in expected]) <= tolerance
-        report.baseline_ok = bool(near.all())
-    else:
-        report.roundtrip_ok = table == rebuilt
-        report.baseline_ok = all(table.entry(0, j) == v for j, v in enumerate(expected))
+        report = _rebuild(table, r, strict=strict)
+    report.verification = verification
     return report

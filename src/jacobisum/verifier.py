@@ -70,20 +70,22 @@ Accepting an exact table is a certificate, not a scan.  A symmetric
 table on a group of order at least 2 is handed, with its evaluation, to
 reconstructor.certify.  Unless its common denominator fails to divide
 m or a row fails to sum to 0, either of which rules out every field's
-table at no cost, certify reads a candidate support and map off the
-same residues at their first point, rebuilds the field they define, and
-compares that field's table with the input exactly.  If the carrier
-passes every field axiom and the tables are equal, the input is a
-finite field's Jacobi-sum table with its characters relabelled by a
+table at no cost, certify runs the reconstruction stages on the support
+and map read off the same residues at their first point, and compares
+the table of the field they rebuild with the input exactly.  If the
+carrier passes every field axiom and the tables are equal, the input is
+a finite field's Jacobi-sum table with its characters relabelled by a
 group isomorphism, which satisfies all three axioms (Berndt, Evans and
 Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
-no witness.  If any step fails, the scans run exactly as they would
-without it, and only they produce witnesses.  Accepting thus costs one
-table build and an O(q^3) field check; rejecting costs, over E
-evaluation points, the O(m^3 E) cocycle scans up to their first witness,
-and the convolution scan's O(m^3) per point until its candidate is
-found, O(K m) per point for the K pairs before the candidate after it.
-Complex tables are always scanned.
+no witness, and the stages' report is kept as the certificate.
+If any step fails, the scans run exactly as they would without it, and
+only they produce witnesses.  Accepting thus costs one table build and
+an O(q^3) field check, as does a candidate that rebuilds a field before
+it fails; rejecting costs, over E evaluation points, the O(m^3 E)
+cocycle scans up to their first witness, and the convolution scan's
+O(m^3) per point until its candidate is found, O(K m) per point for the
+K pairs before the candidate after it.  Complex tables are always
+scanned.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ from .ffield import is_prime
 from .jacobi import ApproxTable, JacobiTable
 
 if TYPE_CHECKING:
-    from .reconstructor import Certificate
+    from .reconstructor import ReconstructionReport
 
 DEFAULT_TOLERANCE = 1e-6
 _Table = JacobiTable | ApproxTable
@@ -141,8 +143,8 @@ class VerificationReport:
     convolution: CheckResult
     approximate: bool = False
     tolerance: float | None = None
-    # the proof behind a certified pass; not part of a report's verdicts
-    certificate: Certificate | None = field(default=None, compare=False, repr=False)
+    # the reconstruction that proves a certified pass; not part of the verdicts
+    certificate: ReconstructionReport | None = field(default=None, compare=False, repr=False)
 
     @property
     def convolution_mode(self) -> str:
@@ -670,10 +672,10 @@ def verify_all(
     r = residues or _evaluate(table, tolerance)
     sym = check_symmetry(table, r)
     if not approx and sym.passed and table.group.m >= 2:
-        from .reconstructor import Certificate, certify  # reconstructor imports this module
+        from .reconstructor import certify  # reconstructor imports this module
 
         certificate = certify(table, r)
-        if isinstance(certificate, Certificate):
+        if not isinstance(certificate, str):
             return VerificationReport(
                 symmetry=sym,
                 cocycle_star=CheckResult("cocycle-star", True),

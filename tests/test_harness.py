@@ -306,6 +306,29 @@ def test_cli_rejects_malformed_coefficients(tmp_path, capsys, cell, coefficient)
     assert _run("reconstruct", "--table", tpath, "--out", tmp_path / "r.json") == 2
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    pytest.param("table", "factors", [7.9], id="factor-float"),
+    pytest.param("table", "conductor", 7.5, id="conductor-float"),
+    pytest.param("table", "conductor", "7", id="conductor-string"),
+    pytest.param("field", "p", 2.9, id="p-float"),
+    pytest.param("field", "n", "3", id="n-string"),
+    pytest.param("field", "modulus", [1.5, 1, 0, 1], id="modulus-float"),
+    pytest.param("field", "generator", [0, True, 0], id="generator-boolean"),
+])
+def test_cli_refuses_header_numbers_that_are_not_integers(tmp_path, capsys, kind, key, value):
+    # each value, truncated, parsed or read as 1, is the one the q = 8
+    # document holds, and was accepted so
+    path = tmp_path / "doc.json"
+    doc = table_to_json(table(8)) if kind == "table" else field_to_json(field(8))
+    doc[key] = value
+    write_json(path, doc)
+    if kind == "table":
+        assert _run("verify", "--table", path) == 2
+    else:
+        assert _run("jacobi", "--field", path, "--out", tmp_path / "t.json") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_non_finite_approximate_tables(tmp_path):
     doc = approx_table_to_json(approximate(table(4)))
     doc["entries"][1][2] = [float("nan"), 0.0]

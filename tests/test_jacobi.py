@@ -354,6 +354,33 @@ def test_table_equality_across_dtypes():
     assert big != t and back == t and hash(back) == hash(t)
 
 
+def _grid_with_entry(t: JacobiTable, i: int, j: int, value: Cyclotomic) -> JacobiTable:
+    rows = [list(row) for row in t.values]
+    rows[i][j] = value
+    return JacobiTable(t.group, rows)
+
+
+def test_with_entry_equals_the_grid_built_table():
+    # with_entry edits copies of the arrays; the table built from the whole
+    # Cyclotomic grid is the reference, dtypes included
+    t = table(9)
+    big = _grid_with_entry(t, 1, 2, t.entry(1, 2) + Fraction(2**70, 3))
+    cases = (
+        (t, 2, 1, t.entry(2, 1) + Fraction(3, 7)),  # an int64 table stays int64
+        (t, 1, 2, t.entry(1, 2) + 2**63),  # a new value past 2^63
+        (t, 0, 0, Cyclotomic.from_rational(8, -(2**63))),  # -2^63 does not fit
+        (big, 2, 1, t.entry(2, 1) + 1),  # a table already of Python ints
+        (big, 1, 2, t.entry(1, 2)),  # ... whose only big value is replaced
+    )
+    for u, i, j, value in cases:
+        got, want = u.with_entry(i, j, value), _grid_with_entry(u, i, j, value)
+        assert (got.num.dtype, got.den.dtype) == (want.num.dtype, want.den.dtype), value
+        assert np.array_equal(got.num, want.num) and np.array_equal(got.den, want.den), value
+    assert u.num.dtype == object and got.num.dtype == np.int64
+    with pytest.raises(ValueError):
+        t.with_entry(0, 0, Cyclotomic.root(3, 0))
+
+
 @pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
 def test_approximate_matches_to_complex_bit_for_bit(q):
     tables = extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]

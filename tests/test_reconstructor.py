@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -580,13 +581,18 @@ def _twisted_field_tables():
 def test_certificate_holds_what_strict_mode_reads():
     # a certified table's support and map are those the stages read at
     # every evaluation point, strict cross-check included, so reconstruct
-    # can take them from the certificate in every mode
+    # can take them from the certificate in every mode: the certificate is
+    # the report the stages give on the full evaluation, strict included
     for t in _twisted_field_tables():
         cert = verify_all(t).certificate
         assert cert is not None, t
         support = fourier_support(t)
         assert support == cert.support, t
         assert recover_support_map(t, support, strict=True) == cert.support_map, t
+        full = reconstructor._rebuild(t, verifier._Residues(t), strict=True)
+        for f in dataclasses.fields(full):
+            if f.name != "verification":
+                assert getattr(cert, f.name) == getattr(full, f.name), (t, f.name)
 
 
 def test_reconstruct_refuses_strict_on_approximate_tables():

@@ -559,10 +559,11 @@ def _first_prime(q: int) -> int:
     # the generator's slice J(1 - b, b) moved: no longer a root of unity
     pytest.param("support-map", lambda: _square(table(9), 2, 7, Fraction(3, 8)),
                  ((1, 1, 2), (1, 1, 2), (0, 0, 0, 4)), id="support-map"),
-    # the benchmark's reject cell and a late one, outside slices 0 and 1
-    pytest.param("first point", lambda: _square(table(64), 1, 2, Fraction(3, 7)),
+    # the benchmark's reject cell and a late one, outside slices 0 and 1:
+    # the stages rebuild the field, whose table differs from the input
+    pytest.param("exact compare", lambda: _square(table(64), 1, 2, Fraction(3, 7)),
                  ((1, 1, 2), (1, 1, 2), (0, 0, 0, 2)), id="first-point"),
-    pytest.param("first point", lambda: _square(table(64), 62, 61, Fraction(3, 7)),
+    pytest.param("exact compare", lambda: _square(table(64), 62, 61, Fraction(3, 7)),
                  ((1, 60, 61), (1, 60, 61), (0, 0, 0, 59)), id="first-point-late"),
     # the zero table on the group of order 2 is the support sum of the
     # empty support; it satisfies the convolution sum
