@@ -137,9 +137,14 @@ class ApproxTable:
 
 
 def approximate(table: JacobiTable) -> ApproxTable:
-    """Embed every entry into the complex numbers, with the floats that
-    Cyclotomic.to_complex gives: the real and imaginary parts summed in
-    the order of the power basis, then each divided by the denominator."""
+    """Embed every entry into the complex numbers, as _embedding does."""
+    return ApproxTable(table.group, tuple(map(tuple, _embedding(table).tolist())))
+
+
+def _embedding(table: JacobiTable) -> np.ndarray:
+    """Every entry as a complex number, in an m x m array, with the floats
+    that Cyclotomic.to_complex gives: the real and imaginary parts summed
+    in the order of the power basis, then each divided by the denominator."""
     m = table.group.m
     re, im = np.zeros(table.den.shape), np.zeros(table.den.shape)
     for i in range(table.num.shape[2]):
@@ -149,7 +154,7 @@ def approximate(table: JacobiTable) -> ApproxTable:
         im += c * root.imag
     z = np.empty(table.den.shape, dtype=complex)
     z.real, z.imag = re / table.den.astype(float), im / table.den.astype(float)
-    return ApproxTable(table.group, tuple(map(tuple, z.tolist())))
+    return z
 
 
 def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:

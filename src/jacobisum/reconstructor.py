@@ -30,26 +30,30 @@ the scalar transform computes, in the table's own arithmetic, at the
 failing point only.
 
 The same stages, run at the first evaluation point only, certify an
-exact table, and their report is the certificate (see certify).  The
+exact table, and their report is the certificate (see certify).  At a
+complex table's one point they certify it when the rebuilt field's
+table bounds every scan's difference within the tolerance.  The
 verifier accepts a certified table without scanning, and reconstruct
 reports a copy of the certificate in every mode, strict included,
-instead of running the stages again.  Each reconstruct evaluates the
-table once, and the verifier and the stages read that one evaluation.
+instead of running the stages again; it reports a complex table's
+stages from the run certify made even when the bound fails.  Each
+reconstruct evaluates the table once, and the verifier and the stages
+read that one evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, delta, index_tables, pairing, pairing_matrix
+from .abelian import Element, GroupSpec, index_tables, pairing, pairing_matrix
 from .cyclotomic import Cyclotomic
 from .ffield import prime_power
 from .jacobi import (
-    ApproxTable, JacobiTable, approximate, slice_function, table_from_pairs, table_from_support,
+    ApproxTable, JacobiTable, _embedding, slice_function, table_from_pairs, table_from_support,
 )
 from .verifier import (
     DEFAULT_TOLERANCE,
@@ -57,7 +61,6 @@ from .verifier import (
     VerificationReport,
     _evaluate,
     _Evaluation,
-    _Residues,
     _SCAN_BYTES,
     verify_all,
 )
@@ -162,6 +165,9 @@ class ReconstructionReport:
     roundtrip_ok: bool | None = None
     inconsistency: dict | None = None
     approximate: bool = False
+    # a complex table's bound on every difference its scans compute, proved
+    # from the rebuilt table (see _scan_bound); not part of the verdicts
+    scan_bound: float | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -465,6 +471,53 @@ def recompute_table(at: AdditionTable) -> JacobiTable:
     return table_from_pairs(at.group, xs, ys)
 
 
+_UNIT = 2.0**-53  # float64 unit roundoff
+
+
+def _scan_bound(values: np.ndarray, embedded: np.ndarray, rebuilt: JacobiTable) -> float:
+    """A bound on every difference the cocycle and convolution scans
+    compute on the complex table `values`, proved from the exact table
+    J_F of the rebuilt field, which satisfies every identity exactly.
+
+    The embedding A of J_F (_embedding) is within delta of it: each float
+    root of unity is within 32 u of the true one (u the unit roundoff),
+    and each entry sums phi(m) products of its coefficients with them, so
+    |A - J_F| <= 2 (phi(m) + 40) u sum |c| / den.  Then eps' = max |J - A|,
+    widened by its own rounding, plus delta bounds |J - J_F|, and
+    M = max |A| + delta bounds |J_F|.  Each side of every identity sums
+    at most max(m, 2) products of two entries plus linear delta terms, and
+    a product of two entries within eps' of values of size at most M moves
+    by at most 2 M eps' + eps'^2.  So a convolution difference is at most
+    m (2 M eps' + eps'^2) + eps', and a cocycle difference, on centered
+    entries of size at most M + 2, at most 2 (2 (M + 2) eps' + eps'^2)
+    + 2 eps'.
+
+    To each is added the forward error rho of the scans' float64
+    arithmetic on entries of size at most X = M + eps'.  The cocycle scans
+    center entries and take two complex products and three sums per
+    triple: rho <= 32 u (X + 2)^2.  The convolution scan decides every row
+    it flags on the inverse transform e[s2, y], the difference at
+    (s1, s2, y - s1), and passes every row it does not flag, so a bound on
+    every computed e proves it passes.  The transforms, of size at most
+    T = m X, are m-term sums of products with roots of unity within 32 u,
+    and e is one forward transform, one product, one difference and one
+    inverse transform from the entries: to first order rho <= (T^2 + T)
+    (3 m + 160) u, doubled for the higher orders.  A last factor
+    1 + 64 u covers the rounding of this formula and of |x| in the scans'
+    test |x| <= tolerance."""
+    m, phi = rebuilt.num.shape[1:]
+    u = _UNIT
+    spread = (np.abs(rebuilt.num).sum(axis=2) / rebuilt.den).max()
+    delta = 2 * (phi + 40) * u * spread
+    eps = np.abs(values - embedded).max() * (1 + 3 * u) + delta
+    big = np.abs(embedded).max() + delta
+    x = big + eps
+    t = m * x
+    convolution = m * (2 * big * eps + eps**2) + eps + 2 * (t * t + t) * (3 * m + 160) * u
+    cocycle = 2 * (2 * (big + 2) * eps + eps**2) + 2 * eps + 32 * (x + 2) ** 2 * u
+    return float(max(convolution, cocycle) * (1 + 64 * u))
+
+
 def _rebuild(
     table: JacobiTable | ApproxTable,
     r: _Evaluation,
@@ -475,7 +528,8 @@ def _rebuild(
     """Run every stage on the evaluation r, read at the given points, into
     a report: support, map and classification up to the first
     inconsistency, then the carrier's addition, field checks and table (the
-    support sum in the boolean case), the round trip and the baseline."""
+    support sum in the boolean case), the round trip and the baseline, and
+    for a complex table the bound on its scans' differences."""
     approx = isinstance(table, ApproxTable)
     g = table.group
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
@@ -506,10 +560,12 @@ def _rebuild(
     report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
     # J(1, alpha) = baseline + delta(alpha) for every alpha
     if approx:
-        got = np.array(table.entries)
-        report.roundtrip_ok = not r.differs(got - approximate(rebuilt).entries).any()
-        expected = [(report.baseline + delta(alpha)).to_complex() for alpha in g.elements]
+        got, embedded = r.values[:, :, 0], _embedding(rebuilt)
+        report.roundtrip_ok = not r.differs(got - embedded).any()
+        b = report.baseline
+        expected = np.where(np.arange(g.m) == 0, (b + 1).to_complex(), b.to_complex())
         report.baseline_ok = not r.differs(got[0] - expected).any()
+        report.scan_bound = _scan_bound(got, embedded, rebuilt)
     else:
         report.roundtrip_ok = table == rebuilt
         # past J(1, 1) = baseline + 1, the row holds the baseline's arrays
@@ -520,34 +576,50 @@ def _rebuild(
     return report
 
 
-def certify(table: JacobiTable, residues: _Residues) -> ReconstructionReport | str:
-    """Rebuild the field behind an exact table and return the report that
-    proves it is that field's table, or the name of the step that failed.
+def certify(
+    table: JacobiTable | ApproxTable, residues: _Evaluation
+) -> ReconstructionReport | str:
+    """Rebuild the field behind a table and return the report that proves
+    the table passes every check, or the name of the step that failed.
 
-    Two free tests come first.  A field's table has its common denominator
-    L dividing m ("denominator"), and each of its rows sums to 0 ("row
-    sums", tested at the first evaluation point): the sum over beta of
-    J(alpha, beta) collects the pairs x (+) y = 1 with y = 1, and only
-    x = 0 has that.  Then the stages run with the support and map read at
-    the first evaluation point only; they stop at an inconsistency's
-    stage, or at "classify" in the boolean case.  When the carrier passes
-    every field axiom ("field") and its table equals the input exactly
-    ("exact compare"), the input is a field's Jacobi-sum table with its
-    characters relabelled by a group isomorphism, so it satisfies all
-    three axioms (the forward direction, Berndt, Evans and Williams, Gauss
-    and Jacobi Sums, ch. 2): the exact comparison, not the stages, is the
-    proof."""
-    if table.group.m % residues.denominator:
+    For an exact table two free tests come first.  A field's table has
+    its common denominator L dividing m ("denominator"), and each of its
+    rows sums to 0 ("row sums", tested at the first evaluation point): the
+    sum over beta of J(alpha, beta) collects the pairs x (+) y = 1 with
+    y = 1, and only x = 0 has that.  Then the stages run with the support
+    and map read at the first evaluation point only; they stop at an
+    inconsistency's stage, or at "classify" in the boolean case.  When the
+    carrier passes every field axiom ("field") and its table equals the
+    input exactly ("exact compare"), the input is a field's Jacobi-sum
+    table with its characters relabelled by a group isomorphism, so it
+    satisfies all three axioms (the forward direction, Berndt, Evans and
+    Williams, Gauss and Jacobi Sums, ch. 2): the exact comparison, not the
+    stages, is the proof.
+
+    A complex table runs the stages at its one point, which is every
+    point, and their report is kept on the evaluation for reconstruct.
+    It stops where an exact table does, "exact compare" meaning a round
+    trip beyond the tolerance.  The rebuilt field's table satisfies the
+    axioms exactly; when the bound its distance from the input gives on
+    every scan's difference (_scan_bound) is within the tolerance, the
+    scans would pass, and otherwise ("bound") they decide."""
+    approx = isinstance(table, ApproxTable)
+    if approx:
+        report = residues.rebuilt = _rebuild(table, residues)
+    elif table.group.m % residues.denominator:
         return "denominator"
-    if (residues.values[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
+    elif (residues.values[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
         return "row sums"
-    report = _rebuild(table, residues, points=_FIRST_POINT)
+    else:
+        report = _rebuild(table, residues, points=_FIRST_POINT)
     if report.inconsistency is not None:
         return report.inconsistency["stage"]
     if report.case != "field":
         return "classify"
     if not report.ok:
         return "field" if report.roundtrip_ok else "exact compare"
+    if approx and report.scan_bound > residues.tolerance:
+        return "bound"
     return report
 
 
@@ -570,8 +642,9 @@ def reconstruct(
     [x in S] zeta^<alpha, i(x)> at every x, and the stages, strict
     cross-check included, read at every point what the certificate read
     at the first.  Complex-valued tables take the same stages, decided
-    within the tolerance; strict mode cross-checks exact transforms and
-    is refused for them."""
+    within the tolerance, and their one point is every point, so the
+    stages' run in certify is reported whether or not it certified;
+    strict mode cross-checks exact transforms and is refused for them."""
     approx = isinstance(table, ApproxTable)
     if approx and strict:
         raise ValueError("strict mode needs an exact table, not an approximate one")
@@ -592,6 +665,6 @@ def reconstruct(
     elif verification.certificate is not None:
         report = replace(verification.certificate)
     else:
-        report = _rebuild(table, r, strict=strict)
+        report = r.rebuilt or _rebuild(table, r, strict=strict)
     report.verification = verification
     return report

@@ -84,8 +84,16 @@ an O(q^3) field check, as does a candidate that rebuilds a field before
 it fails; rejecting costs, over E evaluation points, the O(m^3 E)
 cocycle scans up to their first witness, and the convolution scan's
 O(m^3) per point until its candidate is found, O(K m) per point for the
-K pairs before the candidate after it.  Complex tables are always
-scanned.
+K pairs before the candidate after it.
+
+A symmetric complex table on a group of order at least 2 is offered to
+certify too.  The stages run at its one point and rebuild a field whose
+table J_F satisfies every identity exactly; when the input lies within
+the tolerance of J_F's embedding, a bound on every difference the three
+scans would compute follows from that distance and max |J_F|, plus the
+rounding of the scans' own float64 arithmetic (reconstructor._scan_bound).
+If the bound is within the tolerance, all four checks pass with no scan;
+otherwise the scans decide.
 """
 
 from __future__ import annotations
@@ -277,7 +285,11 @@ class _Evaluation:
     and root_powers[e, k] is r^e for the root r of point k, so
     chi_x(y) = root_powers[pairing[x, y], k].
     Products are taken in the dtype `wide`.  The kinds differ in reduce,
-    differs and exponents, and in the arithmetic of a witness's sides."""
+    differs and exponents, and in the arithmetic of a witness's sides.
+    rebuilt is the reconstruction stages' report once they have run at
+    every point: certify runs them at a complex table's one point."""
+
+    rebuilt: ReconstructionReport | None = None
 
     def __init__(self, g):
         self.group = g
@@ -547,6 +559,7 @@ def _first_failing_row(r: _Evaluation, below: int, ks: slice) -> tuple[int, int]
     c *= w
     c = r.reduce(c, ks, 0)
     lc = r.reduce(L * c, ks, 0)
+    inverse = r.reduce(w[:, :, neg] * r.m_inverse[ks, None, None], ks, 0)
     rows = max(1, _SCAN_BYTES // (2 * r.wide.itemsize * m * m * len(w)))
     for top in range(0, below, rows):
         s1 = np.arange(top, min(top + rows, below))
@@ -556,7 +569,6 @@ def _first_failing_row(r: _Evaluation, below: int, ks: slice) -> tuple[int, int]
             diff = r.reduce(c[:, s, None] * qh - lc[:, add[s]], ks, 0)
             # e[k, s2, y] = D(s, s2, y - s) at point k, where D is the
             # difference of the two sides at the triple (s, s2, y - s)
-            inverse = r.reduce(w[:, :, neg] * r.m_inverse[ks, None, None], ks, 0)
             e = r.reduce(diff @ inverse, ks, 0)
             bad = r.differs(e).any(axis=0)[:, add[s]]  # [s2, d]
             if bad.any():
@@ -663,15 +675,17 @@ def verify_all(
     """Run all axiom checks and aggregate the verdicts.  The table is
     evaluated once, or not at all when the caller passes its evaluation
     as `residues` (a complex table's carries the tolerance that decides
-    and that the report records), and every step reads that evaluation.  A symmetric exact table on a
-    nontrivial group is first offered to the certificate: if the field it
-    rebuilds reproduces it exactly, all four checks pass with no scan;
-    otherwise the scans decide, as they would have without it.  A complex
-    table is compared within the tolerance."""
+    and that the report records), and every step reads that evaluation.
+    A symmetric table on a nontrivial group is first offered to the
+    certificate: if the field it rebuilds reproduces an exact table
+    exactly, or proves that a complex table's scans pass within the
+    tolerance, all four checks pass with no scan; otherwise the scans
+    decide, as they would have without it.  A complex table is compared
+    within the tolerance."""
     approx = isinstance(table, ApproxTable)
     r = residues or _evaluate(table, tolerance)
     sym = check_symmetry(table, r)
-    if not approx and sym.passed and table.group.m >= 2:
+    if sym.passed and table.group.m >= 2:
         from .reconstructor import certify  # reconstructor imports this module
 
         certificate = certify(table, r)
@@ -681,6 +695,8 @@ def verify_all(
                 cocycle_star=CheckResult("cocycle-star", True),
                 cocycle_direct=CheckResult("cocycle-direct", True),
                 convolution=CheckResult("convolution-sum", True),
+                approximate=approx,
+                tolerance=r.tolerance if approx else None,
                 certificate=certificate,
             )
     coc_star = check_cocycle_star(table, r)

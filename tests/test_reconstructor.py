@@ -38,7 +38,7 @@ from jacobisum import (
     verify_field,
 )
 from jacobisum import reconstructor, verifier
-from jacobisum.harness import field_addition_rows
+from jacobisum.harness import field_addition_rows, reconstruction_to_json
 from jacobisum.jacobi import ApproxTable
 
 from helpers import (
@@ -563,6 +563,40 @@ def test_reconstruct_reuses_the_certificate(monkeypatch):
         calls.clear()
         reconstruct(u, **kwargs)
         assert calls.count("evaluation") == 1, (u, kwargs)
+
+
+def test_reconstruct_runs_the_stages_once_on_complex_tables(monkeypatch):
+    # certify runs the stages at a complex table's one point, which is
+    # every point, and reconstruct reports that run whether the table is
+    # certified, its bound exceeds the tolerance and the scans pass it, or
+    # the stages stop before the bound (a support transform 8 * 2e-7 from
+    # 1) and the scans pass it
+    rebuild = reconstructor._rebuild
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rebuild(*args, **kwargs)
+
+    monkeypatch.setattr(reconstructor, "_rebuild", counted)
+    at = approximate(table(9))
+    cells = list(itertools.product(range(8), repeat=2))
+    rng = random.Random(29)
+    noisy = moved_approx(at, cells, lambda z: z + complex(
+        rng.uniform(-6e-8, 6e-8), rng.uniform(-6e-8, 6e-8)))
+    shifted = moved_approx(at, cells, lambda z: z + 2e-7)
+    assert reconstruct(noisy).scan_bound > 1e-6
+    cases = ((at, "certificate", True), (noisy, "scan", True), (shifted, "scan", False))
+    for u, method, ok in cases:
+        for kwargs in ({}, {"force": True}):
+            calls.clear()
+            report = reconstruct(u, **kwargs)
+            assert len(calls) == 1, (method, kwargs)
+            assert report.verification.method == method and report.verification.passed
+            assert report.ok == ok
+            fresh = rebuild(u, verifier._evaluate(u))
+            fresh.verification = report.verification
+            assert reconstruction_to_json(fresh) == reconstruction_to_json(report)
 
 
 def _twisted_field_tables():

@@ -621,7 +621,8 @@ def test_verify_all_approximate():
         ),
     )
     report = verify_all(noisy)
-    assert report.approximate and report.passed and report.method == "scan"
+    assert report.approximate and report.passed and report.method == "certificate"
+    assert report.tolerance == 1e-6
     # a perturbation far beyond the tolerance must be caught
     entries = [list(row) for row in noisy.entries]
     entries[1][2] += 0.5
@@ -629,6 +630,51 @@ def test_verify_all_approximate():
     broken = ApproxTable(t.group, tuple(tuple(r) for r in entries))
     report = verify_all(broken)
     assert not report.passed
+
+
+def _noisy_field_table(q: int, amplitude: float, seed: int) -> ApproxTable:
+    """The embedded table of the field with q elements, each part of every
+    entry moved by up to `amplitude`."""
+    rng = random.Random(seed)
+    cells = itertools.product(range(q - 1), repeat=2)
+    return moved_approx(approximate(table(q)), cells, lambda z: z + complex(
+        rng.uniform(-amplitude, amplitude), rng.uniform(-amplitude, amplitude)))
+
+
+def _complex_scans(at: ApproxTable, tolerance: float):
+    r = verifier._evaluate(at, tolerance)
+    return tuple(check(at, r) for check in (
+        check_symmetry, check_cocycle_star, check_cocycle_direct, check_convolution_sum))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.sampled_from(sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS})),
+    exponent=st.floats(-13, -6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_complex_tables_pass_every_scan(q, exponent, seed):
+    # the certificate's bound proves every scan passes on the evaluation
+    # it read, so a certified verdict is the scans' verdict
+    at = _noisy_field_table(q, 10.0**exponent, seed)
+    r = verifier._evaluate(at, 1e-6)
+    report = verify_all(at, residues=r)
+    if report.method == "certificate":
+        assert report.passed and report.checks == _complex_scans(at, 1e-6)
+        for check in (check_cocycle_star, check_cocycle_direct, check_convolution_sum):
+            assert check(at, r).passed
+
+
+@pytest.mark.parametrize("q", [4, 9, 27, 64])
+def test_complex_certificate_flips_at_its_bound(q):
+    # with the tolerance at the bound the certificate holds; one float
+    # below it the scans decide, and both give the scans' checks
+    at = _noisy_field_table(q, 1e-9, q)
+    bound = reconstructor._rebuild(at, verifier._evaluate(at)).scan_bound
+    for tolerance, method in ((bound, "certificate"), (math.nextafter(bound, 0), "scan")):
+        report = verify_all(at, tolerance=tolerance)
+        assert report.method == method and report.tolerance == tolerance, tolerance
+        assert report.passed and report.checks == _complex_scans(at, tolerance)
 
 
 def test_approximate_agrees_with_exact_on_embedded_tables():
