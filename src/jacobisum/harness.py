@@ -119,32 +119,31 @@ def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
 
 
 def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of a table document's cells, as Cyclotomic.from_strings
-    would read each, parsing each distinct coefficient string once and
-    filling the arrays a row at a time; a cell of lowest-terms coefficients
-    over their lcm has content 1.  They are int64 when the lcm L of all and
-    each |num| * L / den are below 2^63.  Most of the time is one pass over
-    the strings json.loads made (q = 64: about 14 of 18 ms on a 2-core Xeon)."""
+    """The arrays of a table document's cells as Cyclotomic.from_strings
+    reads each, int64 when the lcm L of all and each |num| * L / den are
+    below 2^63.  One pass over the strings json.loads made numbers the
+    distinct ones, each parsed once in document order, and the arrays are
+    filled by row gathers (the pass is 6 of 10 ms at q = 64, 2-core Xeon)."""
     degree = euler_phi(m)
-    if any(type(cell) is not list or len(cell) != degree for row in entries for cell in row):
+    cells = list(chain.from_iterable(entries))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {degree}:
         raise ValueError(f"each entry must be a list of {degree} coefficient strings")
+    code = defaultdict(count().__next__)
     try:
-        # in document order, so the first bad string is the one reported
-        distinct = dict.fromkeys(chain.from_iterable(chain.from_iterable(entries)))
+        idx = np.fromiter(map(code.__getitem__, chain.from_iterable(cells)), np.int64,
+                          m * m * degree).reshape(m, m, degree)
     except TypeError:  # an array or object in place of a coefficient
         raise ValueError("coefficients must be strings") from None
-    code = {s: i for i, s in enumerate(distinct)}
-    nums, dens = zip(*map(parse_coefficient, distinct))
+    nums, dens = zip(*map(parse_coefficient, code))
     lcm = math.lcm(*dens)
     wide = lcm >> 63 or max(abs(n) * (lcm // d) for n, d in zip(nums, dens)) >> 63
     nums, dens = (np.array(x, dtype=object if wide else np.int64) for x in (nums, dens))
-    num = np.empty((m, m, degree), dtype=nums.dtype)
+    num = np.empty(idx.shape, dtype=object) if wide else idx  # int64: rows of codes replaced
     den = np.empty((m, m), dtype=nums.dtype)
-    for i, row in enumerate(entries):
-        idx = np.fromiter(map(code.__getitem__, chain.from_iterable(row)), np.intp, m * degree)
-        d = dens[idx].reshape(m, degree)
+    for i in range(m):
+        d = dens[idx[i]]
         den[i] = np.lcm.reduce(d, axis=1)
-        num[i] = nums[idx].reshape(m, degree) * (den[i, :, None] // d)
+        num[i] = nums[idx[i]] * (den[i, :, None] // d)
     return num, den
 
 

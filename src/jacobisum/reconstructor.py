@@ -37,8 +37,8 @@ verifier accepts a certified table without scanning, and reconstruct
 reports a copy of the certificate in every mode, strict included,
 instead of running the stages again; it reports a complex table's
 stages from the run certify made even when the bound fails.  Each
-reconstruct evaluates the table once, and the verifier and the stages
-read that one evaluation.
+reconstruct evaluates the table once, at one point if it is certified,
+and the verifier and the stages read that one evaluation.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _slice_transforms(r: _Evaluation, alphas, points: slice = _ALL_POINTS) -> np
     the table.  The characters are tabulated a chunk of points at a time,
     in at most _SCAN_BYTES."""
     m = r.m
-    v = r.values[r.addneg[alphas], np.arange(m), points].transpose(2, 0, 1).astype(r.wide)
+    v = r.at(points)[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1).astype(r.wide)
     powers = r.root_powers[:, points]
     t = np.empty_like(v)
     width = max(1, _SCAN_BYTES // (r.wide.itemsize * m * m))
@@ -527,9 +527,10 @@ def _rebuild(
 ) -> ReconstructionReport:
     """Run every stage on the evaluation r, read at the given points, into
     a report: support, map and classification up to the first
-    inconsistency, then the carrier's addition, field checks and table (the
-    support sum in the boolean case), the round trip and the baseline, and
-    for a complex table the bound on its scans' differences."""
+    inconsistency, then the carrier's addition and table (the support sum
+    in the boolean case), the round trip, the baseline, the field checks
+    (in a run at some points only, once the round trip holds), and for a
+    complex table the bound on its scans' differences."""
     approx = isinstance(table, ApproxTable)
     g = table.group
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
@@ -555,7 +556,6 @@ def _rebuild(
         report.case = "field"
         report.involution = case.involution
         report.addition = build_addition(g, case.involution, smap)
-        report.field_checks = verify_field(report.addition)
         rebuilt = recompute_table(report.addition)
     report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
     # J(1, alpha) = baseline + delta(alpha) for every alpha
@@ -573,6 +573,8 @@ def _rebuild(
         report.baseline_ok = bool(
             (table.num[0, 1:] == b.num).all() and (table.den[0, 1:] == b.den).all()
         )
+    if report.addition is not None and (report.roundtrip_ok or points == _ALL_POINTS):
+        report.field_checks = verify_field(report.addition)
     return report
 
 
@@ -589,12 +591,12 @@ def certify(
     y = 1, and only x = 0 has that.  Then the stages run with the support
     and map read at the first evaluation point only; they stop at an
     inconsistency's stage, or at "classify" in the boolean case.  When the
-    carrier passes every field axiom ("field") and its table equals the
-    input exactly ("exact compare"), the input is a field's Jacobi-sum
-    table with its characters relabelled by a group isomorphism, so it
-    satisfies all three axioms (the forward direction, Berndt, Evans and
-    Williams, Gauss and Jacobi Sums, ch. 2): the exact comparison, not the
-    stages, is the proof.
+    carrier's table equals the input exactly ("exact compare", tested
+    first) and it passes every field axiom ("field"), the input is a
+    field's Jacobi-sum table with its characters relabelled by a group
+    isomorphism, so it satisfies all three axioms (the forward direction,
+    Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2): the exact
+    comparison, not the stages, is the proof.
 
     A complex table runs the stages at its one point, which is every
     point, and their report is kept on the evaluation for reconstruct.
@@ -608,7 +610,7 @@ def certify(
         report = residues.rebuilt = _rebuild(table, residues)
     elif table.group.m % residues.denominator:
         return "denominator"
-    elif (residues.values[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
+    elif (residues.at(_FIRST_POINT)[:, :, 0].sum(axis=1) % residues.moduli[0]).any():
         return "row sums"
     else:
         report = _rebuild(table, residues, points=_FIRST_POINT)
@@ -635,9 +637,9 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
-    forced.  The table is evaluated once: the verifier and every stage
-    read that evaluation.  A certified table is reported by a copy of the
-    certificate in every mode: it is the support sum over the pairs
+    forced.  The table is evaluated once, at one point if certified, for
+    the verifier and every stage.  A certified table is reported by a copy
+    of the certificate in every mode: it is the support sum over the pairs
     (i(s), i(s) - s), so the transform of its slice at alpha is
     [x in S] zeta^<alpha, i(x)> at every x, and the stages, strict
     cross-check included, read at every point what the certificate read

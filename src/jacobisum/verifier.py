@@ -73,18 +73,18 @@ m or a row fails to sum to 0, either of which rules out every field's
 table at no cost, certify runs the reconstruction stages on the support
 and map read off the same residues at their first point, and compares
 the table of the field they rebuild with the input exactly.  If the
-carrier passes every field axiom and the tables are equal, the input is
+tables are equal and the carrier passes every field axiom, the input is
 a finite field's Jacobi-sum table with its characters relabelled by a
 group isomorphism, which satisfies all three axioms (Berndt, Evans and
 Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
 no witness, and the stages' report is kept as the certificate.
 If any step fails, the scans run exactly as they would without it, and
-only they produce witnesses.  Accepting thus costs one table build and
-an O(q^3) field check, as does a candidate that rebuilds a field before
-it fails; rejecting costs, over E evaluation points, the O(m^3 E)
-cocycle scans up to their first witness, and the convolution scan's
-O(m^3) per point until its candidate is found, O(K m) per point for the
-K pairs before the candidate after it.
+only they produce witnesses.  Accepting thus costs the evaluation at
+one point, a table build and an O(q^3) field check (the build alone for
+a candidate whose table differs); rejecting costs the evaluation at all
+E points, the O(m^3 E) cocycle scans up to their first witness, and the
+convolution scan's O(m^3) per point until its candidate is found,
+O(K m) per point for the K pairs before the candidate after it.
 
 A symmetric complex table on a group of order at least 2 is offered to
 certify too.  The stages run at its one point and rebuild a field whose
@@ -299,7 +299,16 @@ class _Evaluation:
 
     @functools.cached_property
     def wide(self) -> np.dtype:
-        return np.result_type(self.values, np.int64)
+        return np.result_type(self.root_powers, np.int64)
+
+    def at(self, points: slice) -> np.ndarray:
+        """values[:, :, points]; until an exact table's values is built, its
+        first point, all a certificate reads, is evaluated alone, exactly."""
+        if points != slice(0, 1) or "values" in self.__dict__:
+            return self.values[:, :, points]
+        if "_first" not in self.__dict__:
+            self._first = self._evaluate(points)
+        return self._first
 
 
 def _chunks(n: int, size: int):
@@ -321,7 +330,7 @@ class _Residues(_Evaluation):
     is the first prime's first root, and column k of root_powers holds the
     powers of that root.  denominator is L.
 
-    Each digit of the scaled numerators is evaluated at every point by one
+    Each digit of the scaled numerators is evaluated at the points by one
     float64 product with root_powers, exact by the bound at _PRIME_LIMIT;
     a table whose L J fit 2^_DIGIT_BITS in size, as every field's table
     does, has one digit."""
@@ -365,13 +374,22 @@ class _Residues(_Evaluation):
         # in [0, 2^b), and the top one x >> b t, in [-2^b, 2^b), which
         # carries the sign.  Each digit's residues are folded in with
         # 2^(b t) mod p, products below 2^50 that int64 sums exactly
-        dtype = np.int64 if top < 1 << 63 else object
-        mult = np.array(mults, dtype=dtype)[where, None]
+        self._nums = nums
+        self._mult = np.array(mults, dtype=np.int64 if top < 1 << 63 else object)[where, None]
         ndigits = max(1, -(-top.bit_length() // _DIGIT_BITS))
-        folds = [np.tile([pow(2, _DIGIT_BITS * t, p) for p in primes], deg) for t in range(1, ndigits)]
-        roots = self.root_powers[:deg].astype(np.float64)
-        npoints = len(self.moduli)
-        self.values = np.empty((m, m, npoints), dtype=np.int32)
+        self._folds = [np.tile([pow(2, _DIGIT_BITS * t, p) for p in primes], deg)
+                       for t in range(1, ndigits)]
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self._evaluate(slice(None))
+
+    def _evaluate(self, points: slice) -> np.ndarray:
+        """L J at the given points, as int32 residues."""
+        m, nums, mult, ndigits = self.m, self._nums, self._mult, len(self._folds) + 1
+        deg, moduli, npoints = nums.shape[2], self.moduli[points], len(self.moduli[points])
+        roots = self.root_powers[:deg, points].astype(np.float64)
+        values = np.empty((m, m, npoints), dtype=np.int32)
         # per row: L J and a digit, and over every point the float64
         # product, its int64 copy and the sum of the folded digits
         rows = max(1, _SCAN_BYTES // (8 * m * (2 * deg + 3 * npoints)))
@@ -382,20 +400,21 @@ class _Residues(_Evaluation):
             if t < ndigits - 1:
                 digit = digit & _DIGIT_MASK
             res = (digit.astype(np.float64) @ roots).astype(np.int64)
-            res %= self.moduli
+            res %= moduli
             return res
 
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
-            scaled = (nums[lo:hi].astype(dtype, copy=False) * mult[lo:hi]).reshape(-1, deg)
+            scaled = (nums[lo:hi].astype(mult.dtype, copy=False) * mult[lo:hi]).reshape(-1, deg)
             acc = digit_residues(scaled, 0)
-            for t, fold in enumerate(folds, 1):
+            for t, fold in enumerate(self._folds, 1):
                 res = digit_residues(scaled, t)
-                res *= fold
+                res *= fold[points]
                 acc += res
-            if folds:
-                acc %= self.moduli
-            self.values[lo:hi] = acc.reshape(hi - lo, m, npoints)
+            if self._folds:
+                acc %= moduli
+            values[lo:hi] = acc.reshape(hi - lo, m, npoints)
+        return values
 
     def reduce(self, x, points: slice = slice(None), axis: int = -1):
         """x modulo each point's prime, in place, for the given points

@@ -179,6 +179,31 @@ def test_table_and_reconstruction_bytes_are_pinned(q):
     assert tuple(digests) == PINNED[q]
 
 
+# sha256 of the verification report of q = 64 tables the verifier rejects,
+# and of the forced reconstruction report of the first
+REJECT_PINNED = {
+    "1/7": "693ee7dee9b9f5950a883d0acaba56f6fa3e987f4b5ef8414fdeb7da3937203c",
+    "1/(2^31-1)": "4f7181e11e3753eea3be36ea7194d16a99105831eaaf764837d5986ec103673f",
+    "zeta": "9c3751c207a76d2e982d6bc5b415bb5fbeb4bb85fe5c0ff7026b817cc71535c8",
+    "1/7 forced": "570eb4101c357f63c9d7fe4a5d258f892208475657982425c406c61a451952d8",
+}
+
+
+def test_reject_path_bytes_are_pinned():
+    # (1, 2) and (2, 1) moved by 1/7 and by 1/(2^31 - 1), and (1, 2) alone
+    # by zeta: the tables a rejecting verifier reads
+    t = table(64)
+    moved = {
+        name: t.with_entry(1, 2, t.entry(1, 2) + s).with_entry(2, 1, t.entry(2, 1) + s)
+        for name, s in (("1/7", Fraction(1, 7)), ("1/(2^31-1)", Fraction(1, 2**31 - 1)))
+    }
+    moved["zeta"] = t.with_entry(1, 2, t.entry(1, 2) + Cyclotomic.root(63, 1))
+    docs = {name: verification_to_json(verify_all(u)) for name, u in moved.items()}
+    docs["1/7 forced"] = reconstruction_to_json(reconstruct(moved["1/7"], force=True))
+    digests = {name: hashlib.sha256(dumps(doc).encode()).hexdigest() for name, doc in docs.items()}
+    assert digests == REJECT_PINNED
+
+
 def test_approx_table_json_roundtrip():
     at = approximate(table(5))
     restored = table_from_json(approx_table_to_json(at))
@@ -203,8 +228,41 @@ def test_table_json_rejects_bad_documents():
     doc["entries"][0][1][0] = "first"
     with pytest.raises(ValueError, match="first"):
         table_from_json(doc)
+    # a shape fault, or an array in place of a coefficient, anywhere wins
+    # over a bad string before it
+    shape = table_to_json(table(4))
+    shape["entries"][0][1][0] = "first"
+    shape["entries"][2][0] = ["0"]
+    with pytest.raises(ValueError, match="each entry must be a list of 2 coefficient strings"):
+        table_from_json(shape)
+    array = table_to_json(table(4))
+    array["entries"][0][1][0] = "first"
+    array["entries"][2][0][1] = ["0"]
+    with pytest.raises(ValueError, match="coefficients must be strings"):
+        table_from_json(array)
+    # 1 and True are equal keys: the first in document order is named
+    for first, last in ((1, True), (True, 1)):
+        doc = table_to_json(table(4))
+        doc["entries"][0][1][0] = first
+        doc["entries"][2][0][1] = last
+        with pytest.raises(ValueError, match=f"got {first}$"):
+            table_from_json(doc)
     with pytest.raises(ValueError):
         field_from_json({"schema": "nope"})
+
+
+def test_table_decode_past_int64_at_q64():
+    # a cell moved by 2^70 puts the numerators past int64: an object array
+    # that holds what Cyclotomic.from_strings reads from every cell
+    t = table(64)
+    doc = table_to_json(t.with_entry(1, 2, t.entry(1, 2) + 2**70))
+    decoded = table_from_json(doc)
+    m = t.group.m
+    grid = JacobiTable(t.group, [[Cyclotomic.from_strings(m, c) for c in row]
+                                 for row in doc["entries"]])
+    assert decoded.num.dtype == grid.num.dtype == object
+    assert decoded.den.dtype == grid.den.dtype
+    assert (decoded.num == grid.num).all() and (decoded.den == grid.den).all()
 
 
 def test_report_json_shapes():

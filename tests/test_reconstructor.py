@@ -657,3 +657,23 @@ def test_exact_paths_never_build_the_entry_grid(monkeypatch):
         reconstruct(u, force=True)
         if accepted:
             assert reconstruct(u, strict=True).ok
+
+
+def test_certified_tables_are_evaluated_at_one_point(monkeypatch):
+    # the certificate reads the first evaluation point alone, so neither
+    # verify_all nor reconstruct, strict or forced, evaluates a certified
+    # table at every point; the scans of a refused table still do
+    def forbidden(self):
+        raise RuntimeError("evaluated at every point")
+
+    monkeypatch.setattr(verifier._Residues, "values", property(forbidden))
+    for t in _twisted_field_tables():
+        assert verify_all(t).method == "certificate", t
+        assert reconstruct(t, strict=True).ok, t
+    for kwargs in ({}, {"force": True}, {"force": True, "strict": True}):
+        assert reconstruct(table(64), **kwargs).ok, kwargs
+    t = table(64)
+    moved = t.with_entry(1, 2, t.entry(1, 2) + Fraction(1, 7))
+    moved = moved.with_entry(2, 1, t.entry(2, 1) + Fraction(1, 7))
+    with pytest.raises(RuntimeError, match="every point"):
+        verify_all(moved)

@@ -246,6 +246,24 @@ def test_residues_match_the_int64_reference(q):
         _assert_residues_match_reference(t, name)
 
 
+@pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
+def test_first_point_alone_equals_the_full_evaluation(q):
+    # the first point evaluated alone, before any other, holds the int32
+    # residues of the full evaluation's first point, byte for byte: every
+    # field's table, and at some sizes its moved and extreme copies
+    tables = extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
+    for name, t in tables:
+        r = _Residues(t)
+        first = r.at(slice(0, 1))
+        assert "values" not in r.__dict__, name
+        full = _Residues(t).values[:, :, :1]
+        assert first.dtype == full.dtype == np.int32, name
+        assert first.shape == full.shape and first.tobytes() == full.tobytes(), name
+        # once values is built, every read slices it
+        values = r.values
+        assert np.shares_memory(r.at(slice(0, 1)), values), name
+
+
 def test_residues_at_the_prime_cap():
     # over conductor 3, a cell of 2^795 takes all the primes the cap
     # allows and 40 digits over Python ints; a cell of 2^1000 takes more
@@ -587,6 +605,46 @@ def test_certificate_falls_through_to_scans(stage, make, witnesses):
     assert got == witnesses
     if bad.group.m <= 8:
         _assert_matches_reference(bad)
+
+
+@pytest.mark.parametrize("stage, make, witnesses", [
+    pytest.param("denominator", lambda: _moved(table(64), 1, 2, Fraction(1, 2**31 - 1)),
+                 (None, (1, 1, 2), (1, 1, 2), (0, 0, 0, 3)), id="denominator"),
+    pytest.param("row sums", lambda: _moved(table(64), 1, 2, Fraction(1, 7)),
+                 (None, (1, 1, 2), (1, 1, 2), (0, 0, 0, 3)), id="row-sums"),
+    pytest.param("exact compare", lambda: _square(table(64), 1, 2, Fraction(3, 7)),
+                 (None, (1, 1, 2), (1, 1, 2), (0, 0, 0, 2)), id="exact-compare"),
+    pytest.param(None, lambda: table(64).with_entry(1, 2, table(64).entry(1, 2) + root_power(63, 1)),
+                 ((1, 2), (1, 1, 1), (1, 1, 1), (0, 0, 0, 3)), id="asymmetric"),
+])
+def test_refused_tables_scan_as_on_a_full_evaluation(stage, make, witnesses):
+    # the certificate reads the first point alone; the scans that follow
+    # it evaluate every point and find the witnesses they find on an
+    # evaluation built in full before the certificate ran
+    bad = make()
+    if stage is not None:
+        assert _certificate_stop(bad) == stage
+    eager = _Residues(bad)
+    assert eager.values.dtype == np.int32
+    report = verify_all(bad)
+    assert report.checks == verify_all(bad, residues=eager).checks
+    got = tuple(c.witness and tuple(x for (x,) in c.witness) for c in report.checks)
+    assert got == witnesses
+
+
+def test_exact_compare_refuses_before_the_field_check(monkeypatch):
+    # a candidate whose rebuilt table differs from the input is refused
+    # without checking its carrier; a forced reconstruction, which reports
+    # the carrier's checks, still runs them once
+    calls = []
+    check = reconstructor.verify_field
+    monkeypatch.setattr(reconstructor, "verify_field", lambda at: calls.append(at) or check(at))
+    bad = _square(table(64), 1, 2, Fraction(3, 7))
+    assert _certificate_stop(bad) == "exact compare" and calls == []
+    assert not verify_all(bad).passed and calls == []
+    report = reconstructor.reconstruct(bad, force=True)
+    assert report.field_checks.passed and not report.roundtrip_ok and len(calls) == 1
+    assert verify_all(table(64)).passed and len(calls) == 2
 
 
 def test_certificate_preconditions():
