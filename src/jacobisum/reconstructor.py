@@ -196,14 +196,14 @@ def _slice_transforms(r: _Evaluation, alphas, points: slice = _ALL_POINTS) -> np
     the table.  The characters are tabulated a chunk of points at a time,
     in at most _SCAN_BYTES."""
     m = r.m
-    v = r.at(points)[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1).astype(r.wide)
+    v = r.at(points)[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1)
     powers = r.root_powers[:, points]
-    t = np.empty_like(v)
+    t = np.empty(v.shape, dtype=r.wide)
     width = max(1, _SCAN_BYTES // (r.wide.itemsize * m * m))
     for lo in range(0, len(t), width):
         ks = slice(lo, lo + width)
         w = powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
-        np.matmul(v[ks], w, out=t[ks])
+        t[ks] = r.product(v[ks], w)
     return r.reduce(t, points, 0)
 
 
@@ -493,10 +493,15 @@ def _scan_bound(values: np.ndarray, embedded: np.ndarray, rebuilt: JacobiTable) 
     + 2 eps'.
 
     To each is added the forward error rho of the scans' float64
-    arithmetic on entries of size at most X = M + eps'.  The cocycle scans
-    center entries and take two complex products and three sums per
-    triple: rho <= 32 u (X + 2)^2.  The convolution scan decides every row
-    it flags on the inverse transform e[s2, y], the difference at
+    arithmetic on entries of size at most X = M + eps'.  The cocycle pass
+    takes two complex products of entries (each within sqrt(5) u X^2 of
+    the true one) and their difference, then adds the delta terms, each
+    -J + 1 or less, and for the starred form in column c = -b the skew
+    J(b, -b) - J(-b, b): every one of these is formed with one rounding,
+    and each running sum stays below 2 X^2 + 4 X + 2, so to first order
+    rho <= (12.5 X^2 + 11 X + 7) u <= 16 u (X + 2)^2, doubled for the
+    higher orders: rho <= 32 u (X + 2)^2.  The convolution scan decides
+    every row it flags on the inverse transform e[s2, y], the difference at
     (s1, s2, y - s1), and passes every row it does not flag, so a bound on
     every computed e proves it passes.  The transforms, of size at most
     T = m X, are m-term sums of products with roots of unity within 32 u,

@@ -392,6 +392,99 @@ def test_reject_witnesses_at_q64():
         assert conv.lhs != conv.rhs
 
 
+# q = 64 with one side of an inverse pair (b, -b) moved by zeta: the two
+# cocycle forms fail at different triples, the starred one in its column
+# c = -b.  Witnesses and report hashes are those of the two separate scans
+INVERSE_PAIR_PINNED = {
+    (1, 62): ((1, 1, 61), (0, 1, 62),
+              "b654edd6ae38eb62d7d3efa8589da5186669119823de9e4891bd717191a13dd4"),
+    (2, 61): ((1, 1, 61), (0, 2, 61),
+              "4cb39dffe794da1daa70d2fce976a0fa7aacb912057e95d2932aab16743d943a"),
+    (5, 58): ((1, 4, 58), (0, 5, 58),
+              "ccde5293e2de15d76b1b30c7fc3acd8cfd0a5755fc939355ec2fb684f64038ea"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(INVERSE_PAIR_PINNED))
+def test_inverse_pair_moves_at_q64_are_pinned(cell):
+    star, direct, digest = INVERSE_PAIR_PINNED[cell]
+    t = table(64)
+    bad = t.with_entry(*cell, t.entry(*cell) + root_power(63, 1))
+    report = verify_all(bad)
+    assert report.cocycle_star.witness == tuple((i,) for i in star)
+    assert report.cocycle_direct.witness == tuple((i,) for i in direct)
+    text = dumps(verification_to_json(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("q", sorted(q for q in PRIME_POWERS if q <= 16))
+def test_cocycle_pass_matches_reference_on_inverse_pair_moves(q):
+    # one side of an inverse pair moved, and sometimes a second cell: the
+    # one pass gives each form's first witness of the plain triple loop
+    rng = random.Random(f"inverse-pair/{q}")
+    t, m = table(q), q - 1
+    shifts = (root_power(m, 1), Fraction(3, 7), Fraction(1, 2**62), Fraction(2**70, 3))
+    differ = 0
+    for _ in range(4):
+        b = rng.randrange(m)
+        cell = (b, (-b) % m)
+        bad = t.with_entry(*cell, t.entry(*cell) + rng.choice(shifts))
+        if rng.random() < 0.5:
+            i, j = rng.randrange(m), rng.randrange(m)
+            bad = bad.with_entry(i, j, bad.entry(i, j) + root_power(m, rng.randrange(m)))
+        r = _Residues(bad)
+        results = check_cocycle_star(bad, r), check_cocycle_direct(bad, r)
+        for result in results:
+            expected = reference_witness(bad, result.check)
+            assert result.passed == (expected is None), (cell, result.check)
+            if expected is not None:
+                assert (result.witness, result.lhs, result.rhs) == expected, (cell, result.check)
+        differ += results[0].witness != results[1].witness
+    assert differ or m < 3
+
+
+@pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
+def test_transform_products_equal_the_int64_product(q):
+    # the two-limb float64 product equals the int64 product, and so does
+    # its reduction mod p at every point: the transforms of every field's
+    # table, and at some sizes of its moved and extreme copies; and on the
+    # field's table, whose first prime is the largest, residues of p - 1
+    # times p - 1
+    tables = extreme_tables(q) if q in (4, 8, 27, 49, 64) else [(f"q{q}", table(q))]
+    for name, t in tables:
+        r = _Residues(t)
+        m, moduli = t.group.m, r.moduli[:, None, None]
+        w = r.root_powers[r.pairing].transpose(2, 0, 1)
+        cases = [(r.values[np.arange(m), r.addneg].transpose(2, 0, 1), w)]
+        if name == f"q{q}":
+            top = np.broadcast_to(moduli - 1, w.shape)
+            cases += [(top, top), (top, w)]
+        for a, b in cases:
+            want = a.astype(np.int64) @ b
+            got = r.product(a, b)
+            assert got.dtype == np.int64 and np.array_equal(got, want), name
+            assert np.array_equal(r.reduce(got, slice(None), 0), want % moduli), name
+    assert 256 * (2**verifier._DIGIT_BITS - 1) * (verifier._PRIME_LIMIT - 1) < 2**53
+
+
+def test_verify_all_leaves_the_evaluation_as_it_was():
+    # the scans read r.values and write nothing into it
+    t8, t64 = table(8), table(64)
+    tables = [
+        _moved(t8, 1, 2, Fraction(3, 7)),
+        t8.with_entry(1, 6, t8.entry(1, 6) + root_power(7, 1)),
+        t64.with_entry(1, 62, t64.entry(1, 62) + root_power(63, 1)),
+        moved_approx(approximate(t8), {(1, 6)}, lambda z: z + 0.25),
+        moved_approx(approximate(t8), {(0, 3), (3, 0)}, lambda z: z + 0.25j),
+    ]
+    for t in tables:
+        r = verifier._evaluate(t)
+        before = r.values.copy()
+        report = verify_all(t, residues=r)
+        assert not report.passed and report.method == "scan"
+        assert r.values.dtype == before.dtype and r.values.tobytes() == before.tobytes()
+
+
 def test_engine_rejects_entries_beyond_its_primes():
     # the denominator 3^600 needs coefficients of about 1900 bits
     tiny = Cyclotomic.from_rational(2, Fraction(1, 3**600))
