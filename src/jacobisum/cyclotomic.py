@@ -20,6 +20,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .ffield import prime_factors
+
 Rational = Union[int, Fraction]
 
 _COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -30,16 +32,8 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
     result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1
-    if k > 1:
-        result -= result // k
+    for p in prime_factors(m):
+        result -= result // p
     return result
 
 

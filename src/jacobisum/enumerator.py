@@ -138,17 +138,8 @@ def oracle_addition_tables(group: GroupSpec) -> tuple[AdditionRows, ...]:
     tables = set()
     for ts in product(*choices):
         exps = [sum(x_j * t_j for x_j, t_j in zip(x, ts)) % m for x in els]
-        if len(set(exps)) != m:
-            continue  # not injective, not an isomorphism
-        to_field = [field.power(e) for e in exps]
-        to_sym = {fe: i + 1 for i, fe in enumerate(to_field)}
-        to_sym[field.zero] = 0
-        carrier = [field.zero] + to_field
-        rows = tuple(
-            tuple(to_sym[field.add(carrier[i], carrier[j])] for j in range(q))
-            for i in range(q)
-        )
-        tables.add(rows)
+        if len(set(exps)) == m:  # injective, so an isomorphism
+            tables.add(field.carrier_addition(exps))
     return tuple(sorted(tables))
 
 

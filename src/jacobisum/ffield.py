@@ -12,9 +12,8 @@ generator powers, which is fine at the supported sizes (q <= 2^16).
 from __future__ import annotations
 
 import itertools
-import math
 
-Q_MAX = 1 << 16  # largest field size build_field constructs
+Q_MAX = 1 << 16  # largest field size constructed or loaded
 
 FieldElement = tuple[int, ...]
 
@@ -31,16 +30,37 @@ def is_prime(k: int) -> bool:
     return True
 
 
+def prime_factors(k: int) -> list[int]:
+    """The distinct primes dividing k, in increasing order, by trial division."""
+    primes, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            primes.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return primes + [k] if k > 1 else primes
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """(p, n) with q = p^n for a prime p, or None if q is no prime power."""
-    if q < 2:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         return None
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)  # least prime factor
-    n = 0
-    while q % p == 0:
-        q //= p
-        n += 1
-    return (p, n) if q == 1 else None
+    return primes[0], next(n for n in itertools.count(1) if primes[0] ** n == q)
+
+
+def _field_size(p: int, n: int) -> int:
+    """q = p^n, for a prime p, n >= 1 and q <= Q_MAX.  The bound is checked
+    on n and p before p is tested or raised to a power, so an absurd field
+    fails at once."""
+    if n < 1:
+        raise ValueError(f"extension degree must be >= 1, got {n}")
+    if n >= Q_MAX.bit_length() or p > Q_MAX or p**n > Q_MAX:
+        raise ValueError(f"field size {p}^{n} exceeds the bound {Q_MAX}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p**n
 
 
 def _poly_mulmod(a: FieldElement, b: FieldElement, modulus: tuple[int, ...], p: int) -> FieldElement:
@@ -101,10 +121,7 @@ class FiniteField:
     __slots__ = ("p", "n", "q", "modulus", "generator", "elements", "_dlog", "_powers")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...], generator: FieldElement):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
+        q = _field_size(p, n)
         modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
@@ -112,7 +129,7 @@ class FiniteField:
             raise ValueError(f"modulus {modulus} is reducible over Z/{p}")
         self.p = p
         self.n = n
-        self.q = p**n
+        self.q = q
         self.modulus = modulus
         self.elements = tuple(
             _value_to_coeffs(v, n, p) for v in range(self.q)
@@ -174,24 +191,21 @@ class FiniteField:
             total = total * self.p + c
         return total
 
+    def carrier_addition(self, exponents) -> tuple[tuple[int, ...], ...]:
+        """The addition in reconstruction-carrier symbols: symbol 0 is zero
+        and symbol k >= 1 is generator**exponents[k - 1], for q - 1
+        exponents that are distinct modulo q - 1."""
+        carrier = [self.zero] + [self.power(e) for e in exponents]
+        sym = {e: i for i, e in enumerate(carrier)}
+        return tuple(tuple(sym[self.add(a, b)] for b in carrier) for a in carrier)
+
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, n={self.n})"
 
 
 def _multiplicative_order_is_full(field_mul, one, elem, q: int) -> bool:
     m = q - 1
-    k = m
-    prime_divisors = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            prime_divisors.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        prime_divisors.append(k)
-    for ell in prime_divisors:
+    for ell in prime_factors(m):
         e = m // ell
         acc = one
         base = elem
@@ -207,13 +221,7 @@ def _multiplicative_order_is_full(field_mul, one, elem, q: int) -> bool:
 
 def build_field(p: int, n: int) -> FiniteField:
     """Construct GF(p^n) with the deterministic modulus and generator choices."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"extension degree must be >= 1, got {n}")
-    q = p**n
-    if q > Q_MAX:
-        raise ValueError(f"field size {q} exceeds the bound {Q_MAX}")
+    q = _field_size(p, n)
 
     modulus = None
     for value in range(q):

@@ -18,6 +18,7 @@ import math
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, count, product
 from pathlib import Path
 
@@ -118,12 +119,12 @@ def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
     return [names[k].tolist() for k in keys]
 
 
-def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of a table document's cells as Cyclotomic.from_strings
-    reads each, int64 when the lcm L of all and each |num| * L / den are
-    below 2^63.  One pass over the strings json.loads made numbers the
-    distinct ones, each parsed once in document order, and the arrays are
-    filled by row gathers (the pass is 6 of 10 ms at q = 64, 2-core Xeon)."""
+def _decode_entries(m: int, entries) -> tuple[np.ndarray, int | np.ndarray]:
+    """The numerators of a table document's cells over the lcm L of all its
+    coefficient denominators, and L, int64 when L and each |num| * L / den
+    are below 2^63; past 2^63, over each cell's own lcm, and those, so no
+    integer grows with the number of distinct denominators.  The distinct
+    strings are numbered in one pass, parsed in document order, gathered."""
     degree = euler_phi(m)
     cells = list(chain.from_iterable(entries))
     if set(map(type, cells)) != {list} or set(map(len, cells)) != {degree}:
@@ -135,16 +136,14 @@ def _decode_entries(m: int, entries) -> tuple[np.ndarray, np.ndarray]:
     except TypeError:  # an array or object in place of a coefficient
         raise ValueError("coefficients must be strings") from None
     nums, dens = zip(*map(parse_coefficient, code))
-    lcm = math.lcm(*dens)
-    wide = lcm >> 63 or max(abs(n) * (lcm // d) for n, d in zip(nums, dens)) >> 63
-    nums, dens = (np.array(x, dtype=object if wide else np.int64) for x in (nums, dens))
-    num = np.empty(idx.shape, dtype=object) if wide else idx  # int64: rows of codes replaced
-    den = np.empty((m, m), dtype=nums.dtype)
-    for i in range(m):
-        d = dens[idx[i]]
-        den[i] = np.lcm.reduce(d, axis=1)
-        num[i] = nums[idx[i]] * (den[i, :, None] // d)
-    return num, den
+    lcm = reduce(lambda a, d: a if a >> 63 else math.lcm(a, d), set(dens), 1)
+    if lcm >> 63:
+        nums, dens = (np.array(x, dtype=object)[idx] for x in (nums, dens))
+        den = np.lcm.reduce(dens, axis=2)
+        return nums * (den[:, :, None] // dens), den
+    scaled = [n * (lcm // d) for n, d in zip(nums, dens)]
+    wide = max(map(abs, scaled)) >> 63
+    return np.array(scaled, dtype=object if wide else np.int64)[idx], lcm
 
 
 def table_to_json(table: JacobiTable) -> dict:
@@ -296,13 +295,7 @@ def reconstruction_to_json(report: ReconstructionReport) -> dict:
 def field_addition_rows(field: FiniteField) -> tuple[tuple[int, ...], ...]:
     """The field's addition in reconstruction-carrier layout: symbol 0 is
     zero, symbol k >= 1 is the element with discrete log k - 1."""
-    q = field.q
-    carrier = [field.zero] + [field.power(t) for t in range(q - 1)]
-    sym = {e: i for i, e in enumerate(carrier)}
-    return tuple(
-        tuple(sym[field.add(carrier[i], carrier[j])] for j in range(q))
-        for i in range(q)
-    )
+    return field.carrier_addition(range(field.q - 1))
 
 
 # -- CLI ----------------------------------------------------------------------

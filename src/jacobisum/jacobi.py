@@ -41,7 +41,7 @@ def _canonical(a: np.ndarray) -> np.ndarray:
         b = a.astype(np.int64, copy=False)
     except OverflowError:
         return a
-    return b.astype(object) if b.min() == np.iinfo(np.int64).min else b
+    return b.astype(object) if b.min() == -(2**63) else b
 
 
 class JacobiTable:
@@ -66,15 +66,31 @@ class JacobiTable:
                     raise ValueError(f"entry conductor {entry.m} differs from group order {m}")
         num = np.array([[e.num for e in row] for row in rows], dtype=object)
         den = np.array([[e.den for e in row] for row in rows], dtype=object)
-        self.group, self.num, self.den = group, _canonical(num), _canonical(den)
-        self._values = None
+        table = JacobiTable._from_arrays(group, num, den)
+        self.group, self.num, self.den, self._values = group, table.num, table.den, None
 
     @classmethod
-    def _from_arrays(cls, group: GroupSpec, num: np.ndarray, den: np.ndarray) -> "JacobiTable":
-        """The table over integer arrays whose entries are already in
-        canonical form; only their dtype is settled here."""
+    def _from_arrays(cls, group: GroupSpec, num, den) -> "JacobiTable":
+        """The table of num[i, j] / den[i, j], integer coefficient vectors over
+        positive denominators, one per cell or one shared: the only routine
+        that puts a table in canonical form.  Each cell's content, the gcd
+        of its coefficients and denominator, is divided out, and the dtypes
+        are settled before (for an int64 gcd) and after (reduced values may
+        fit int64 where the unreduced ones did not)."""
+        num = _canonical(num)
+        if isinstance(den, int):  # numpy would read 2^63 <= den < 2^64 as uint64
+            den = np.array(den, dtype=object)
+        den = _canonical(den)
+        # column by column, stopping once every cell's gcd is 1 (soon on canonical input)
+        content = np.gcd(den, num[:, :, 0])
+        for k in range(1, num.shape[2]):
+            if content.max() == 1:
+                break
+            content = np.gcd(content, num[:, :, k])
+        if content.max() > 1:
+            num = _canonical(num // content[:, :, None])
         table = cls.__new__(cls)
-        table.group, table.num, table.den = group, _canonical(num), _canonical(den)
+        table.group, table.num, table.den = group, num, _canonical(den // content)
         table._values = None
         return table
 
@@ -162,11 +178,11 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     zeta_m ** (<alpha, u_k> + <beta, v_k>), for element indices u_k, v_k.
 
     Row by row, a histogram of the exponents times the power-basis rows
-    of zeta^e gives the coefficient vectors of every entry over m; then
-    each entry's content is divided out.  The product is taken in
-    float64: each coefficient sums nonnegative counts, K = len(us) in
-    all, times row entries of size at most row_bound, so every partial
-    sum is an integer below K * row_bound, exact while that is below 2^53.
+    of zeta^e gives the coefficient vectors of every entry over m.  The
+    product is taken in float64: each coefficient sums nonnegative
+    counts, K = len(us) in all, times row entries of size at most
+    row_bound, so every partial sum is an integer below K * row_bound,
+    exact while that is below 2^53.
     """
     m = group.m
     red = reduction_data(m)
@@ -182,10 +198,7 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
         bins = (left[a] + right) % m + offsets
         counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
         num[a] = counts.astype(np.float64) @ powers
-    content = np.gcd(np.gcd.reduce(num, axis=2), m)
-    if (content > 1).any():  # never for a field table with q <= 64
-        num //= content[:, :, None]
-    return JacobiTable._from_arrays(group, num, m // content)
+    return JacobiTable._from_arrays(group, num, m)
 
 
 def compute_jacobi(field: FiniteField) -> JacobiTable:

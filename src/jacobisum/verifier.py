@@ -125,7 +125,7 @@ import numpy as np
 
 from .abelian import Element, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic, reduction_data
-from .ffield import is_prime
+from .ffield import is_prime, prime_factors
 from .jacobi import ApproxTable, JacobiTable
 
 if TYPE_CHECKING:
@@ -288,7 +288,7 @@ def slice_convolution_sides(
 def _prime_field(m: int, below: int) -> tuple[int, np.ndarray]:
     """The largest prime p = 1 (mod m) below `below`, with the matrix of
     powers r^e (e < m) of the primitive m-th roots of unity r mod p."""
-    radicals = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    radicals = prime_factors(m)
     p = next(p for p in range((below - 2) // m * m + 1, 1, -m) if is_prime(p))
     candidates = (pow(x, (p - 1) // m, p) for x in range(2, p))
     w = next(w for w in candidates if all(pow(w, m // r, p) != 1 for r in radicals))

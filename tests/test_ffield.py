@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
-from jacobisum import FiniteField, build_field, is_prime
+from jacobisum import FiniteField, build_field, euler_phi, is_prime
+from jacobisum.ffield import prime_factors, prime_power
 
 from helpers import field
 
@@ -110,6 +112,10 @@ def test_errors():
         build_field(4, 1)
     with pytest.raises(ValueError):
         build_field(2, 17)  # 2^17 is past the 2^16 cap
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        build_field(2, 10**18)  # refused before 2^n is computed
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        FiniteField(2**61 - 1, 1, (0, 1), (3,))  # refused before elements are listed
     f = field(5)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
@@ -123,6 +129,21 @@ def test_errors():
 
 def test_is_prime():
     assert [k for k in range(20) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_factorisations_match_brute_force():
+    sieve = np.ones(5000, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, 71):
+        sieve[k * k::k] = False
+    primes = np.flatnonzero(sieve).tolist()
+    powers = {p**e: (p, e) for p in primes for e in range(1, 13) if p**e < 5000}
+    for n in range(5000):
+        assert is_prime(n) == sieve[n], n
+        assert prime_power(n) == powers.get(n), n
+        if n:
+            assert prime_factors(n) == [p for p in primes if n % p == 0], n
+            assert euler_phi(n) == np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1), n
 
 
 def test_q2_degenerate_field():

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +267,83 @@ def test_table_decode_past_int64_at_q64():
     assert (decoded.num == grid.num).all() and (decoded.den == grid.den).all()
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["cells-fit-int64", "cell-past-int64"])
+def test_table_decode_over_coprime_denominators_at_q64(wide):
+    # cells over pairwise coprime primes, one cell over two of them, put
+    # the lcm of the document's denominators past 2^63, so the numerators
+    # are gathered over it as Python ints; reduced cell by cell they fit
+    # int64 again, unless a cell's own denominator is 63 (2^61 - 1)
+    t = table(64)
+    m = t.group.m
+    zeros = [0] * (euler_phi(m) - 2)
+    moves = {(1, 2): Fraction(1, 2**31 - 1), (3, 4): Fraction(5, 2**19 - 1),
+             (2, 1): Cyclotomic.from_coefficients(m, [Fraction(1, 8191), Fraction(2, 131071)] + zeros)}
+    if wide:
+        moves[(5, 6)] = Fraction(1, 2**61 - 1)
+    for (i, j), s in moves.items():
+        t = t.with_entry(i, j, t.entry(i, j) + s)
+    doc = table_to_json(t)
+    decoded = table_from_json(doc)
+    grid = JacobiTable(t.group, [[Cyclotomic.from_strings(m, c) for c in row]
+                                 for row in doc["entries"]])
+    assert (decoded.num.dtype, decoded.den.dtype) == (grid.num.dtype, grid.den.dtype)
+    assert decoded.num.dtype == decoded.den.dtype == (object if wide else np.int64)
+    assert (decoded.num == grid.num).all() and (decoded.den == grid.den).all()
+    assert decoded == t and dumps(table_to_json(decoded)) == dumps(doc)
+
+
+def _primes_below(n: int, count: int) -> list[int]:
+    """The `count` largest primes below n, for 2^40 < n < 2^64: Miller-Rabin
+    with the first twelve primes as bases decides every number below 2^64."""
+    primes = []
+    while len(primes) < count:
+        n -= 1
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # a witnesses that n is composite
+        else:
+            primes.append(n)
+    return primes
+
+
+def test_table_decode_over_hundreds_of_coprime_denominators_at_q64(tmp_path, capsys):
+    # 400 cells, each moved by 1/p for its own prime p near 2^61, put the
+    # lcm of the document's denominators near 24,000 bits; the decoder
+    # takes each cell over its own denominator instead, so no integer grows
+    # with the number of cells moved, and the verifier refuses the table
+    # for its prime cap at once
+    t = table(64)
+    m = t.group.m
+    doc = table_to_json(t)
+    cells = [(i, j) for i in range(m) for j in range(m)][::9]
+    for (i, j), p in zip(cells, _primes_below(2**61, 400)):
+        coefficients = doc["entries"][i][j]
+        coefficients[0] = str(Fraction(coefficients[0]) + Fraction(1, p))
+    start = time.perf_counter()
+    decoded = table_from_json(doc)
+    assert time.perf_counter() - start < 1
+    grid = JacobiTable(t.group, [[Cyclotomic.from_strings(m, c) for c in row]
+                                 for row in doc["entries"]])
+    assert (decoded.num.dtype, decoded.den.dtype) == (grid.num.dtype, grid.den.dtype)
+    assert (decoded.num == grid.num).all() and (decoded.den == grid.den).all()
+    tpath = tmp_path / "t.json"
+    write_json(tpath, doc)
+    start = time.perf_counter()
+    assert _run("verify", "--table", tpath) == 2
+    assert time.perf_counter() - start < 1
+    assert "more than 64 primes" in capsys.readouterr().err
+
+
 def test_report_json_shapes():
     t = table(5)
     vdoc = verification_to_json(verify_all(t))
@@ -484,6 +563,19 @@ def test_cli_verdicts_on_a_zero_cell_over_a_huge_denominator(tmp_path, capsys):
     assert _run("reconstruct", "--table", tpath, "--out", rpath) == 1
     doc = read_json(rpath)
     assert doc["case"] == "inconsistent" and doc["inconsistency"]["stage"] == "verification"
+
+
+@pytest.mark.parametrize("p", [1099511627791, 2**61 - 1])
+def test_cli_rejects_field_files_beyond_the_size_limit(tmp_path, capsys, p):
+    # a field file is held to the same 2^16 limit as --p and --n, checked
+    # before p is tested for primality or a single element is listed
+    fpath = tmp_path / "f.json"
+    write_json(fpath, {"schema": "field/1", "p": p, "n": 1, "modulus": [0, 1], "generator": [3]})
+    start = time.perf_counter()
+    assert _run("jacobi", "--field", fpath, "--out", tmp_path / "t.json") == 2
+    assert time.perf_counter() - start < 1
+    assert "exceeds the bound 65536" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_cli_rejects_groups_beyond_the_exact_limit(tmp_path, capsys):

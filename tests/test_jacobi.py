@@ -330,6 +330,23 @@ def test_table_arrays_are_canonical(q):
 
 
 @pytest.mark.parametrize("q", [4, 9, 64])
+def test_from_arrays_divides_out_each_cells_content(q):
+    # unreduced input: every cell scaled by k, or every cell over the
+    # table's common denominator L, must give the canonical arrays back
+    for name, t in extreme_tables(q):
+        num, den = t.num.astype(object), t.den.astype(object)
+        scale = math.lcm(*den.ravel().tolist())
+        inputs = [(num * k, den * k) for k in (2, 6, 2**40)]
+        inputs.append((num * (scale // den)[:, :, None], scale))
+        for k, (n, d) in zip((2, 6, 2**40, "L"), inputs):
+            u = JacobiTable._from_arrays(t.group, n, d)
+            assert (u.num.dtype, u.den.dtype) == (t.num.dtype, t.den.dtype), (name, k)
+            assert np.array_equal(u.num, t.num) and np.array_equal(u.den, t.den), (name, k)
+            assert u.den.shape == t.den.shape and u.den.flags.writeable, (name, k)
+            assert u == t and hash(u) == hash(t), (name, k)
+
+
+@pytest.mark.parametrize("q", [4, 9, 64])
 def test_entry_equals_the_canonicalising_constructor(q):
     # entry takes the arrays' canonical form as it is; the constructor,
     # which canonicalises again, must give the same value, with Python ints
