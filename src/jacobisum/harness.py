@@ -60,7 +60,17 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("JSON document nests too deeply") from None
+
+
+def _schema(doc) -> object:
+    """The schema tag of a document, whose top level must be an object."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document is not a JSON object")
+    return doc.get("schema")
 
 
 # -- field files --------------------------------------------------------------
@@ -88,8 +98,9 @@ def field_to_json(field: FiniteField) -> dict:
 
 
 def field_from_json(doc: dict) -> FiniteField:
-    if doc.get("schema") != FIELD_SCHEMA:
-        raise ValueError(f"not a field file (schema {doc.get('schema')!r})")
+    schema = _schema(doc)
+    if schema != FIELD_SCHEMA:
+        raise ValueError(f"not a field file (schema {schema!r})")
     p, n, modulus, generator = doc["p"], doc["n"], doc["modulus"], doc["generator"]
     if any(type(x) is not int for x in (p, n, *modulus, *generator)):
         raise ValueError("p, n, modulus and generator must be JSON integers")
@@ -167,7 +178,7 @@ def approx_table_to_json(table: ApproxTable) -> dict:
 
 
 def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
-    schema = doc.get("schema")
+    schema = _schema(doc)
     if schema not in (TABLE_SCHEMA, APPROX_TABLE_SCHEMA):
         raise ValueError(f"not a table file (schema {schema!r})")
     factors, conductor = doc["factors"], doc["conductor"]
@@ -334,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("roundtrip", help="field -> table -> verify -> reconstruct -> compare")
@@ -415,7 +425,7 @@ def _dispatch(args) -> int:
 
     if args.command == "reconstruct":
         table = table_from_json(read_json(args.table))
-        report = reconstruct(table, force=args.force, strict=args.strict, tolerance=args.tolerance)
+        report = reconstruct(table, force=args.force, tolerance=args.tolerance)
         write_json(args.out, reconstruction_to_json(report))
         print(f"case: {report.case}; ok: {report.ok}")
         return 0 if report.ok else 1

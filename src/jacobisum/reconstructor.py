@@ -34,11 +34,11 @@ exact table, and their report is the certificate (see certify).  At a
 complex table's one point they certify it when the rebuilt field's
 table bounds every scan's difference within the tolerance.  The
 verifier accepts a certified table without scanning, and reconstruct
-reports a copy of the certificate in every mode, strict included,
-instead of running the stages again; it reports a complex table's
-stages from the run certify made even when the bound fails.  Each
-reconstruct evaluates the table once, at one point if it is certified,
-and the verifier and the stages read that one evaluation.
+reports a copy of the certificate instead of running the stages again;
+it reports a complex table's stages from the run certify made even when
+the bound fails.  Each reconstruct evaluates the table once, at one
+point if it is certified, and the verifier and the stages read that one
+evaluation.
 """
 
 from __future__ import annotations
@@ -291,7 +291,6 @@ def recover_support_map(
     table: JacobiTable | ApproxTable,
     support: tuple[Element, ...],
     *,
-    strict: bool = False,
     residues: _Evaluation | None = None,
     points: slice = _ALL_POINTS,
 ) -> dict[Element, Element]:
@@ -299,13 +298,11 @@ def recover_support_map(
     character a -> Q_a-transform at x.
 
     Only the group's standard generators are interrogated (the pairing
-    separates points, so that determines the element); strict mode
-    cross-checks the value at every character.  Support points are
-    handled in order, and at each one the generators in order.
+    separates points, so that determines the element).  Support points
+    are handled in order, and at each one the generators in order.
     `residues` and `points` are as for fourier_support.
     """
     g = table.group
-    m = g.m
     generators = g.generators()
     r = residues or _evaluate(table)
     gens = [g.index(gen) for gen in generators]
@@ -316,20 +313,7 @@ def recover_support_map(
     exponents = r.exponents(t, roots)
     found = ~r.differs(t - roots[exponents]).any(axis=-1)
     ys = _match_support(table, support, generators, exponents, found)
-    smap = {x: g.elements[y] for x, y in zip(support, ys)}
-
-    if strict:
-        t = _slice_transforms(r, np.arange(m), points)[:, :, xs]  # [k, alpha, x]
-        expected = roots[r.pairing[ys]]  # [x, alpha, k] = L zeta^<alpha, i(x)> at point k
-        wrong = (t.T != expected).any(axis=-1)  # [x, alpha]
-        if wrong.any():
-            i, a = np.unravel_index(wrong.argmax(), wrong.shape)
-            raise InconsistentTableError(
-                "support-map",
-                witness=(g.elements[a], support[i]),
-                detail="full cross-check failed",
-            )
-    return smap
+    return {x: g.elements[y] for x, y in zip(support, ys)}
 
 
 def classify_support(
@@ -527,7 +511,6 @@ def _rebuild(
     table: JacobiTable | ApproxTable,
     r: _Evaluation,
     *,
-    strict: bool = False,
     points: slice = _ALL_POINTS,
 ) -> ReconstructionReport:
     """Run every stage on the evaluation r, read at the given points, into
@@ -541,7 +524,7 @@ def _rebuild(
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
     try:
         support = fourier_support(table, r, points=points)
-        smap = recover_support_map(table, support, strict=strict, residues=r, points=points)
+        smap = recover_support_map(table, support, residues=r, points=points)
         report.support = support
         report.support_map = smap
         report.image = tuple(sorted(set(smap.values())))
@@ -637,24 +620,20 @@ def reconstruct(
     table: JacobiTable | ApproxTable,
     *,
     force: bool = False,
-    strict: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ReconstructionReport:
     """Run support recovery, classification, addition synthesis, field
     verification and the round trip, refusing unverified input unless
     forced.  The table is evaluated once, at one point if certified, for
     the verifier and every stage.  A certified table is reported by a copy
-    of the certificate in every mode: it is the support sum over the pairs
+    of the certificate: it is the support sum over the pairs
     (i(s), i(s) - s), so the transform of its slice at alpha is
-    [x in S] zeta^<alpha, i(x)> at every x, and the stages, strict
-    cross-check included, read at every point what the certificate read
-    at the first.  Complex-valued tables take the same stages, decided
-    within the tolerance, and their one point is every point, so the
-    stages' run in certify is reported whether or not it certified;
-    strict mode cross-checks exact transforms and is refused for them."""
+    [x in S] zeta^<alpha, i(x)> at every x, and the stages read at every
+    point what the certificate read at the first.  Complex-valued tables
+    take the same stages, decided within the tolerance, and their one
+    point is every point, so the stages' run in certify is reported
+    whether or not it certified."""
     approx = isinstance(table, ApproxTable)
-    if approx and strict:
-        raise ValueError("strict mode needs an exact table, not an approximate one")
     r = _evaluate(table, tolerance)
     verification = verify_all(table, tolerance=tolerance, residues=r)
     if not verification.passed and not force:
@@ -672,6 +651,6 @@ def reconstruct(
     elif verification.certificate is not None:
         report = replace(verification.certificate)
     else:
-        report = r.rebuilt or _rebuild(table, r, strict=strict)
+        report = r.rebuilt or _rebuild(table, r)
     report.verification = verification
     return report

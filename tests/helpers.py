@@ -344,11 +344,10 @@ def reference_fourier_support(table: js.JacobiTable):
     return tuple(support)
 
 
-def reference_support_map(table: js.JacobiTable, support, strict=False):
+def reference_support_map(table: js.JacobiTable, support):
     """The support-map stage as exact Cyclotomic loops: each standard
     generator's transform at each support point matched against the m
-    roots of unity, and under strict every character's transform at every
-    support point."""
+    roots of unity."""
     g = table.group
     m = g.m
     generators = g.generators()
@@ -380,15 +379,26 @@ def reference_support_map(table: js.JacobiTable, support, strict=False):
                 detail=f"{len(candidates)} dual elements match the transform values",
             )
         smap[x] = candidates[0]
-    if strict:
-        for x in support:
-            y = smap[x]
-            for alpha in g.elements:
-                if _reference_transform(table, alpha, x) != roots[js.pairing(g, alpha, y)]:
-                    raise InconsistentTableError(
-                        "support-map", witness=(alpha, x), detail="full cross-check failed"
-                    )
     return smap
+
+
+def reference_cross_check(table: js.JacobiTable, support, smap):
+    """The first (alpha, x), by character and then point, where the
+    transform of the slice at alpha is not [x in S] zeta^<alpha, i(x)>,
+    summed as exact Cyclotomic loops; None if there is none."""
+    g = table.group
+    m = g.m
+    sset = set(support)
+    for alpha in g.elements:
+        q_alpha = js.slice_function(table, alpha)
+        for x in g.elements:
+            acc = js.Cyclotomic.zero(m)
+            for beta in g.elements:
+                acc = acc + q_alpha[beta].mul_root(js.pairing(g, beta, x))
+            want = js.Cyclotomic.root(m, js.pairing(g, alpha, smap[x])) if x in sset else 0
+            if acc != want:
+                return alpha, x
+    return None
 
 
 def moved_approx(at: js.ApproxTable, cells, change) -> js.ApproxTable:

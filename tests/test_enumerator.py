@@ -79,7 +79,7 @@ def test_multi_factor_presentation_of_a_cyclic_group():
     assert result.agreement
     assert result.count == enumerate_jacobi(GroupSpec((6,))).count == 2
     for t in result.tables:
-        report = reconstruct(t, strict=True)
+        report = reconstruct(t)
         assert report.case == "field" and report.ok
         assert report.involution == (1, 0)  # the unique element of order 2
         assert report.field_checks.characteristic == 7

@@ -37,16 +37,18 @@ from jacobisum import (
     verify_all,
     verify_field,
 )
-from jacobisum import reconstructor, verifier
+from jacobisum import enumerator, reconstructor, verifier
 from jacobisum.harness import field_addition_rows, reconstruction_to_json
 from jacobisum.jacobi import ApproxTable
 
 from helpers import (
     LARGER_PRIME_POWERS,
     PRIME_POWERS,
+    extreme_tables,
     field,
     moved_approx,
     random_table,
+    reference_cross_check,
     reference_field_checks,
     reference_fourier_support,
     reference_fourier_support_approx,
@@ -106,14 +108,6 @@ def test_roundtrip_matches_field_addition():
         assert report.field_checks.passed
         assert report.field_checks.characteristic == f.p
         assert report.addition.table == field_addition_rows(f)
-
-
-def test_strict_mode_agrees():
-    t = table(7)
-    support = fourier_support(t)
-    assert recover_support_map(t, support, strict=True) == recover_support_map(t, support)
-    with pytest.raises(TypeError):  # everything after the support is keyword-only
-        recover_support_map(t, support, None, True)
 
 
 def test_trivial_group_cases():
@@ -409,9 +403,8 @@ def _stage_tables():
 @pytest.mark.parametrize("scan_bytes", [None, 1])
 def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
     # the residue transforms give the Cyclotomic loops' support, map,
-    # failing stage, witness and detail, with and without strict mode;
-    # also, on every third table, with one evaluation point per chunk of
-    # characters
+    # failing stage, witness and detail; also, on every third table, with
+    # one evaluation point per chunk of characters
     tables = _stage_tables()
     if scan_bytes is not None:
         monkeypatch.setattr(reconstructor, "_SCAN_BYTES", scan_bytes)
@@ -424,15 +417,56 @@ def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
             seen.add(got[2].split(" ")[-1])  # "... is not 0 or 1"
             continue
         support = got[1]
-        for strict in (False, True):
-            got = _stage_outcome(recover_support_map, t, support, strict=strict)
-            want = _stage_outcome(reference_support_map, t, support, strict)
-            assert got == want, (t, strict)
-            seen.add("map" if got[0] == "ok" else got[2].split(" ")[-1])
+        got = _stage_outcome(recover_support_map, t, support)
+        assert got == _stage_outcome(reference_support_map, t, support), t
+        seen.add("map" if got[0] == "ok" else got[2].split(" ")[-1])
     # every outcome occurs: a map, a transform not 0 or 1, not a root of
-    # unity, no single matching dual element, and a failed cross-check
+    # unity, and no single matching dual element
     if scan_bytes is None:
-        assert seen == {"map", "1", "unity", "values", "failed"}
+        assert seen == {"map", "1", "unity", "values"}
+
+
+def _candidate_tables(factors):
+    """The support sum of every map the enumerator tries on the group:
+    the field tables and the rejected tables whose round trip holds."""
+    g = GroupSpec(factors)
+    for c in g.elements:
+        support = tuple(x for x in g.elements if x != c)
+        for smap in enumerator._candidate_maps(g, c):
+            yield table_from_support(g, support, smap)
+
+
+def _forced_tables():
+    """_stage_tables(), extreme_tables(q) for q in {4, 8, 9, 16}, the
+    enumerator's candidates on Z/6, Z/7 and Z/2 x Z/3, and the
+    automorphism and Galois twists of each by -1."""
+    extremes = (t for q in (4, 8, 9, 16) for _, t in extreme_tables(q))
+    candidates = (t for f in ((6,), (7,), (2, 3)) for t in _candidate_tables(f))
+    for t in itertools.chain(_stage_tables(), extremes, candidates):
+        yield t
+        if t.group.m > 2:
+            yield twist_automorphism(t, t.group.m - 1)
+            yield twist_galois(t, t.group.m - 1)
+
+
+def test_round_trip_decides_the_full_cross_check():
+    # where a forced round trip holds, the input is the support sum over
+    # the pairs (i(s), i(s) - s), so the transform of its slice at every
+    # alpha is [x in S] zeta^<alpha, i(x)> at every x: a cross-check of
+    # every character's transform could fail only where the round trip or
+    # an earlier stage already does.  A table that fails verification is
+    # never reconstructed as ok.
+    outcomes = collections.Counter()
+    for t in _forced_tables():
+        report = reconstruct(t, force=True)
+        if report.roundtrip_ok:
+            assert reference_cross_check(t, report.support, report.support_map) is None, t
+        if not report.verification.passed:
+            assert not report.ok, t
+        outcomes[report.verification.passed, bool(report.roundtrip_ok)] += 1
+    # rejected tables whose round trip holds occur, among the enumerator's
+    # candidates
+    assert outcomes[False, True] > 0, outcomes
 
 
 def test_approximate_round_trip_and_baseline_use_the_tolerance():
@@ -523,8 +557,8 @@ def test_complex_stages_match_the_loop_references():
 
 
 def test_reconstruct_reuses_the_certificate(monkeypatch):
-    # one evaluation per call in every mode; a certified table, strict or
-    # forced, also takes one rebuilt table and one field check, and its
+    # one evaluation per call, forced or not; a certified table, forced or
+    # not, also takes one rebuilt table and one field check, and its
     # report equals the one built from the stages
     calls = []
 
@@ -542,7 +576,7 @@ def test_reconstruct_reuses_the_certificate(monkeypatch):
     support = fourier_support(t)
     smap = recover_support_map(t, support)
     addition = build_addition(t.group, classify_support(t.group, support, smap).involution, smap)
-    for kwargs in ({}, {"strict": True}, {"force": True}, {"force": True, "strict": True}):
+    for kwargs in ({}, {"force": True}):
         calls.clear()
         report = reconstruct(t, **kwargs)
         assert report.verification.method == "certificate"
@@ -556,7 +590,7 @@ def test_reconstruct_reuses_the_certificate(monkeypatch):
     third = Fraction(3, 7)
     moved = t.with_entry(1, 2, t.entry(1, 2) + third).with_entry(2, 1, t.entry(2, 1) + third)
     runs = (
-        (moved, {}), (moved, {"force": True}), (moved, {"force": True, "strict": True}),
+        (moved, {}), (moved, {"force": True}),
         (approximate(t), {}), (approximate(moved), {}), (approximate(moved), {"force": True}),
     )
     for u, kwargs in runs:
@@ -612,28 +646,21 @@ def _twisted_field_tables():
                 yield twist_galois(t, r)
 
 
-def test_certificate_holds_what_strict_mode_reads():
+def test_certificate_equals_the_stages_at_every_point():
     # a certified table's support and map are those the stages read at
-    # every evaluation point, strict cross-check included, so reconstruct
-    # can take them from the certificate in every mode: the certificate is
-    # the report the stages give on the full evaluation, strict included
+    # every evaluation point, so reconstruct can take them from the
+    # certificate: the certificate is the report the stages give on the
+    # full evaluation
     for t in _twisted_field_tables():
         cert = verify_all(t).certificate
         assert cert is not None, t
         support = fourier_support(t)
         assert support == cert.support, t
-        assert recover_support_map(t, support, strict=True) == cert.support_map, t
-        full = reconstructor._rebuild(t, verifier._Residues(t), strict=True)
+        assert recover_support_map(t, support) == cert.support_map, t
+        full = reconstructor._rebuild(t, verifier._Residues(t))
         for f in dataclasses.fields(full):
             if f.name != "verification":
                 assert getattr(cert, f.name) == getattr(full, f.name), (t, f.name)
-
-
-def test_reconstruct_refuses_strict_on_approximate_tables():
-    noisy = approximate(table(9))
-    with pytest.raises(ValueError, match="strict"):
-        reconstruct(noisy, strict=True)
-    assert reconstruct(noisy).ok
 
 
 def test_exact_paths_never_build_the_entry_grid(monkeypatch):
@@ -655,13 +682,11 @@ def test_exact_paths_never_build_the_entry_grid(monkeypatch):
         assert accepted == (u == t)
         assert reconstruct(u).ok == accepted
         reconstruct(u, force=True)
-        if accepted:
-            assert reconstruct(u, strict=True).ok
 
 
 def test_certified_tables_are_evaluated_at_one_point(monkeypatch):
     # the certificate reads the first evaluation point alone, so neither
-    # verify_all nor reconstruct, strict or forced, evaluates a certified
+    # verify_all nor reconstruct, forced or not, evaluates a certified
     # table at every point; the scans of a refused table still do
     def forbidden(self):
         raise RuntimeError("evaluated at every point")
@@ -669,8 +694,8 @@ def test_certified_tables_are_evaluated_at_one_point(monkeypatch):
     monkeypatch.setattr(verifier._Residues, "values", property(forbidden))
     for t in _twisted_field_tables():
         assert verify_all(t).method == "certificate", t
-        assert reconstruct(t, strict=True).ok, t
-    for kwargs in ({}, {"force": True}, {"force": True, "strict": True}):
+        assert reconstruct(t).ok, t
+    for kwargs in ({}, {"force": True}):
         assert reconstruct(table(64), **kwargs).ok, kwargs
     t = table(64)
     moved = t.with_entry(1, 2, t.entry(1, 2) + Fraction(1, 7))
