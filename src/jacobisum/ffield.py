@@ -122,9 +122,9 @@ class FiniteField:
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...], generator: FieldElement):
         q = _field_size(p, n)
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
+        if len(modulus) != n + 1 or int(modulus[-1]) != 1:
             raise ValueError("modulus must be monic of degree n")
+        modulus = tuple(int(c) % p for c in modulus)
         if not _is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over Z/{p}")
         self.p = p

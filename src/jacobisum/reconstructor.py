@@ -16,13 +16,14 @@ Jacobi function.  The zero symbol annihilates under multiplication:
 
 Transforms are read off the verifier's evaluation of the table, the
 same stages for both kinds: the transform of the slice at alpha, scaled
-by the common denominator L, is sum_beta L J(alpha - beta, beta)
-chi_x(beta) at every point, one matrix product per point.  For an exact
-table the points are residues modulo primes; a transform is a linear
-sum of entries, so its coefficients stay far below the bound under which
-the evaluation proves equality, and "is 0", "is 1" and "is zeta^e" are
-decided exactly by comparing residues with 0, L and L r^e at every
-point, with e read where the L r^e are distinct.  A complex table is
+by the common denominator L, is L T_alpha(chi_x) = sum_beta
+L J(alpha - beta, beta) chi_x(beta) at every point, one matrix product
+per point (_Evaluation.transforms, which the convolution scan shares).
+For an exact table the points are residues modulo primes; a transform
+is a linear sum of entries, so its coefficients stay far below the bound
+under which the evaluation proves equality, and "is 0", "is 1" and "is
+zeta^e" are decided exactly by comparing residues with 0, L and L r^e at
+every point, with e read where the L r^e are distinct.  A complex table is
 evaluated at one point, its entries, with L = 1 and r = exp(2 pi i / m);
 the same comparisons hold within the tolerance, with e the phase rounded
 half to even to the nearest m-th of a turn.  A failure quotes the value
@@ -61,7 +62,6 @@ from .verifier import (
     VerificationReport,
     _evaluate,
     _Evaluation,
-    _SCAN_BYTES,
     verify_all,
 )
 
@@ -108,12 +108,6 @@ class AdditionTable:
 
     group: GroupSpec
     table: tuple[tuple[int, ...], ...]
-
-    def add_sym(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def mul_sym(self, i: int, j: int) -> int:
-        return int(self.mul[i, j])
 
     @cached_property
     def mul(self) -> np.ndarray:
@@ -187,24 +181,6 @@ class ReconstructionReport:
 
 _ALL_POINTS = slice(None)
 _FIRST_POINT = slice(0, 1)
-
-
-def _slice_transforms(r: _Evaluation, alphas, points: slice = _ALL_POINTS) -> np.ndarray:
-    """T[k, a, x] = sum over beta of L J(alphas[a] - beta, beta) chi_x(beta)
-    at the k-th of the given evaluation points, reduced there: the scaled
-    transforms of the slices at the given element indices, evaluated like
-    the table.  The characters are tabulated a chunk of points at a time,
-    in at most _SCAN_BYTES."""
-    m = r.m
-    v = r.at(points)[r.addneg[alphas], np.arange(m)].transpose(2, 0, 1)
-    powers = r.root_powers[:, points]
-    t = np.empty(v.shape, dtype=r.wide)
-    width = max(1, _SCAN_BYTES // (r.wide.itemsize * m * m))
-    for lo in range(0, len(t), width):
-        ks = slice(lo, lo + width)
-        w = powers[:, ks][r.pairing].transpose(2, 0, 1)  # [k, beta, x] = chi_x(beta)
-        t[ks] = r.product(v[ks], w)
-    return r.reduce(t, points, 0)
 
 
 def _transform_at(table: JacobiTable | ApproxTable, alpha: Element, x: Element):
@@ -282,7 +258,7 @@ def fourier_support(
     decision to some of its points, where a value that differs from 0 and
     1 still disproves, but agreement no longer proves."""
     r = residues or _evaluate(table)
-    t = _slice_transforms(r, [0], points)[:, 0].T  # [x, k]; index 0 is the identity
+    t = r.transforms([0], points)[:, 0].T  # [x, k]; index 0 is the identity
     one = ~r.differs(t - r.scale[points]).any(axis=1)
     return _support(table, one, ~one & r.differs(t).any(axis=1))
 
@@ -308,7 +284,7 @@ def recover_support_map(
     gens = [g.index(gen) for gen in generators]
     xs = [g.index(x) for x in support]
     roots = r.reduce(r.scale[points] * r.root_powers[:, points], points)  # [e, k] = L r^e
-    t = _slice_transforms(r, gens, points)[:, :, xs].T  # [support point, generator, k]
+    t = r.transforms(gens, points)[:, :, xs].T  # [support point, generator, k]
     # read e, then confirm the transform is L r^e at every point
     exponents = r.exponents(t, roots)
     found = ~r.differs(t - roots[exponents]).any(axis=-1)
@@ -487,10 +463,11 @@ def _scan_bound(values: np.ndarray, embedded: np.ndarray, rebuilt: JacobiTable) 
     higher orders: rho <= 32 u (X + 2)^2.  The convolution scan decides
     every row it flags on the inverse transform e[s2, y], the difference at
     (s1, s2, y - s1), and passes every row it does not flag, so a bound on
-    every computed e proves it passes.  The transforms, of size at most
-    T = m X, are m-term sums of products with roots of unity within 32 u,
-    and e is one forward transform, one product, one difference and one
-    inverse transform from the entries: to first order rho <= (T^2 + T)
+    every computed e proves it passes.  The slice transforms T_s, of size
+    at most T = m X, are m-term sums of products with roots of unity
+    within 32 u, Q^_s(chi) = chi(s) T_s(-chi) takes one more product with
+    such a root, and e is the product T_s1 Q^_s2, its difference from
+    T_{s1+s2} and one inverse transform: to first order rho <= (T^2 + T)
     (3 m + 160) u, doubled for the higher orders.  A last factor
     1 + 64 u covers the rounding of this formula and of |x| in the scans'
     test |x| <= tolerance."""

@@ -19,9 +19,10 @@ assumption, and the lexicographically first failing quadruple is
 (0, s1, d, s2 - d) for the smallest failing s1, then d, then s2 - d.
 For fixed (s1, s2) the left side is a correlation in d, which the
 group's Fourier transform Q^_s(chi) = sum_u Q_s(u) chi(u) turns into a
-product: with C_s(chi) = chi(s) Q^_s(-chi), the identity holds at every
-d exactly when C_s1(chi) Q^_s2(chi) = C_{s1+s2}(chi) at every character
-chi.
+product.  With T_s(chi) = sum_beta J(s - beta, beta) chi(beta), the
+transform of the slice at s that reconstruction reads, Q^_s(chi) is
+chi(s) T_s(-chi), and the identity holds at every d exactly when
+T_s1(chi) chi(s2) T_s2(-chi) = T_{s1+s2}(chi) at every character chi.
 
 Every check reads one evaluation of the table.  An exact table is
 scaled to integer coefficient vectors over its common denominator L, and
@@ -45,8 +46,8 @@ approximate.  The two evaluations differ in three operations: reducing
 differs (a nonzero residue, or a value not within an absolute tolerance,
 NaN included) and reading an exponent e from L r^e.
 
-The convolution-sum scan flags the rows s1 where C_s1 Q^_s2 differs from
-L C_{s1+s2} at some character, and inverse-transforms the flagged rows in
+The convolution-sum scan flags the rows s1 where T_s1 Q^_s2 differs from
+L T_{s1+s2} at some character, and inverse-transforms the flagged rows in
 order to decide them in the direct domain.  A flagged exact row always
 fails there, since the transform is invertible.  An unflagged complex row
 passes, because each direct-domain difference D is an average of the
@@ -57,12 +58,13 @@ failure could hide: in the rows before it by the transforms (none when
 it is row 0), and in the pairs of its row before that pair in the direct
 domain, where the identity at (0, s1, d, a4) reads
 sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
-and point.  The transforms' matrix products, here and in the
-reconstructor's slice transforms, are float64 BLAS products: the left
-operand's residues, below 2^25, are split at bit 20, and each m-term sum
-of a limb times a residue stays below m 2^45 <= 2^53 for m <= 256, so
-both limb products are exact, and their fold in int64 (below 2^59) is
-the int64 product, reduced modulo p by the caller (_Residues.product).
+and point.  The scan and the reconstruction stages take T from one
+routine, _Evaluation.transforms.  Its matrix products, and the scan's
+inverse transforms, are float64 BLAS products: the left operand's
+residues, below 2^25, are split at bit 20, and each m-term sum of a limb
+times a residue stays below m 2^45 <= 2^53 for m <= 256, so both limb
+products are exact, and their fold in int64 (below 2^59) is the int64
+product, reduced modulo p by the caller (_Residues.product).
 
 Both cocycle forms are decided by one pass in lexicographic order.
 Expanding L J*(i, j) = L J(i, j) - L delta(i) - L delta(j), the delta(a),
@@ -335,6 +337,25 @@ class _Evaluation:
             self._first = self._evaluate(points)
         return self._first
 
+    def characters(self, points) -> np.ndarray:
+        """w[k, x, y] = chi_x(y) = chi_y(x) at the k-th of the given points."""
+        return self.root_powers[:, points][self.pairing].transpose(2, 0, 1)
+
+    def transforms(self, alphas, points: slice = slice(None)) -> np.ndarray:
+        """T[k, a, x] = L T_s(chi_x) = sum over beta of L J(s - beta, beta)
+        chi_x(beta), for s = alphas[a], at the k-th of the given points and
+        reduced there.  The characters are tabulated a chunk of points at a
+        time, in at most _SCAN_BYTES."""
+        m = self.m
+        v = self.at(points)[self.addneg[alphas], np.arange(m)].transpose(2, 0, 1)
+        ks = np.arange(self.root_powers.shape[1])[points]
+        t = np.empty(v.shape, dtype=self.wide)
+        width = max(1, _SCAN_BYTES // (self.wide.itemsize * m * m))
+        for lo in range(0, len(t), width):
+            chunk = slice(lo, lo + width)
+            t[chunk] = self.product(v[chunk], self.characters(ks[chunk]))
+        return self.reduce(t, points, 0)
+
 
 def _chunks(n: int, size: int):
     """Index arrays that cover range(n) in order, for arrays of `size`
@@ -603,28 +624,25 @@ def _first_failing_pair(r: _Evaluation, s1: int, n: int, ks: slice) -> int:
 
 def _first_failing_row(r: _Evaluation, below: int, ks: slice) -> tuple[int, int] | None:
     """The first row s1 < below whose triple fails at some point of ks, with
-    the first of its pairs d * m + a4 that fails there, or None.  The points
-    are transformed and the rows where C_s1 Q^_s2 differs from L C_{s1+s2}
-    are flagged, then inverse-transformed and decided in order in the
-    direct domain, where a flagged complex row may pass."""
-    m, add, neg, addneg = r.m, r.add, r.neg, r.addneg
+    the first of its pairs d * m + a4 that fails there, or None.  The
+    rows where T_s1 Q^_s2 differs from L T_{s1+s2} at the points, with
+    Q^_s(chi) = chi(s) T_s(-chi), are flagged, then inverse-transformed
+    and decided in order in the direct domain, where a flagged complex
+    row may pass."""
+    m, add, neg = r.m, r.add, r.neg
     L = r.scale[ks, None, None]
-    # w[k, x, y] = chi_x(y) at point k, symmetric in x and y
-    w = r.root_powers[:, ks][r.pairing].transpose(2, 0, 1)
-    # L Q_s(u), transformed
-    qh = r.reduce(r.product(r.values[np.arange(m), addneg, ks].transpose(2, 0, 1), w), ks, 0)
-    c = qh[:, :, neg]
-    c *= w
-    c = r.reduce(c, ks, 0)
-    lc = r.reduce(L * c, ks, 0)
+    w = r.characters(ks)
+    t = r.transforms(np.arange(m), ks)  # [k, s, x] = L T_s(chi_x)
+    qh = r.reduce(t[:, :, neg] * w, ks, 0)  # L Q^_s(chi_x)
+    lt = r.reduce(L * t, ks, 0)
     inverse = r.reduce(w[:, :, neg] * r.m_inverse[ks, None, None], ks, 0)
     rows = max(1, _SCAN_BYTES // (2 * r.wide.itemsize * m * m * len(w)))
     for top in range(0, below, rows):
         s1 = np.arange(top, min(top + rows, below))
-        prod = r.reduce(c[:, s1, None] * qh[:, None], ks, 0)
-        prod -= lc[:, add[s1]]
+        prod = r.reduce(t[:, s1, None] * qh[:, None], ks, 0)
+        prod -= lt[:, add[s1]]
         for s in s1[r.differs(prod).any(axis=(0, 2, 3))].tolist():
-            diff = r.reduce(c[:, s, None] * qh - lc[:, add[s]], ks, 0)
+            diff = r.reduce(t[:, s, None] * qh - lt[:, add[s]], ks, 0)
             # e[k, s2, y] = D(s, s2, y - s) at point k, where D is the
             # difference of the two sides at the triple (s, s2, y - s)
             e = r.reduce(r.product(diff, inverse), ks, 0)
@@ -646,7 +664,7 @@ def _convolution_witness(r: _Evaluation):
     replaces both; a failing pair becomes the candidate."""
     m = r.m
     npoints = r.values.shape[2]
-    # the four transforms of a chunk (w, qh, c, lc) share _SCAN_BYTES, and
+    # the four transforms of a chunk (w, t, qh, lt) share _SCAN_BYTES, and
     # so do the two wide operands of a row block's comparison
     width = max(1, _SCAN_BYTES // (4 * r.wide.itemsize * m * m))  # points per chunk
     best, first = m, None  # the first failing s1 row and its first failing pair

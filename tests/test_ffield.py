@@ -125,6 +125,9 @@ def test_errors():
         FiniteField(2, 2, (1, 0, 1), (0, 1))  # t^2 + 1 = (t+1)^2 is reducible
     with pytest.raises(ValueError):
         FiniteField(5, 1, (0, 1), (1,))  # 1 does not generate F_5*
+    for modulus in ((), (1, 1), (1, 1, 2)):  # empty, of degree 1, not monic
+        with pytest.raises(ValueError, match="modulus must be monic of degree n"):
+            FiniteField(2, 2, modulus, (0, 1))
 
 
 def test_is_prime():

@@ -432,6 +432,14 @@ def test_cli_malformed_inputs(tmp_path, capsys):
             assert _run(*args) == 2, (text[:8], args[0])
             assert capsys.readouterr().err.startswith("error: "), (text[:8], args[0])
             assert not out.exists(), (text[:8], args[0])
+    # so is a field document whose modulus is empty
+    fdoc = field_to_json(field(4))
+    fdoc["modulus"] = []
+    write_json(bad, fdoc)
+    capsys.readouterr()
+    assert _run("jacobi", "--field", bad, "--out", out) == 2
+    assert capsys.readouterr().err == "error: modulus must be monic of degree n\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell, coefficient", [

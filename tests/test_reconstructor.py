@@ -167,20 +167,20 @@ def test_build_addition_basics():
     at = report.addition
     size = at.size
     for s in range(size):
-        assert at.add_sym(0, s) == s  # zero row is the identity
+        assert at.table[0][s] == s  # zero row is the identity
     g = at.group
     c_idx = g.index(report.involution)
     for x in range(1, size):
         negated = g.index(g.add(report.involution, g.element(x - 1))) + 1
-        assert at.add_sym(x, negated) == 0  # x + c*x = 0
-    assert at.add_sym(1, 1) == 2  # 1 + 1 = g in the two-element dual
+        assert at.table[x][negated] == 0  # x + c*x = 0
+    assert at.table[1][1] == 2  # 1 + 1 = g in the two-element dual
 
 
 def test_addition_multiplication_extends_group():
     at = reconstruct(table(5)).addition
-    assert at.mul_sym(0, 3) == 0 and at.mul_sym(3, 0) == 0
-    assert at.mul_sym(2, 3) == 4  # g^1 * g^2 = g^3
-    assert at.mul_sym(1, 3) == 3  # identity acts trivially
+    assert int(at.mul[0, 3]) == 0 and int(at.mul[3, 0]) == 0
+    assert int(at.mul[2, 3]) == 4  # g^1 * g^2 = g^3
+    assert int(at.mul[1, 3]) == 3  # identity acts trivially
 
 
 def test_verify_field_detects_corruption():
@@ -309,7 +309,7 @@ def test_twisted_table_reconstructs_conjugated_addition():
 
     for x in range(base.size):
         for y in range(base.size):
-            assert twisted.add_sym(sigma(x), sigma(y)) == sigma(base.add_sym(x, y))
+            assert twisted.table[sigma(x)][sigma(y)] == sigma(base.table[x][y])
 
 
 def test_approximate_pipeline_matches_exact():
@@ -407,7 +407,7 @@ def test_transform_stages_match_loop_references(monkeypatch, scan_bytes):
     # one evaluation point per chunk of characters
     tables = _stage_tables()
     if scan_bytes is not None:
-        monkeypatch.setattr(reconstructor, "_SCAN_BYTES", scan_bytes)
+        monkeypatch.setattr(verifier, "_SCAN_BYTES", scan_bytes)
         tables = itertools.islice(tables, 0, None, 3)
     seen = set()
     for t in tables:

@@ -914,15 +914,47 @@ def test_approximate_convolution_at_the_tolerance_itself():
 
 
 def _transform_differences(at: ApproxTable, s1: int):
-    """F[s2, x] = C_s1(chi_x) Q^_s2(chi_x) - C_{s1+s2}(chi_x) on a cyclic
-    group, where Q_s(u) = J(u, s - u) and C_s(chi) = chi(s) Q^_s(-chi)."""
+    """F[s2, x] = T_s1(chi_x) Q^_s2(chi_x) - T_{s1+s2}(chi_x) on a cyclic
+    group, where Q_s(u) = J(u, s - u), Q^_s is its transform and
+    T_s(chi) = chi(s) Q^_s(-chi) = sum_beta J(s - beta, beta) chi(beta)
+    is the transform of the slice at s."""
     m = at.group.m
     ar = np.arange(m)
     z = np.exp(2j * np.pi * np.outer(ar, ar) / m)  # z[x, u] = chi_x(u)
     q = np.array(at.entries)[ar[None, :], (ar[:, None] - ar[None, :]) % m]  # [s, u]
     qh = q @ z
-    c = z * qh[:, -ar % m]
-    return c[s1] * qh - c[(s1 + ar) % m]
+    t = z * qh[:, -ar % m]
+    return t[s1] * qh - t[(s1 + ar) % m]
+
+
+@pytest.mark.parametrize("kind", ["exact", "complex"])
+def test_scan_transforms_are_the_slice_transforms(monkeypatch, kind):
+    # the convolution scan's transforms L Q^_s(chi), once the product of
+    # u -> L J(u, s - u) with the characters, are chi(s) L T_s(-chi):
+    # exactly on residues, within 1e-12 of the transforms' size on complex
+    # tables.  With one point per chunk of characters, the transforms of
+    # any slices at any points are those of one unchunked call
+    rng = random.Random(20)
+    tables = [t for q in (4, 8, 9, 27, 49, 64) for _, t in extreme_tables(q)]
+    tables += [random_table(rng, factors) for factors in ((2, 2), (2, 4), (3, 3))]
+    for t in tables:
+        r = verifier._evaluate(t if kind == "exact" else approximate(t))
+        m, every = r.m, slice(None)
+        w = r.characters(every)
+        q = r.values[np.arange(m), r.addneg].transpose(2, 0, 1)  # [k, s, u] = L J(u, s - u)
+        direct = r.reduce(r.product(q, w), every, 0)
+        transforms = r.transforms(np.arange(m))
+        derived = r.reduce(transforms[:, :, r.neg] * w, every, 0)
+        if kind == "exact":
+            assert (derived == direct).all(), t
+        else:
+            size = max(1.0, np.abs(direct).max())
+            assert np.abs(derived - direct).max() <= 1e-12 * size, t
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_SCAN_BYTES", 1)
+            assert (r.transforms(np.arange(m)) == transforms).all(), t
+            later = slice(min(1, r.values.shape[2] - 1), None)
+            assert (r.transforms([0, m - 1], later) == transforms[later][:, [0, m - 1]]).all(), t
 
 
 def test_approximate_convolution_goes_past_rows_the_transforms_flag():
