@@ -12,7 +12,9 @@ x * i(x/y)^-1 otherwise, and the result is a finite field whose table
 reproduces the input.  Full support forces the trivial group (the
 boolean degenerate case); anything else means the input was never a
 Jacobi function.  The zero symbol annihilates under multiplication:
-0 * x = x * 0 = 0.
+0 * x = x * 0 = 0.  The addition is held as its Zech vector
+x (+) 1 = x i(x)^-1, 0 at x = c, which fixes the rest of the law:
+x (+) y = y (x/y (+) 1) for nonzero x and y.
 
 Transforms are read off the verifier's evaluation of the table, the
 same stages for both kinds: the transform of the slice at alpha, scaled
@@ -99,26 +101,34 @@ class BooleanCase:
 
 @dataclass(frozen=True)
 class AdditionTable:
-    """Addition on the carrier {0} + dual group, as (m+1) x (m+1) symbols.
+    """Addition on the carrier {0} + dual group, held as its Zech vector.
 
     Symbol 0 is the additive identity; symbol k >= 1 is the dual element
-    of index k - 1.  Multiplication extends the group law with an
-    annihilating zero.
+    of index k - 1.  zech[t] is the symbol of e_t (+) 1, for e_t the dual
+    element of index t, and 0 at the involution c; for nonzero x and y,
+    x (+) y = y (x/y (+) 1).
     """
 
     group: GroupSpec
-    table: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def mul(self) -> np.ndarray:
-        """The (m+1) x (m+1) multiplication table of symbols, read-only."""
-        mul = np.pad(index_tables(self.group)[0] + 1, (1, 0))  # zero row and column
-        mul.flags.writeable = False
-        return mul
+    zech: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.zech) + 1
+
+    def _rows(self) -> np.ndarray:
+        """The (m+1) x (m+1) table of symbols."""
+        add, _, sub = index_tables(self.group)
+        z = np.asarray(self.zech, dtype=np.intp)[sub]  # [x, y] -> x/y (+) 1
+        rows = np.zeros((self.size, self.size), dtype=np.intp)
+        rows[0] = rows[:, 0] = np.arange(self.size)
+        rows[1:, 1:] = np.where(z == ZERO_SYM, ZERO_SYM, add[np.arange(len(z)), z - 1] + 1)
+        return rows
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The (m+1) x (m+1) addition table of symbols."""
+        return tuple(map(tuple, self._rows().tolist()))
 
 
 @dataclass(frozen=True)
@@ -349,75 +359,58 @@ def classify_support(
 def build_addition(
     group: GroupSpec, involution: Element, support_map: dict[Element, Element]
 ) -> AdditionTable:
-    """Tabulate x (+) y = 0 if x = c y, else x i(x/y)^-1, with 0 as identity."""
-    m = group.m
+    """The addition x (+) y = 0 if x = c y, else x i(x/y)^-1, with 0 as
+    identity, held as its Zech vector x (+) 1 = x i(x)^-1, 0 at x = c."""
     sub = index_tables(group)[2]
-    imap = np.array(
-        [0 if z == involution else group.index(support_map[z]) for z in group.elements],
-        dtype=np.intp,
-    )
-    rows = np.zeros((m + 1, m + 1), dtype=np.intp)
-    rows[0] = rows[:, 0] = np.arange(m + 1)
-    rows[1:, 1:] = np.where(
-        sub == group.index(involution), ZERO_SYM, sub[np.arange(m)[:, None], imap[sub]] + 1
-    )
-    return AdditionTable(group, tuple(map(tuple, rows.tolist())))
+    zech = [
+        ZERO_SYM if x == involution else int(sub[k, group.index(support_map[x])]) + 1
+        for k, x in enumerate(group.elements)
+    ]
+    return AdditionTable(group, tuple(zech))
 
 
-def _first_failure(name: str, slabs) -> CheckResult:
-    """Scan (leading index, lhs, rhs) slabs in order and report the first
-    position where lhs and rhs differ, or a pass."""
-    for lead, lhs, rhs in slabs:
-        bad = lhs != rhs
-        if bad.any():
-            idx = np.unravel_index(bad.argmax(), bad.shape)
-            point = lead + tuple(int(i) for i in idx)
-            return CheckResult(name, False, point, int(lhs[idx]), int(rhs[idx]))
-    return CheckResult(name, True)
+def _first_failure(name: str, lhs, rhs, lead: tuple = ()) -> CheckResult:
+    """The first position, in order, where a slab's lhs and rhs differ,
+    prefixed by the slab's leading index, or a pass."""
+    bad = lhs != rhs
+    if not bad.any():
+        return CheckResult(name, True)
+    idx = np.unravel_index(bad.argmax(), bad.shape)
+    point = lead + tuple(int(i) for i in idx)
+    return CheckResult(name, False, point, int(lhs[idx]), int(rhs[idx]))
 
 
 def verify_field(at: AdditionTable) -> FieldChecks:
-    """Exhaustively check the field axioms on the carrier and derive the
-    characteristic, confirming the carrier size is a power of it.  The
-    triple scans take one first index at a time, size^2 symbols a step."""
-    size = at.size
-    t = at.table
-    a = np.array(t, dtype=np.intp)
-    mul = at.mul
-    commutative = _first_failure("commutative", [((), a, a.T)])
-    # (i + j) + k = i + (j + k)
-    associative = _first_failure(
-        "associative", (((i,), a[a[i]], a[i][a]) for i in range(size))
-    )
-    # z (i + j) = z i + z j
-    distributive = _first_failure(
-        "distributive",
-        (((z,), mul[z][a], a[mul[z][:, None], mul[z][None, :]]) for z in range(size)),
-    )
+    """Check the field axioms on the carrier and derive the characteristic,
+    confirming the carrier size is a power of it, with the verdicts and
+    witnesses of exhaustive scans in lexicographic order, in O(q^2).
 
-    identity = CheckResult("identity", True)
-    for s in range(size):
-        if t[0][s] != s or t[s][0] != s:
-            identity = CheckResult("identity", False, (s,), t[0][s], s)
-            break
-
+    The carrier has 0 as identity, and x (+) y = y (x/y (+) 1) for nonzero
+    x and y gives z (x (+) y) = zx (+) zy: it is distributive by
+    construction.  Associativity, (i (+) j) (+) k = i (+) (j (+) k), holds
+    at every triple with i = 0, by the identity.  For nonzero i, dividing
+    by i maps both sides at (i, j, k) to those at (1, j/i, k/i), and
+    multiplication is injective, so (i, j, k) fails exactly when
+    (1, j/i, k/i) does.  So every slab passes when the slab i = 1 does,
+    and otherwise its first failure is the whole scan's, with the same
+    witness and sides.  Commutativity and inverses scan the q^2 pairs."""
+    a = at._rows()
+    commutative = _first_failure("commutative", a, a.T)
+    # (1 + j) + k = 1 + (j + k)
+    associative = _first_failure("associative", a[a[ONE_SYM]], a[ONE_SYM][a], (ONE_SYM,))
     zeros = (a == ZERO_SYM).sum(axis=1)  # each symbol has one additive inverse
-    inverses = _first_failure("inverses", [((), zeros, np.ones_like(zeros))])
+    inverses = _first_failure("inverses", zeros, np.ones_like(zeros))
 
-    characteristic = None
-    acc = ONE_SYM
-    copies = 1
-    while copies <= size and acc != ZERO_SYM:
-        acc = t[acc][ONE_SYM]
-        copies += 1
-    if acc == ZERO_SYM:
-        characteristic = copies
-    pn = prime_power(size)
+    acc, copies = ONE_SYM, 1
+    while copies <= at.size and acc != ZERO_SYM:
+        acc, copies = at.zech[acc - 1], copies + 1  # acc (+) 1
+    characteristic = copies if acc == ZERO_SYM else None
+    pn = prime_power(at.size)
     return FieldChecks(
         commutative=commutative,
         associative=associative,
-        distributive=distributive,
-        identity=identity,
+        distributive=CheckResult("distributive", True),
+        identity=CheckResult("identity", True),
         inverses=inverses,
         characteristic=characteristic,
         prime_power_ok=pn is not None and pn[0] == characteristic,
@@ -426,9 +419,13 @@ def verify_field(at: AdditionTable) -> FieldChecks:
 
 def recompute_table(at: AdditionTable) -> JacobiTable:
     """Rebuild the table from the addition law:
-    J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y)."""
-    xs, ys = np.nonzero(np.array(at.table)[1:, 1:] == ONE_SYM)
-    return table_from_pairs(at.group, xs, ys)
+    J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y).
+    For t with f = t (+) 1 nonzero, the pair is y = f^-1 and x = t y."""
+    add, neg, _ = index_tables(at.group)
+    zech = np.asarray(at.zech, dtype=np.intp)
+    ts = np.flatnonzero(zech != ZERO_SYM)
+    ys = neg[zech[ts] - 1]
+    return table_from_pairs(at.group, add[ts, ys], ys)
 
 
 _UNIT = 2.0**-53  # float64 unit roundoff

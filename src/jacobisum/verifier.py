@@ -97,7 +97,7 @@ Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
 no witness, and the stages' report is kept as the certificate.
 If any step fails, the scans run exactly as they would without it, and
 only they produce witnesses.  Accepting thus costs the evaluation at
-one point, a table build and an O(q^3) field check (the build alone for
+one point, a table build and an O(q^2) field check (the build alone for
 a candidate whose table differs); rejecting costs the evaluation at all
 E points, the O(m^3 E) cocycle pass up to the later of its two
 witnesses, and the convolution scan's O(m^3) per point until its

@@ -254,10 +254,26 @@ def reference_symmetry_witness(r):
     return None
 
 
+def reference_addition(group: js.GroupSpec, involution, support_map) -> tuple:
+    """The carrier's addition as loops over every pair of symbols:
+    0 is the identity, x (+) y = 0 if x = c y, else x i(x/y)^-1."""
+    els = group.elements
+    rows = [list(range(group.m + 1))]
+    for x in els:
+        row = [group.index(x) + 1]
+        for y in els:
+            if x == group.add(involution, y):
+                row.append(ZERO_SYM)
+            else:
+                row.append(group.index(group.sub(x, support_map[group.sub(x, y)])) + 1)
+        rows.append(row)
+    return tuple(map(tuple, rows))
+
+
 def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:
-    """The commutative, associative, distributive and inverse checks on an
-    addition table, as plain loops over every pair and triple in
-    lexicographic order."""
+    """The commutative, associative, distributive, identity and inverse
+    checks on an addition table, as plain loops over every symbol, pair
+    and triple in lexicographic order."""
     size = at.size
     t = at.table
     g = at.group
@@ -307,13 +323,19 @@ def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:
         if not distributive.passed:
             break
 
+    identity = CheckResult("identity", True)
+    for s in range(size):
+        if t[0][s] != s or t[s][0] != s:
+            identity = CheckResult("identity", False, (s,), t[0][s], s)
+            break
+
     inverses = CheckResult("inverses", True)
     for s in range(size):
         zeros = [u for u in range(size) if t[s][u] == ZERO_SYM]
         if len(zeros) != 1:
             inverses = CheckResult("inverses", False, (s,), len(zeros), 1)
             break
-    return commutative, associative, distributive, inverses
+    return commutative, associative, distributive, identity, inverses
 
 
 def _reference_transform(table: js.JacobiTable, alpha, x) -> js.Cyclotomic:

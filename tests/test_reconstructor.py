@@ -48,6 +48,7 @@ from helpers import (
     field,
     moved_approx,
     random_table,
+    reference_addition,
     reference_cross_check,
     reference_field_checks,
     reference_fourier_support,
@@ -176,54 +177,68 @@ def test_build_addition_basics():
     assert at.table[1][1] == 2  # 1 + 1 = g in the two-element dual
 
 
-def test_addition_multiplication_extends_group():
-    at = reconstruct(table(5)).addition
-    assert int(at.mul[0, 3]) == 0 and int(at.mul[3, 0]) == 0
-    assert int(at.mul[2, 3]) == 4  # g^1 * g^2 = g^3
-    assert int(at.mul[1, 3]) == 3  # identity acts trivially
-
-
 def test_verify_field_detects_corruption():
     at = reconstruct(table(5)).addition
-    rows = [list(r) for r in at.table]
-    rows[1][2] = 3  # break one cell
-    from jacobisum import AdditionTable
-
-    broken = AdditionTable(at.group, tuple(tuple(r) for r in rows))
-    checks = verify_field(broken)
+    zech = list(at.zech)
+    zech[1], zech[2] = zech[2], zech[1]  # swap two values of x (+) 1
+    checks = verify_field(AdditionTable(at.group, tuple(zech)))
     assert not checks.passed
     assert not (checks.commutative.passed and checks.associative.passed
-                and checks.identity.passed and checks.inverses.passed)
+                and checks.inverses.passed)
+
+
+def _field_checks(checks):
+    return (
+        checks.commutative, checks.associative, checks.distributive,
+        checks.identity, checks.inverses,
+    )
 
 
 def test_verify_field_matches_reference():
-    # the array scans give the loops' verdicts, witnesses and both values
-    def scans(checks):
-        return checks.commutative, checks.associative, checks.distributive, checks.inverses
-
+    # the O(q^2) checks give the loops' verdicts, witnesses and both values
     rng = random.Random(11)
     failed = set()
     for q in (4, 8, 9, 16):
         g = GroupSpec((q - 1,))
         rows = field_addition_rows(field(q))
-        at = AdditionTable(g, rows)
-        assert scans(verify_field(at)) == reference_field_checks(at)
+        zech = tuple(row[1] for row in rows[1:])  # x (+) 1
+        at = AdditionTable(g, zech)
+        assert at.table == rows
+        assert _field_checks(verify_field(at)) == reference_field_checks(at)
         for _ in range(40):
-            cells = [list(r) for r in rows]
-            symmetric = rng.random() < 0.5
+            cells = list(zech)
             for _ in range(rng.randint(1, 3)):
-                i, j, v = rng.randrange(q), rng.randrange(q), rng.randrange(q)
-                cells[i][j] = v
-                if symmetric:
-                    cells[j][i] = v
-            at = AdditionTable(g, tuple(tuple(r) for r in cells))
+                cells[rng.randrange(q - 1)] = rng.randrange(q)
+            at = AdditionTable(g, tuple(cells))
             checks = verify_field(at)
-            assert scans(checks) == reference_field_checks(at)
-            failed.update(
-                c.check for c in (checks.commutative, checks.associative, checks.distributive)
-                if not c.passed
-            )
-    assert failed == {"commutative", "associative", "distributive"}
+            assert _field_checks(checks) == reference_field_checks(at)
+            failed.update(c.check for c in _field_checks(checks) if not c.passed)
+    # a carrier held as its Zech vector has the identity and is
+    # distributive, so only these can fail
+    assert failed == {"commutative", "associative", "inverses"}
+
+
+def test_build_addition_on_the_enumerator_carriers():
+    # every carrier of a candidate map: the law x (+) y = x i(x/y)^-1, the
+    # loops' field checks, the support sum as the rebuilt table, and the
+    # carriers that pass are the oracle's fields
+    groups = [GroupSpec((m,)) for m in range(2, 11)]
+    groups += [GroupSpec(f) for f in ((2, 2), (2, 4), (2, 3), (3, 3), (2, 6))]
+    for g in groups:
+        fields = set()
+        for c in g.elements:
+            if g.add(c, c) != g.identity:
+                continue
+            support = tuple(e for e in g.elements if e != c)
+            for smap in enumerator._candidate_maps(g, c):
+                at = build_addition(g, c, smap)
+                assert at.table == reference_addition(g, c, smap)
+                checks = verify_field(at)
+                assert _field_checks(checks) == reference_field_checks(at)
+                assert recompute_table(at) == table_from_support(g, support, smap)
+                if checks.passed:
+                    fields.add(at.table)
+        assert fields == set(enumerator.oracle_addition_tables(g)), g
 
 
 def test_recompute_table_roundtrip():
