@@ -46,13 +46,53 @@ VERIFICATION_SCHEMA = "verification-report/1"
 RECONSTRUCTION_SCHEMA = "reconstruction-report/1"
 
 TABLE_DUMP_MAX = 64  # field files include full op tables up to this size
+_COEFFICIENT_CHARS = b"-0123456789/,"  # a coefficient's characters, and the separator
 
 
 # -- JSON helpers -------------------------------------------------------------
 
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """json.dumps with sorted keys and compact separators, and a newline.
+    A table document's entries are written once per distinct cell object."""
+    entries = _entries_text(obj)
+    if entries is None:
+        return _compact(obj) + "\n"
+    return "{" + ",".join(
+        _compact(key) + ":" + (entries if key == "entries" else _compact(obj[key]))
+        for key in sorted(obj)) + "}\n"
+
+
+def _entries_text(doc) -> str | None:
+    """The text json.dumps gives a jacobi-table/1 document's entries, made
+    once per distinct cell object; None, and json.dumps writes it, unless
+    every key of the document is a str and every cell a non-empty list of
+    strings over -0123456789/, which JSON writes verbatim."""
+    if not (type(doc) is dict and doc.get("schema") == TABLE_SCHEMA
+            and all(type(key) is str for key in doc)):
+        return None
+    entries = doc.get("entries")
+    if type(entries) is not list or any(type(row) is not list for row in entries):
+        return None
+    cells = {id(cell): cell for cell in chain.from_iterable(entries)}
+    if set(map(type, cells.values())) - {list} or 0 in map(len, cells.values()):
+        return None
+    try:
+        joined = list(map(",".join, cells.values()))
+    except TypeError:  # a coefficient that is not a string
+        return None
+    # every comma a separator, so each string is over the coefficient
+    # characters; ASCII first, as a lone surrogate does not encode
+    flat = ",".join(joined)
+    if (flat.count(",") != sum(map(len, cells.values())) - 1 or not flat.isascii()
+            or flat.encode().translate(None, _COEFFICIENT_CHARS)):
+        return None
+    text = dict(zip(cells, ('["' + t.replace(",", '","') + '"]' for t in joined)))
+    return "[" + ",".join("[" + ",".join(map(text.__getitem__, map(id, row))) + "]"
+                          for row in entries) + "]"
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -110,51 +150,92 @@ def field_from_json(doc: dict) -> FiniteField:
 # -- table files --------------------------------------------------------------
 
 
+def _first_positions(keys) -> tuple[list[int], list[int]]:
+    """Each key's number, in order of first appearance, and the position
+    where each number first appears."""
+    ids = list(map(defaultdict(count().__next__).__getitem__, keys))
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return ids, sorted(first.values())
+
+
+def _row_bytes(a: np.ndarray) -> list[bytes]:
+    """Each row of a 2-d integer array as bytes, a key that tells rows apart."""
+    return np.ascontiguousarray(a).view((np.void, a.itemsize * a.shape[1])).ravel().tolist()
+
+
 def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
-    """Every entry's to_strings(): each distinct (denominator, numerator) is
-    formatted once and each row is one gather of the names by its keys, the
-    pair's (denominator rank, numerator - least numerator) when at most m^2
-    keys cover the span, else its number in a dict of the distinct pairs."""
-    num, den = table.num, table.den
+    """Every entry's to_strings(), one list per distinct cell, which the rows
+    share: copy a cell before changing it in place.  Each distinct
+    (denominator, numerator) pair of the distinct cells is formatted once,
+    and the distinct cells are gathered from those strings.  A pair's key
+    is its (denominator rank, numerator - least numerator) when at most m^2
+    keys cover the span, as in every field table, and a cell is told apart
+    by the bytes of its row of keys; otherwise by its denominator and
+    numerators, and a dict numbers the pairs."""
+    m, degree = table.den.shape[0], table.num.shape[2]
+    num, den = table.num.reshape(m * m, degree), table.den.ravel()
     dens, drank = np.unique(den, return_inverse=True)
     width = 0 if num.dtype == object else int(num.max()) - int(num.min()) + 1
     if 0 < len(dens) * width <= den.size:
-        lo, drank = num.min(), drank.reshape(den.shape + (1,)) * width
+        lo = num.min()
+        keys = (num - lo).astype(np.min_scalar_type(den.size))
+        keys += (drank * width).astype(keys.dtype)[:, None]
+        ids, distinct = _first_positions(_row_bytes(keys))
+        keys = keys[distinct].astype(np.intp)
         pairs = product(dens.tolist(), (lo + np.arange(width)).tolist())
-        keys = (drank[i] + (num[i] - lo) for i in range(len(num)))
     else:
-        pairs, dd = defaultdict(count().__next__), np.broadcast_to(den[:, :, None], num.shape)
-        keys = [np.fromiter(map(pairs.__getitem__, zip(d.ravel().tolist(), n.ravel().tolist())),
-                            np.intp, n.size).reshape(n.shape) for n, d in zip(num, dd)]
+        rows = np.column_stack((den, num))
+        ids, distinct = _first_positions(map(tuple, rows.tolist()) if rows.dtype == object
+                                         else _row_bytes(rows))
+        pairs = defaultdict(count().__next__)
+        dd, nn = np.repeat(den[distinct], degree).tolist(), num[distinct].ravel().tolist()
+        keys = np.fromiter(map(pairs.__getitem__, zip(dd, nn)), np.intp, len(nn)).reshape(-1, degree)
     names = np.array([str(Fraction(n, d)) for d, n in pairs], dtype=object)
-    return [names[k].tolist() for k in keys]
+    # a gather of m cells at a time, which keeps the object arrays small
+    cells = list(chain.from_iterable(
+        names[keys[i:i + m]].tolist() for i in range(0, len(keys), m)))
+    return [list(map(cells.__getitem__, ids[i:i + m])) for i in range(0, m * m, m)]
 
 
 def _decode_entries(m: int, entries) -> tuple[np.ndarray, int | np.ndarray]:
     """The numerators of a table document's cells over the lcm L of all its
     coefficient denominators, and L, int64 when L and each |num| * L / den
     are below 2^63; past 2^63, over each cell's own lcm, and those, so no
-    integer grows with the number of distinct denominators.  The distinct
-    strings are numbered in one pass, parsed in document order, gathered."""
+    integer grows with the number of distinct denominators.
+
+    The work is done once per distinct cell.  A cell's key is its strings
+    joined by commas; a comma is never valid in a coefficient, so two cells
+    that differ share a key only when the first holds a comma, which is
+    refused.  Where a coefficient is not a string, the key is the cell's
+    tuple.  The distinct cells' distinct strings are parsed once each, in
+    document order, so the first bad string is named, and the numerators
+    are gathered by cell."""
     degree = euler_phi(m)
     cells = list(chain.from_iterable(entries))
     if set(map(type, cells)) != {list} or set(map(len, cells)) != {degree}:
         raise ValueError(f"each entry must be a list of {degree} coefficient strings")
-    code = defaultdict(count().__next__)
     try:
-        idx = np.fromiter(map(code.__getitem__, chain.from_iterable(cells)), np.int64,
-                          m * m * degree).reshape(m, m, degree)
-    except TypeError:  # an array or object in place of a coefficient
-        raise ValueError("coefficients must be strings") from None
+        ids, distinct = _first_positions(map(",".join, cells))
+    except TypeError:  # a coefficient that is not a string
+        try:
+            ids, distinct = _first_positions(map(tuple, cells))
+        except TypeError:  # an array or object in place of a coefficient
+            raise ValueError("coefficients must be strings") from None
+    code = defaultdict(count().__next__)
+    strings = chain.from_iterable(map(cells.__getitem__, distinct))
+    idx = np.fromiter(map(code.__getitem__, strings), np.intp,
+                      len(distinct) * degree).reshape(-1, degree)
     nums, dens = zip(*map(parse_coefficient, code))
     lcm = reduce(lambda a, d: a if a >> 63 else math.lcm(a, d), set(dens), 1)
     if lcm >> 63:
         nums, dens = (np.array(x, dtype=object)[idx] for x in (nums, dens))
-        den = np.lcm.reduce(dens, axis=2)
-        return nums * (den[:, :, None] // dens), den
+        den = np.lcm.reduce(dens, axis=1)
+        num = nums * (den[:, None] // dens)
+        return num[ids].reshape(m, m, degree), den[ids].reshape(m, m)
     scaled = [n * (lcm // d) for n, d in zip(nums, dens)]
     wide = max(map(abs, scaled)) >> 63
-    return np.array(scaled, dtype=object if wide else np.int64)[idx], lcm
+    num = np.array(scaled, dtype=object if wide else np.int64)[idx]
+    return num[ids].reshape(m, m, degree), lcm
 
 
 def table_to_json(table: JacobiTable) -> dict:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +27,7 @@ from jacobisum import (
     verify_all,
 )
 from jacobisum.harness import (
+    _entries_text,
     dumps,
     field_addition_rows,
     field_from_json,
@@ -162,6 +165,99 @@ def test_encoder_key_paths_match_per_entry_strings(name):
     assert table_to_json(t)["entries"] == per_entry_strings(t)
 
 
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _with_cells(doc: dict, cells: dict) -> dict:
+    """A copy of a table document with some cells replaced, whose other
+    cells are the original's lists, as the benchmark makes its inputs."""
+    entries = [list(row) for row in doc["entries"]]
+    for (i, j), cell in cells.items():
+        entries[i][j] = cell
+    return dict(doc, entries=entries)
+
+
+@pytest.mark.parametrize("name", ["field", "wide-span", "many-denominators", "int64-top",
+                                  "python-ints", "q49"])
+def test_dumps_writes_the_bytes_of_json_dumps(name):
+    # "field" is the q = 64 field table
+    t = table(49) if name == "q49" else _encoder_tables()[name]
+    doc = table_to_json(t)
+    cells = [cell for row in doc["entries"] for cell in row]
+    # one list per distinct cell, shared by the rows
+    assert len({id(cell) for cell in cells}) == len({tuple(cell) for cell in cells})
+    assert _entries_text(doc) is not None
+    assert dumps(doc) == _json_dumps(doc)
+
+
+def test_dumps_of_a_document_with_replaced_cells():
+    t = table(64)
+    doc = table_to_json(t)
+    value = t.entry(1, 2) + Fraction(1, 7)
+    moved = _with_cells(doc, {
+        (1, 2): value.to_strings(),  # fresh lists, equal to each other
+        (2, 1): value.to_strings(),
+        (3, 4): doc["entries"][5][6],  # a cell shared with other positions
+        (0, 0): list(doc["entries"][0][0]),  # a copy of a shared cell
+    })
+    assert dumps(moved) == _json_dumps(moved)
+    expected = t.with_entry(1, 2, value).with_entry(2, 1, value).with_entry(3, 4, t.entry(5, 6))
+    assert table_from_json(json.loads(dumps(moved))) == expected
+    # a shared cell changed in place is written as changed wherever it sits
+    doc["entries"][1][2][0] = "-7/3"
+    assert dumps(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda cell: [1, *cell[1:]], id="int-coefficient"),
+    pytest.param(lambda cell: [], id="empty-cell"),
+    pytest.param(tuple, id="tuple-cell"),
+    pytest.param(lambda cell: ['1"', *cell[1:]], id="quote"),
+    pytest.param(lambda cell: ["1\\", *cell[1:]], id="backslash"),
+    pytest.param(lambda cell: ["\u00e9", *cell[1:]], id="e-acute"),
+    pytest.param(lambda cell: ["\ud800", *cell[1:]], id="lone-surrogate"),
+    pytest.param(lambda cell: ["1,2", *cell[1:]], id="comma"),
+    pytest.param(lambda cell: ["1\n", *cell[1:]], id="newline"),
+])
+def test_dumps_leaves_other_cells_to_json_dumps(change):
+    doc = table_to_json(table(64))
+    doc = _with_cells(doc, {(1, 2): change(doc["entries"][1][2])})
+    assert _entries_text(doc) is None
+    assert dumps(doc) == _json_dumps(doc)
+
+
+def test_dumps_leaves_other_documents_to_json_dumps():
+    doc = table_to_json(table(8))
+    others = (dict(doc, schema="jacobi-table-approx/1"), dict(doc, entries=tuple(doc["entries"])),
+              approx_table_to_json(approximate(table(8))), {"schema": "jacobi-table/1"})
+    for other in others:
+        assert _entries_text(other) is None
+        assert dumps(other) == _json_dumps(other)
+    with pytest.raises(TypeError):  # keys json.dumps cannot sort
+        dumps({**doc, 1: 0})
+
+
+def test_table_decode_refuses_cells_that_join_alike():
+    # ["1,2", "3"] and ["1", "2,3"] join to the same text, "1,2,3": the
+    # first in document order holds a comma, and its first bad string is named
+    for first, last, bad in ((["1,2", "3"], ["1", "2,3"], "1,2"),
+                             (["1", "2,3"], ["1,2", "3"], "2,3")):
+        doc = table_to_json(table(4))
+        doc["entries"][0][1], doc["entries"][2][0] = first, last
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            table_from_json(doc)
+        # a bad string earlier in the document is named instead
+        doc["entries"][0][0] = ["x", "0"]
+        with pytest.raises(ValueError, match="got 'x'"):
+            table_from_json(doc)
+    # cells whose strings concatenate alike are told apart
+    doc = table_to_json(table(4))
+    doc["entries"][0][1], doc["entries"][2][0] = ["1", "23"], ["12", "3"]
+    t = table_from_json(doc)
+    assert (t.entry(0, 1).to_strings(), t.entry(2, 0).to_strings()) == (["1", "23"], ["12", "3"])
+
+
 # sha256 of the table document and of the reconstruction report
 PINNED = {
     49: ("79d9f6750a8ce3d9eaccc79c453dfc6a7859d4a0e21e8b3959c7bc6e990a9205",
@@ -217,6 +313,13 @@ def test_approx_table_json_roundtrip():
     )
 
 
+def _unshared(doc: dict) -> dict:
+    """A table document whose every cell is its own list, so that an edit in
+    place changes one cell (table_to_json's rows share one list per distinct
+    cell)."""
+    return dict(doc, entries=[[list(cell) for cell in row] for row in doc["entries"]])
+
+
 def test_table_json_rejects_bad_documents():
     doc = table_to_json(table(3))
     doc["conductor"] = 5
@@ -225,26 +328,26 @@ def test_table_json_rejects_bad_documents():
     with pytest.raises(ValueError):
         table_from_json({"schema": "something-else/1"})
     # of two bad coefficients, the first in document order is reported
-    doc = table_to_json(table(4))
+    doc = _unshared(table_to_json(table(4)))
     doc["entries"][2][0][1] = "last"
     doc["entries"][0][1][0] = "first"
     with pytest.raises(ValueError, match="first"):
         table_from_json(doc)
     # a shape fault, or an array in place of a coefficient, anywhere wins
     # over a bad string before it
-    shape = table_to_json(table(4))
+    shape = _unshared(table_to_json(table(4)))
     shape["entries"][0][1][0] = "first"
     shape["entries"][2][0] = ["0"]
     with pytest.raises(ValueError, match="each entry must be a list of 2 coefficient strings"):
         table_from_json(shape)
-    array = table_to_json(table(4))
+    array = _unshared(table_to_json(table(4)))
     array["entries"][0][1][0] = "first"
     array["entries"][2][0][1] = ["0"]
     with pytest.raises(ValueError, match="coefficients must be strings"):
         table_from_json(array)
     # 1 and True are equal keys: the first in document order is named
     for first, last in ((1, True), (True, 1)):
-        doc = table_to_json(table(4))
+        doc = _unshared(table_to_json(table(4)))
         doc["entries"][0][1][0] = first
         doc["entries"][2][0][1] = last
         with pytest.raises(ValueError, match=f"got {first}$"):
@@ -327,7 +430,7 @@ def test_table_decode_over_hundreds_of_coprime_denominators_at_q64(tmp_path, cap
     doc = table_to_json(t)
     cells = [(i, j) for i in range(m) for j in range(m)][::9]
     for (i, j), p in zip(cells, _primes_below(2**61, 400)):
-        coefficients = doc["entries"][i][j]
+        coefficients = doc["entries"][i][j] = list(doc["entries"][i][j])  # cells share lists
         coefficients[0] = str(Fraction(coefficients[0]) + Fraction(1, p))
     start = time.perf_counter()
     decoded = table_from_json(doc)
