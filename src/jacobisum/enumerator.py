@@ -35,7 +35,8 @@ class EnumerationResult:
 
 
 def _table_key(table: JacobiTable) -> tuple:
-    return tuple(tuple(e.to_strings()) for row in table.values for e in row)
+    m = table.group.m
+    return tuple(tuple(table.entry(i, j).to_strings()) for i in range(m) for j in range(m))
 
 
 def _candidate_maps(group: GroupSpec, excluded: Element):
@@ -64,27 +65,17 @@ def _candidate_maps(group: GroupSpec, excluded: Element):
         x = reps[k]
         nx = group.neg(x)
         for v in values:
-            if v in used:
+            # forced by i(x) = x i(x^-1); at x = 0 = nx, the only x in the
+            # support that is its own inverse, it is v itself
+            partner = group.sub(v, x)
+            if v in used or partner == identity or partner in used:
                 continue
-            if x == nx:
-                assignment[x] = v
-                used.add(v)
-                yield from extend(k + 1, assignment, used)
-                used.discard(v)
-                del assignment[x]
-                continue
-            partner = group.sub(v, x)  # forced by i(x) = x i(x^-1)
-            if partner == identity or partner in used or partner == v:
-                continue
-            assignment[x] = v
-            assignment[nx] = partner
-            used.add(v)
-            used.add(partner)
+            assignment[x], assignment[nx] = v, partner
+            used.update((v, partner))
             yield from extend(k + 1, assignment, used)
-            used.discard(v)
-            used.discard(partner)
+            used.difference_update((v, partner))
             del assignment[x]
-            del assignment[nx]
+            assignment.pop(nx, None)
 
     yield from extend(0, {}, set())
 

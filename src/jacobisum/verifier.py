@@ -84,36 +84,35 @@ exactly or, for a complex table, on its entries as one-point arrays, as
 its scans do.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
-table on a group of order at least 2 is handed, with its evaluation, to
-reconstructor.certify.  Unless its common denominator fails to divide
-m or a row fails to sum to 0, either of which rules out every field's
-table at no cost, certify runs the reconstruction stages on the support
-and map read off the same residues at their first point, and compares
-the table of the field they rebuild with the input exactly.  If the
-tables are equal and the carrier passes every field axiom, the input is
-a finite field's Jacobi-sum table with its characters relabelled by a
-group isomorphism, which satisfies all three axioms (Berndt, Evans and
-Williams, Gauss and Jacobi Sums, ch. 2), so all four checks pass with
-no witness, and the stages' report is kept as the certificate.
-If any step fails, the scans run exactly as they would without it, and
-only they produce witnesses.  Accepting thus costs the evaluation at
-one point, a table build and an O(q^2) field check (the build alone for
-a candidate whose table differs); rejecting costs the evaluation at all
-E points, the O(m^3 E) cocycle pass up to the later of its two
-witnesses, and the convolution scan's O(m^3) per point until its
-candidate is found, O(K m) per point for the K pairs before the
-candidate after it.  At q = 64 (E = 72) a table with (1, 2) and (2, 1)
-moved by 3/7 is rejected in about 12 ms on a 2-core Xeon, 4 ms of it
-the cocycle pass; the three scans run to the end take about 0.4 s.
+table is handed, with its evaluation, to reconstructor.certify.  Unless
+its common denominator fails to divide m or a row fails to sum to 0,
+either of which rules out every field's table at no cost, certify runs
+the reconstruction stages on the support and map read off the same
+residues at their first point, and compares the table of the field they
+rebuild with the input exactly.  If the tables are equal and the carrier
+passes every field axiom, the input is a finite field's Jacobi-sum table
+with its characters relabelled by a group isomorphism, which satisfies
+all three axioms (Berndt, Evans and Williams, Gauss and Jacobi Sums,
+ch. 2), so all four checks pass with no witness, and the stages' report
+is kept as the certificate.  If any step fails, the scans run exactly as
+they would without it, and only they produce witnesses.  Accepting thus
+costs the evaluation at one point, a table build and an O(q^2) field
+check; rejecting costs the evaluation at all E points, the O(m^3 E)
+cocycle pass up to the later of its two witnesses, and the convolution
+scan's O(m^3) per point until its candidate is found, O(K m) per point
+for the K pairs before the candidate after it.  At q = 64 (E = 72) a
+table with (1, 2) and (2, 1) moved by 3/7 is rejected in about 12 ms on
+a 2-core Xeon, 4 ms of it the cocycle pass; the three scans run to the
+end take about 0.4 s.
 
-A symmetric complex table on a group of order at least 2 is offered to
-certify too.  The stages run at its one point and rebuild a field whose
-table J_F satisfies every identity exactly; when the input lies within
-the tolerance of J_F's embedding, a bound on every difference the three
-scans would compute follows from that distance and max |J_F|, plus the
-rounding of the scans' own float64 arithmetic (reconstructor._scan_bound).
-If the bound is within the tolerance, all four checks pass with no scan;
-otherwise the scans decide.
+A symmetric complex table is offered to certify too.  The stages run at
+its one point and rebuild a field whose table J_F satisfies every
+identity exactly; when the input lies within the tolerance of J_F's
+embedding, a bound on every difference the three scans would compute
+follows from that distance and max |J_F|, plus the rounding of the
+scans' own float64 arithmetic (reconstructor._scan_bound).  If the bound
+is within the tolerance, all four checks pass with no scan; otherwise
+the scans decide.
 """
 
 from __future__ import annotations
@@ -710,11 +709,8 @@ def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckR
     equal arrays in canonical form, so the first pair, in row-major order,
     whose arrays differ is the first the residues show."""
     if isinstance(table, ApproxTable):
-        r = residues or _evaluate(table)
-        v = r.values
-        witness = _first_true(r.differs(v - v.transpose(1, 0, 2)).any(axis=2))
-        sides = functools.partial(r.sides, _symmetry_sides, table)
-        return _result("symmetry", table, witness, sides)
+        scan = lambda r: _first_true(r.differs(r.values - r.values.transpose(1, 0, 2)).any(axis=2))
+        return _check(table, residues, "symmetry", scan, _symmetry_sides)
     num, den = table.num, table.den
     witness = _first_true((num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T))
     return _result("symmetry", table, witness, lambda point: _symmetry_sides(table, *point))
@@ -757,16 +753,15 @@ def verify_all(
     evaluated once, or not at all when the caller passes its evaluation
     as `residues` (a complex table's carries the tolerance that decides
     and that the report records), and every step reads that evaluation.
-    A symmetric table on a nontrivial group is first offered to the
-    certificate: if the field it rebuilds reproduces an exact table
-    exactly, or proves that a complex table's scans pass within the
-    tolerance, all four checks pass with no scan; otherwise the scans
-    decide, as they would have without it.  A complex table is compared
-    within the tolerance."""
+    A symmetric table is first offered to the certificate: if the field
+    it rebuilds reproduces an exact table exactly, or proves that a
+    complex table's scans pass within the tolerance, all four checks pass
+    with no scan; otherwise the scans decide, as they would have without
+    it.  A complex table is compared within the tolerance."""
     approx = isinstance(table, ApproxTable)
     r = residues or _evaluate(table, tolerance)
     sym = check_symmetry(table, r)
-    if sym.passed and table.group.m >= 2:
+    if sym.passed:
         from .reconstructor import certify  # reconstructor imports this module
 
         certificate = certify(table, r)

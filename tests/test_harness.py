@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobisum import (
+    ApproxTable,
     Cyclotomic,
     GroupSpec,
     JacobiTable,
@@ -24,6 +25,8 @@ from jacobisum import (
     compute_jacobi,
     euler_phi,
     reconstruct,
+    twist_automorphism,
+    twist_galois,
     verify_all,
 )
 from jacobisum.harness import (
@@ -42,7 +45,7 @@ from jacobisum.harness import (
     write_json,
 )
 
-from helpers import field, random_table, table
+from helpers import extreme_tables, field, random_table, table
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_Q = (3, 4, 5, 7, 8, 9)
@@ -302,6 +305,37 @@ def test_reject_path_bytes_are_pinned():
     assert digests == REJECT_PINNED
 
 
+# sha256 over the verification report and the forced and unforced
+# reconstruction reports of every table below, each document on its own line
+REPORTS_PINNED = "a7c845bf48641580e25f4dc31f0e2d6bdcb32c3424ec3fb9df5fac4415a3d0c8"
+
+
+def _pinned_report_tables():
+    """extreme_tables(q) for q in {4, 8, 9, 16} with their -1 automorphism
+    and Galois twists, and the one-cell tables 0, 1 and 2 on the trivial
+    group written three ways; each table exact, then approximated."""
+    exact = []
+    for q in (4, 8, 9, 16):
+        for _, t in extreme_tables(q):
+            exact += [t, twist_automorphism(t, q - 2), twist_galois(t, q - 2)]
+    for factors in ((), (1,), (1, 1)):
+        g = GroupSpec(factors)
+        exact += [JacobiTable(g, [[Cyclotomic.from_rational(1, j)]]) for j in (0, 1, 2)]
+    for t in exact:
+        yield t
+        yield approximate(t)
+
+
+def test_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for t in _pinned_report_tables():
+        for doc in (verification_to_json(verify_all(t)),
+                    reconstruction_to_json(reconstruct(t)),
+                    reconstruction_to_json(reconstruct(t, force=True))):
+            digest.update(dumps(doc).encode() + b"\n")
+    assert digest.hexdigest() == REPORTS_PINNED
+
+
 def test_approx_table_json_roundtrip():
     at = approximate(table(5))
     restored = table_from_json(approx_table_to_json(at))
@@ -543,6 +577,51 @@ def test_cli_malformed_inputs(tmp_path, capsys):
     assert _run("jacobi", "--field", bad, "--out", out) == 2
     assert capsys.readouterr().err == "error: modulus must be monic of degree n\n"
     assert not out.exists()
+    # a missing key is named, and a value of the wrong shape gets the
+    # message of its document's other shape errors
+    tdoc, fdoc = table_to_json(table(4)), field_to_json(field(4))
+    without = lambda doc, key: {k: v for k, v in doc.items() if k != key}
+    shape = "entries must form an 3 x 3 array"
+    integers = "factors and conductor must be JSON integers"
+    field_integers = "p, n, modulus and generator must be JSON integers"
+    cases = [
+        ("verify", without(tdoc, "entries"), "the document has no 'entries'"),
+        ("verify", without(tdoc, "factors"), "the document has no 'factors'"),
+        ("verify", dict(tdoc, entries=None), shape),
+        ("verify", dict(tdoc, entries=[1, 2, 3]), shape),
+        ("verify", dict(tdoc, entries=["abc"] * 3), shape),
+        ("verify", dict(tdoc, factors=3), integers),
+        ("jacobi", without(fdoc, "p"), "the document has no 'p'"),
+        ("jacobi", dict(fdoc, modulus=5), field_integers),
+        ("jacobi", dict(fdoc, generator=None), field_integers),
+    ]
+    for command, doc, message in cases:
+        write_json(bad, doc)
+        flag = "--table" if command == "verify" else "--field"
+        capsys.readouterr()
+        assert _run(command, flag, bad, "--out", out) == 2, message
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+def test_cli_complex_overflow_fails_without_warnings(tmp_path, capsys):
+    # products of entries 1e200 overflow to inf, and inf - inf is NaN,
+    # which the checks count as differing: exit 1 with the library's
+    # report bytes, and nothing on stderr
+    big = ApproxTable(GroupSpec((3,)), tuple(tuple(1e200 + 0j for _ in range(3)) for _ in range(3)))
+    tpath, out = tmp_path / "big.json", tmp_path / "report.json"
+    write_json(tpath, approx_table_to_json(big))
+    with np.errstate(over="ignore", invalid="ignore"):
+        verified = verification_to_json(verify_all(big))
+        rebuilt = reconstruction_to_json(reconstruct(big))
+    before = np.geterr()
+    for command, doc in (("verify", verified), ("reconstruct", rebuilt)):
+        capsys.readouterr()
+        assert _run(command, "--table", tpath, "--out", out) == 1
+        assert capsys.readouterr().err == ""
+        assert out.read_text() == dumps(doc)
+    assert np.geterr() == before
 
 
 @pytest.mark.parametrize("cell, coefficient", [

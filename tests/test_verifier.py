@@ -172,10 +172,16 @@ def test_cocycle_forms_can_differ_only_at_identity_products():
                     assert g.add(b, c) == g.identity
 
 
+def _certified(t, report) -> bool:
+    """Whether the certificate should have accepted the table: exactly
+    when it passes and its reconstruction is a field."""
+    return report.passed and reconstructor.reconstruct(t).case == "field"
+
+
 def _assert_matches_reference(t):
     # verify_all shares one evaluation of the table across its scans
     report = verify_all(t)
-    assert report.method == ("certificate" if report.passed and t.group.m >= 2 else "scan")
+    assert report.method == ("certificate" if _certified(t, report) else "scan")
     alone = (check_cocycle_star(t), check_cocycle_direct(t), check_convolution_sum(t))
     for result, single in zip(report.checks[1:], alone):
         assert result == single, (t, result.check)
@@ -622,12 +628,12 @@ def test_certificate_verdicts_equal_scans_on_field_tables():
 
 def test_certificate_verdicts_equal_scans_on_enumeration_candidates():
     # every candidate the enumerator tries on groups of order <= 7, the
-    # tables it keeps among them: certified exactly when the scans pass
-    # (the trivial group is never offered to the certificate)
+    # tables it keeps among them: certified exactly when the scans pass,
+    # GF(2)'s zero table on the trivial group included
     certified = kept = 0
     for factors in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3), (7,)):
         g = GroupSpec(factors)
-        kept += enumerate_jacobi(g).count if g.m >= 2 else 0
+        kept += enumerate_jacobi(g).count
         for c in g.elements:
             if g.add(c, c) != g.identity:
                 continue
@@ -636,11 +642,9 @@ def test_certificate_verdicts_equal_scans_on_enumeration_candidates():
                 t = table_from_support(g, support, smap)
                 report = verify_all(t)
                 assert report.checks == _scans(t), t
-                assert report.method == (
-                    "certificate" if report.passed and g.m >= 2 else "scan"
-                ), t
+                assert report.method == ("certificate" if _certified(t, report) else "scan"), t
                 certified += report.method == "certificate"
-    assert certified == kept == 10
+    assert certified == kept == 11
 
 
 def _certificate_stop(t: JacobiTable) -> str | None:
@@ -725,29 +729,44 @@ def test_refused_tables_scan_as_on_a_full_evaluation(stage, make, witnesses):
     assert got == witnesses
 
 
-def test_exact_compare_refuses_before_the_field_check(monkeypatch):
-    # a candidate whose rebuilt table differs from the input is refused
-    # without checking its carrier; a forced reconstruction, which reports
-    # the carrier's checks, still runs them once
+def test_exact_compare_refuses_after_one_field_check(monkeypatch):
+    # a candidate whose rebuilt table differs from the input is refused at
+    # "exact compare" after one check of its carrier, which certify then
+    # discards, and the scans give the witnesses they give alone; a forced
+    # reconstruction checks the carrier of its own run once more
     calls = []
     check = reconstructor.verify_field
     monkeypatch.setattr(reconstructor, "verify_field", lambda at: calls.append(at) or check(at))
     bad = _square(table(64), 1, 2, Fraction(3, 7))
-    assert _certificate_stop(bad) == "exact compare" and calls == []
-    assert not verify_all(bad).passed and calls == []
-    report = reconstructor.reconstruct(bad, force=True)
-    assert report.field_checks.passed and not report.roundtrip_ok and len(calls) == 1
-    assert verify_all(table(64)).passed and len(calls) == 2
+    assert _certificate_stop(bad) == "exact compare" and len(calls) == 1
+    report = verify_all(bad)
+    assert report.method == "scan" and report.checks == _scans(bad) and len(calls) == 2
+    got = tuple(c.witness and tuple(x for (x,) in c.witness) for c in report.checks)
+    assert got == (None, (1, 1, 2), (1, 1, 2), (0, 0, 0, 2))
+    forced = reconstructor.reconstruct(bad, force=True)
+    assert forced.field_checks.passed and not forced.roundtrip_ok and len(calls) == 4
+    assert verify_all(table(64)).passed and len(calls) == 5
 
 
 def test_certificate_preconditions():
-    # no certificate without symmetry or on the trivial group, and none
-    # when the common denominator does not divide m, which no field's
-    # table has; the scans then decide alone
+    # no certificate without symmetry, and none when the common
+    # denominator does not divide m, which no field's table has; the scans
+    # then decide alone.  On the trivial group, GF(2)'s table J = 0 is
+    # certified; the boolean J = 1, whose row sums to 1, is not, and its
+    # complex copy stops where the boolean case does, at "classify"
     t = table(8)
     assert verify_all(t.with_entry(1, 2, t.values[1][2] + 1)).method == "scan"
-    for value in (0, 1):
-        report = verify_all(_one_table(value))
+    zero, one = _one_table(0), _one_table(1)
+    assert _certificate_stop(zero) is None
+    report = verify_all(zero)
+    assert report.passed and report.method == "certificate"
+    certificate = report.certificate
+    assert certificate.case == "field" and certificate.field_checks.characteristic == 2
+    assert _certificate_stop(one) == "row sums"
+    complex_one = approximate(one)
+    assert reconstructor.certify(complex_one, verifier._evaluate(complex_one)) == "classify"
+    for u in (one, complex_one):
+        report = verify_all(u)
         assert report.passed and report.method == "scan"
     for q, shift in ((8, Fraction(1, _first_prime(8))), (8, Fraction(1, 2)), (16, Fraction(3, 7))):
         bad = _moved(table(q), 1, 2, shift)
