@@ -17,6 +17,7 @@ from itertools import product
 from .abelian import Element, GroupSpec
 from .ffield import build_field, prime_power
 from .jacobi import JacobiTable, table_from_support
+from .reconstructor import AdditionTable
 from .verifier import verify_all
 
 ENUM_MAX = 7  # largest group order enumerated
@@ -120,17 +121,18 @@ def oracle_addition_tables(group: GroupSpec) -> tuple[AdditionRows, ...]:
     pn = prime_power(q)
     if pn is None:
         return ()
-    field = build_field(*pn)
-    els = group.elements
+    zech = build_field(*pn).zech
 
     # exponent lattice: u_j = g**t_j needs order dividing n_j, so t_j is a
     # multiple of m / n_j
     choices = [[s * (m // n) % m for s in range(n)] for n in group.factors]
     tables = set()
     for ts in product(*choices):
-        exps = [sum(x_j * t_j for x_j, t_j in zip(x, ts)) % m for x in els]
-        if len(set(exps)) == m:  # injective, so an isomorphism
-            tables.add(field.carrier_addition(exps))
+        exps = [sum(x_j * t_j for x_j, t_j in zip(x, ts)) % m for x in group.elements]
+        symbol = {e: k + 1 for k, e in enumerate(exps)}  # carrier symbol of g**e
+        if len(symbol) == m:  # injective, so an isomorphism
+            pulled = tuple(symbol[zech[e] - 1] if zech[e] else 0 for e in exps)
+            tables.add(AdditionTable(group, pulled).table)
     return tuple(sorted(tables))
 
 

@@ -116,9 +116,9 @@ def _value_to_coeffs(value: int, length: int, p: int) -> FieldElement:
 
 
 class FiniteField:
-    """GF(p^n) with a fixed modulus, generator, and discrete-log table."""
+    """GF(p^n) with a fixed modulus, generator, discrete-log table and Zech vector."""
 
-    __slots__ = ("p", "n", "q", "modulus", "generator", "elements", "_dlog", "_powers")
+    __slots__ = ("p", "n", "q", "modulus", "generator", "elements", "zech", "_dlog", "_powers")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...], generator: FieldElement):
         q = _field_size(p, n)
@@ -131,9 +131,8 @@ class FiniteField:
         self.n = n
         self.q = q
         self.modulus = modulus
-        self.elements = tuple(
-            _value_to_coeffs(v, n, p) for v in range(self.q)
-        )
+        # in order of value: the constant coordinate varies fastest
+        self.elements = tuple(c[::-1] for c in itertools.product(range(p), repeat=n))
         generator = tuple(int(c) % p for c in generator)
         if len(generator) != n:
             raise ValueError("generator has the wrong number of coordinates")
@@ -147,6 +146,9 @@ class FiniteField:
         ) != self.one:
             raise ValueError(f"generator {generator} does not have order {self.q - 1}")
         self.generator = generator
+        # zech[t] is the symbol of generator**t + 1 (adding 1 moves only the constant
+        # coordinate): symbol 0 is zero and symbol k >= 1 is generator**(k - 1)
+        self.zech = tuple(self._dlog.get(((x[0] + 1) % p,) + x[1:], -1) + 1 for x in powers)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -190,14 +192,6 @@ class FiniteField:
         for c in reversed(a):
             total = total * self.p + c
         return total
-
-    def carrier_addition(self, exponents) -> tuple[tuple[int, ...], ...]:
-        """The addition in reconstruction-carrier symbols: symbol 0 is zero
-        and symbol k >= 1 is generator**exponents[k - 1], for q - 1
-        exponents that are distinct modulo q - 1."""
-        carrier = [self.zero] + [self.power(e) for e in exponents]
-        sym = {e: i for i, e in enumerate(carrier)}
-        return tuple(tuple(sym[self.add(a, b)] for b in carrier) for a in carrier)
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, n={self.n})"

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, pairing_matrix
+from .abelian import Element, GroupSpec, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
 
@@ -201,19 +201,22 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     return JacobiTable._from_arrays(group, num, m)
 
 
-def compute_jacobi(field: FiniteField) -> JacobiTable:
-    """Classical Jacobi-sum table of a finite field on Z/(q-1).
+def table_from_zech(group: GroupSpec, zech) -> JacobiTable:
+    """J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y),
+    for the addition with Zech vector zech, in AdditionTable's symbols.
+    For t with f = t (+) 1 nonzero, the pair is y = f^-1 and x = t y."""
+    add, neg, _ = index_tables(group)
+    zech = np.asarray(zech, dtype=np.intp)
+    ts = np.flatnonzero(zech != 0)
+    ys = neg[zech[ts] - 1]
+    return table_from_pairs(group, add[ts, ys], ys)
 
-    The q - 2 solutions of x + y = 1 in nonzero field elements are the x
-    other than 0 and 1 (the first two elements); each table entry is an
-    exact root-of-unity sum over their discrete-log pairs divided by m = q - 1.
-    """
+
+def compute_jacobi(field: FiniteField) -> JacobiTable:
+    """Classical Jacobi-sum table of a finite field on Z/(q-1), from its Zech vector."""
     m = field.q - 1
     require_exact_order(m)
-    xs = field.elements[2:]
-    us = [field.dlog(x) for x in xs]
-    vs = [field.dlog(field.sub(field.one, x)) for x in xs]
-    return table_from_pairs(GroupSpec((m,)), us, vs)
+    return table_from_zech(GroupSpec((m,)), field.zech)
 
 
 def slice_function(table: JacobiTable, alpha: Element) -> dict[Element, Cyclotomic]:

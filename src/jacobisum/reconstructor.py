@@ -55,7 +55,7 @@ import numpy as np
 from .abelian import Element, GroupSpec, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic
 from .ffield import prime_power
-from .jacobi import ApproxTable, JacobiTable, _embedding, table_from_pairs, table_from_support
+from .jacobi import ApproxTable, JacobiTable, _embedding, table_from_support, table_from_zech
 from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
@@ -413,14 +413,8 @@ def verify_field(at: AdditionTable) -> FieldChecks:
 
 
 def recompute_table(at: AdditionTable) -> JacobiTable:
-    """Rebuild the table from the addition law:
-    J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y).
-    For t with f = t (+) 1 nonzero, the pair is y = f^-1 and x = t y."""
-    add, neg, _ = index_tables(at.group)
-    zech = np.asarray(at.zech, dtype=np.intp)
-    ts = np.flatnonzero(zech != ZERO_SYM)
-    ys = neg[zech[ts] - 1]
-    return table_from_pairs(at.group, add[ts, ys], ys)
+    """Rebuild the table from the addition law."""
+    return table_from_zech(at.group, at.zech)
 
 
 _UNIT = 2.0**-53  # float64 unit roundoff

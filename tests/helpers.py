@@ -16,6 +16,7 @@ import jacobisum as js
 from jacobisum import verifier
 from jacobisum.abelian import index_tables, pairing_matrix
 from jacobisum.cyclotomic import reduction_data
+from jacobisum.ffield import prime_power
 from jacobisum.reconstructor import ZERO_SYM, InconsistentTableError
 from jacobisum.verifier import CheckResult
 
@@ -33,6 +34,10 @@ LARGER_PRIME_POWERS = {
     37: (37, 1), 41: (41, 1), 43: (43, 1), 47: (47, 1), 49: (7, 2),
     53: (53, 1), 59: (59, 1), 61: (61, 1), 64: (2, 6),
 }
+
+# groups whose field-oracle addition tables are checked and pinned: cyclic
+# ones with a field, and others that admit none
+ORACLE_GROUPS = ((1,), (2,), (4,), (6,), (2, 2), (2, 4), (2, 2, 2), (4, 4), (2, 8), (15,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,6 +273,32 @@ def reference_addition(group: js.GroupSpec, involution, support_map) -> tuple:
                 row.append(group.index(group.sub(x, support_map[group.sub(x, y)])) + 1)
         rows.append(row)
     return tuple(map(tuple, rows))
+
+
+def reference_carrier_addition(field: js.FiniteField, exponents) -> tuple:
+    """The field's addition as polynomial sums over every pair of symbols:
+    symbol 0 is zero and symbol k >= 1 is generator**exponents[k - 1], for
+    q - 1 exponents that are distinct modulo q - 1."""
+    carrier = [field.zero] + [field.power(e) for e in exponents]
+    sym = {e: i for i, e in enumerate(carrier)}
+    return tuple(tuple(sym[field.add(a, b)] for b in carrier) for a in carrier)
+
+
+def reference_oracle_addition_tables(group: js.GroupSpec) -> tuple:
+    """GF(m + 1)'s addition pulled back through every isomorphism of the
+    group onto its unit group, by reference_carrier_addition."""
+    m = group.m
+    pn = prime_power(m + 1)
+    if pn is None:
+        return ()
+    f = js.build_field(*pn)
+    tables = set()
+    for images in itertools.product(range(m), repeat=len(group.factors)):
+        exps = [sum(x * e for x, e in zip(el, images)) % m for el in group.elements]
+        # a homomorphism needs n_j * e_j = 0 mod m; an injective one is onto
+        if all(n * e % m == 0 for n, e in zip(group.factors, images)) and len(set(exps)) == m:
+            tables.add(reference_carrier_addition(f, exps))
+    return tuple(sorted(tables))
 
 
 def reference_field_checks(at: js.AdditionTable) -> tuple[CheckResult, ...]:

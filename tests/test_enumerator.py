@@ -13,7 +13,7 @@ from jacobisum import (
     twist_automorphism,
 )
 
-from helpers import table
+from helpers import ORACLE_GROUPS, reference_oracle_addition_tables, table
 
 SMALL_GROUPS = ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,))
 
@@ -57,6 +57,12 @@ def test_every_enumerated_table_passes_and_reconstructs():
             reconstructed.add(report.addition.table)
         # bijection at the level of addition tables, not just counts
         assert reconstructed == oracle_tables
+
+
+def test_oracle_tables_match_the_reference_pullback():
+    for factors in ORACLE_GROUPS:
+        g = GroupSpec(factors)
+        assert oracle_addition_tables(g) == reference_oracle_addition_tables(g), factors
 
 
 def test_enumeration_cap():

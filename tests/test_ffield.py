@@ -10,7 +10,7 @@ import pytest
 from jacobisum import FiniteField, build_field, euler_phi, is_prime
 from jacobisum.ffield import prime_factors, prime_power
 
-from helpers import field
+from helpers import LARGER_PRIME_POWERS, PRIME_POWERS, field
 
 
 def test_prime_field_f3():
@@ -45,6 +45,19 @@ def test_field_arithmetic_examples():
     assert f3.mul((2,), (2,)) == (1,)
     f5 = field(5)
     assert f5.inv((3,)) == (2,)  # 3*2 = 6 = 1
+
+
+def test_zech_vector_is_the_field_addition():
+    fields = [field(q) for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS})]
+    for f in fields + [build_field(3, 5), build_field(2, 10)]:
+        assert [f.value(e) for e in f.elements] == list(range(f.q))
+        assert len(f.zech) == f.q - 1
+        minus_one = f.neg(f.one)
+        for t, s in enumerate(f.zech):
+            if f.power(t) == minus_one:
+                assert s == 0, (f, t)
+            else:
+                assert s >= 1 and f.power(s - 1) == f.add(f.power(t), f.one), (f, t)
 
 
 def test_dlog_examples():

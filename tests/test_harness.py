@@ -23,7 +23,9 @@ from jacobisum import (
     approximate,
     build_field,
     compute_jacobi,
+    enumerate_jacobi,
     euler_phi,
+    oracle_addition_tables,
     reconstruct,
     twist_automorphism,
     twist_galois,
@@ -45,7 +47,16 @@ from jacobisum.harness import (
     write_json,
 )
 
-from helpers import extreme_tables, field, random_table, table
+from helpers import (
+    LARGER_PRIME_POWERS,
+    ORACLE_GROUPS,
+    PRIME_POWERS,
+    extreme_tables,
+    field,
+    random_table,
+    reference_carrier_addition,
+    table,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_Q = (3, 4, 5, 7, 8, 9)
@@ -336,6 +347,30 @@ def test_report_bytes_are_pinned():
     assert digest.hexdigest() == REPORTS_PINNED
 
 
+# sha256 over every field's table document, addition table and reconstruction
+# report for 3 <= q <= 64, the oracle tables of ORACLE_GROUPS, and the
+# enumeration of every group of order <= 7, each item on its own line
+FIELD_SIDE_PINNED = "a77a8d952be819a305f9ea0777baa83c23d26848bfc4e537fdff3b35e1055cd0"
+
+
+def test_field_side_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        t = compute_jacobi(field(q))
+        for text in (dumps(table_to_json(t)), repr(field_addition_rows(field(q))),
+                     dumps(reconstruction_to_json(reconstruct(t)))):
+            digest.update(text.encode() + b"\n")
+    for factors in ORACLE_GROUPS:
+        digest.update(repr(oracle_addition_tables(GroupSpec(factors))).encode() + b"\n")
+    for factors in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3), (7,)):
+        result = enumerate_jacobi(GroupSpec(factors))
+        counts = (result.count, result.oracle_count, result.agreement)
+        digest.update(repr(counts).encode() + b"\n")
+        for t in result.tables:
+            digest.update(dumps(table_to_json(t)).encode() + b"\n")
+    assert digest.hexdigest() == FIELD_SIDE_PINNED
+
+
 def test_approx_table_json_roundtrip():
     at = approximate(table(5))
     restored = table_from_json(approx_table_to_json(at))
@@ -547,6 +582,17 @@ def test_cli_malformed_inputs(tmp_path, capsys):
     bad.write_text("{not json")
     assert _run("verify", "--table", bad) == 2
     assert _run("enumerate", "--group", "2,x") == 2
+    # a --group list that is not integers is named as such; a factor that
+    # is an integer but not a cyclic order gets GroupSpec's message
+    for text in ("", "2,,3", "a"):
+        capsys.readouterr()
+        assert _run("enumerate", "--group", text) == 2, text
+        message = f"argument --group: factors must be comma-separated integers, got {text!r}"
+        assert message in capsys.readouterr().err, text
+    for text, factors in (("0", (0,)), ("-2", (-2,)), ("2,0", (2, 0))):
+        capsys.readouterr()
+        assert _run("enumerate", "--group", text) == 2, text
+        assert capsys.readouterr().err == f"error: cyclic factors must be >= 1, got {factors}\n"
     assert _run("nonsense") == 2
     assert _run("--threads", 2, "jacobi", "--field", tmp_path / "f.json", "--out", tpath) == 2
     # the convolution-sum check has no modes, samples or seed
@@ -881,6 +927,12 @@ def test_cli_verify_trivial_group(tmp_path):
          "entries": [[["2"]]]},
     )
     assert _run("verify", "--table", tpath) == 1
+
+
+def test_field_addition_rows_equal_polynomial_sums():
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        f = field(q)
+        assert field_addition_rows(f) == reference_carrier_addition(f, range(q - 1)), q
 
 
 def test_field_addition_rows_layout():

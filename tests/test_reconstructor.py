@@ -241,6 +241,11 @@ def test_build_addition_on_the_enumerator_carriers():
         assert fields == set(enumerator.oracle_addition_tables(g)), g
 
 
+def test_reconstructed_zech_vector_is_the_field_one():
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        assert reconstruct(table(q)).addition.zech == field(q).zech, q
+
+
 def test_recompute_table_roundtrip():
     for q in (3, 4, 9):
         t = table(q)
