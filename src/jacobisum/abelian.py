@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -124,6 +125,34 @@ def index_tables(group: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     add = np.array([[group.index(group.add(a, b)) for b in els] for a in els], dtype=np.intp)
     neg = np.array([group.index(group.neg(a)) for a in els], dtype=np.intp)
     tables = add, neg, add[:, neg]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def row_orbits(group: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits of the units r mod m acting on the group by x -> r x, as
+    read-only intp arrays reps, rows and twist.  reps holds the least
+    element index of each orbit, in increasing order.  Each element x is
+    r_x rep for its orbit's rep and a unit r_x; rows[x, beta] is
+    p * m + (the index of r_x^-1 beta), for p the position of x's rep in
+    reps, and twist[x, e] = r_x e mod m."""
+    m = group.m
+    units = np.array([r for r in range(1, m + 1) if math.gcd(r, m) == 1], dtype=np.intp)
+    factors = np.array(group.factors, dtype=np.intp)
+    els = np.array(group.elements, dtype=np.intp).reshape(m, len(factors))
+    strides = np.array([math.prod(group.factors[j + 1:]) for j in range(len(factors))], dtype=np.intp)
+    images = (units[:, None, None] * els % factors) @ strides  # [i, x] = index of units[i] x
+    which = images.argmin(axis=0)  # the unit s_x = r_x^-1 taking x to its orbit's least element
+    scaled = images[which]  # [x, beta] = index of s_x beta
+    reps, position = np.unique(scaled[np.arange(m), np.arange(m)], return_inverse=True)
+    inverse = np.array([pow(int(s), -1, m) for s in units], dtype=np.intp)
+    tables = (
+        reps,
+        position.reshape(m, 1) * m + scaled,
+        inverse[which].reshape(m, 1) * np.arange(m) % m,
+    )
     for t in tables:
         t.flags.writeable = False
     return tables

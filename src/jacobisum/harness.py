@@ -133,14 +133,14 @@ def field_to_json(field: FiniteField) -> dict:
         "generator": list(field.generator),
     }
     if field.q <= TABLE_DUMP_MAX:
-        els = field.elements
-        index = {e: i for i, e in enumerate(els)}
-        doc["addition"] = [
-            [index[field.add(a, b)] for b in els] for a in els
-        ]
-        doc["multiplication"] = [
-            [index[field.mul(a, b)] for b in els] for a in els
-        ]
+        # the tables in the Zech vector's symbols (0 is zero, k >= 1 is
+        # generator**(k - 1)), then each symbol mapped to its value index
+        symbol = np.array([field.dlog(x) + 1 if any(x) else 0 for x in field.elements])
+        value = np.argsort(symbol)
+        s, t = symbol[:, None], symbol[None, :]
+        product = np.where((s == 0) | (t == 0), 0, (s + t - 2) % (field.q - 1) + 1)
+        doc["addition"] = value[np.array(field_addition_rows(field))[s, t]].tolist()
+        doc["multiplication"] = value[product].tolist()
     return doc
 
 

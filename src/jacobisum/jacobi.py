@@ -21,11 +21,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .abelian import Element, GroupSpec, index_tables, pairing_matrix
+from .abelian import Element, GroupSpec, index_tables, pairing_matrix, row_orbits
 from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
 
 MAX_EXACT_ORDER = 64  # largest group order of an exact table
+_BLOCK_BYTES = 1 << 19  # cap on the arrays of each block of rows table_from_pairs builds
 
 
 def require_exact_order(m: int) -> None:
@@ -177,27 +178,42 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     """The table J(alpha, beta) = (1/m) sum over k of
     zeta_m ** (<alpha, u_k> + <beta, v_k>), for element indices u_k, v_k.
 
-    Row by row, a histogram of the exponents times the power-basis rows
-    of zeta^e gives the coefficient vectors of every entry over m.  The
-    product is taken in float64: each coefficient sums nonnegative
-    counts, K = len(us) in all, times row entries of size at most
-    row_bound, so every partial sum is an integer below K * row_bound,
-    exact while that is below 2^53.
+    counts[alpha, beta, e], the number of k with exponent e, times the
+    power-basis rows of zeta^e gives the coefficient vectors of every
+    entry over m.  The pairing is bilinear and x -> r x is an automorphism
+    for every unit r mod m, so
+
+        counts[r alpha, beta, e] = counts[alpha, r^-1 beta, r^-1 e]
+
+    and only the least row of each orbit (row_orbits) is counted.  Row
+    r alpha is then the rows r^-1 beta of alpha's counts times the power
+    rows of zeta^(r e), taken a block of rows at a time, each block's
+    arrays within _BLOCK_BYTES.  The product is taken in float64: each
+    coefficient sums nonnegative counts, K = len(us) in all, times row
+    entries of size at most row_bound, in any order, so every partial sum
+    is an integer below K * row_bound, exact while that is below 2^53.
     """
     m = group.m
     red = reduction_data(m)
     if len(us) * red.row_bound >= 1 << 53:
         raise ValueError(f"{len(us)} pairs exceed the exact float64 table product")
+    reps, rows, twist = row_orbits(group)
     pair = pairing_matrix(group)
-    powers = np.array(red.rows[:m], dtype=np.float64)
-    left = pair[:, np.asarray(us, dtype=np.intp)]  # [alpha, k] = <alpha, u_k>
+    left = pair[reps][:, np.asarray(us, dtype=np.intp)]  # [rep, k] = <rep, u_k>
     right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
     offsets = np.arange(0, m * m, m)[:, None]  # one block of m bins per beta
+    counts = np.empty((len(reps), m, m))  # [rep, beta, e]
+    for i, row in enumerate(left):
+        bins = (row + right) % m + offsets
+        counts[i] = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
+    counts = counts.reshape(-1, m)  # rows p * m + beta, as row_orbits numbers them
+    powers = np.array(red.rows[:m], dtype=np.float64)
     num = np.empty((m, m, red.degree), dtype=np.int64)
-    for a in range(m):
-        bins = (left[a] + right) % m + offsets
-        counts = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
-        num[a] = counts.astype(np.float64) @ powers
+    # per row: the gathered counts, the twisted power rows and their product
+    width = max(1, _BLOCK_BYTES // (8 * m * (m + 2 * red.degree)))
+    for lo in range(0, m, width):
+        block = slice(lo, lo + width)
+        num[block] = counts[rows[block]] @ powers[twist[block]]
     return JacobiTable._from_arrays(group, num, m)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from jacobisum import (
     dft,
     pairing,
 )
-from jacobisum.abelian import index_tables, pairing_matrix
+from jacobisum.abelian import index_tables, pairing_matrix, row_orbits
 
 from helpers import convolve, idft, random_function
 
@@ -46,6 +47,25 @@ def test_index_tables_and_pairing_matrix_follow_the_group_law():
         assert neg.tolist() == [g.index(g.neg(a)) for a in els]
         assert sub.tolist() == [[g.index(g.sub(a, b)) for b in els] for a in els]
         assert pairing_matrix(g).tolist() == [[pairing(g, a, x) for x in els] for a in els]
+
+
+def test_row_orbits_label_every_element_by_its_rep():
+    for factors in ((), (1,), (2,), (7,), (9,), (12,), (15,), (2, 2), (2, 4), (2, 6),
+                    (3, 3), (4, 4), (2, 2, 4)):
+        g = GroupSpec(factors)
+        m, els = g.m, g.elements
+        reps, rows, twist = row_orbits(g)
+        units = [r for r in range(1, m + 1) if math.gcd(r, m) == 1]
+        orbits = {frozenset(g.index(g.scale(r, x)) for r in units) for x in els}
+        # one rep per orbit, its least element, in increasing order
+        assert reps.tolist() == sorted(min(orbit) for orbit in orbits), factors
+        for x in range(m):
+            p, r = rows[x, 0] // m, twist[x, 1 % m]
+            assert math.gcd(r, m) == 1 and g.scale(r, els[reps[p]]) == els[x], (factors, x)
+            s = pow(int(r), -1, m)
+            assert rows[x].tolist() == [p * m + g.index(g.scale(s, b)) for b in els], (factors, x)
+            assert twist[x].tolist() == [r * e % m for e in range(m)], (factors, x)
+    assert row_orbits(GroupSpec((1,)))[0].tolist() == [0]
 
 
 def test_pairing_nondegenerate():

@@ -371,6 +371,18 @@ def test_field_side_bytes_are_pinned():
     assert digest.hexdigest() == FIELD_SIDE_PINNED
 
 
+# sha256 over the field document of every field with 3 <= q <= 64, one per
+# line, taken when field_to_json still multiplied and added polynomials
+FIELD_DOCUMENTS_PINNED = "ce6496d58b98f122926112a1dd1a3f66f2ff42f53c112874cbaae466354a21a7"
+
+
+def test_field_documents_are_pinned():
+    digest = hashlib.sha256()
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        digest.update(dumps(field_to_json(field(q))).encode() + b"\n")
+    assert digest.hexdigest() == FIELD_DOCUMENTS_PINNED
+
+
 def test_approx_table_json_roundtrip():
     at = approximate(table(5))
     restored = table_from_json(approx_table_to_json(at))

@@ -46,7 +46,8 @@ from helpers import (
     table,
 )
 
-KERNEL_GROUPS = ((1,), (2,), (2, 2), (2, 4), (3, 3), (7,))
+# (9,), (12,), (15,) and (2, 6) have row orbits of several sizes
+KERNEL_GROUPS = ((1,), (2,), (2, 2), (2, 4), (3, 3), (7,), (9,), (12,), (15,), (2, 6))
 
 
 def _float_jacobi(f):
@@ -243,6 +244,20 @@ def test_table_from_pairs_matches_root_sums(data):
     got = table_from_pairs(g, us, vs)
     assert got == reference_table(g, pairs)
     _assert_same_arrays(got, reference_table_from_pairs(g, us, vs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_unit_scaling_is_the_galois_action(data):
+    # J(r alpha, r beta) = sigma_r J(alpha, beta) for every pair list and
+    # unit r, the identity table_from_pairs builds on, here on root sums
+    g = GroupSpec(data.draw(st.sampled_from(KERNEL_GROUPS)))
+    index = st.integers(0, g.m - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=2 * g.m))
+    t = reference_table(g, pairs)
+    for r in range(1, g.m + 1):
+        if math.gcd(r, g.m) == 1:
+            assert twist_automorphism(t, r) == twist_galois(t, r), r
 
 
 def _assert_same_arrays(got: JacobiTable, want: JacobiTable):
