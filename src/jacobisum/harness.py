@@ -31,6 +31,8 @@ from .ffield import FiniteField, build_field
 from .jacobi import (
     ApproxTable,
     JacobiTable,
+    _first_positions,
+    _row_bytes,
     compute_jacobi,
     require_exact_order,
     twist_automorphism,
@@ -158,19 +160,6 @@ def field_from_json(doc: dict) -> FiniteField:
 # -- table files --------------------------------------------------------------
 
 
-def _first_positions(keys) -> tuple[list[int], list[int]]:
-    """Each key's number, in order of first appearance, and the position
-    where each number first appears."""
-    ids = list(map(defaultdict(count().__next__).__getitem__, keys))
-    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    return ids, sorted(first.values())
-
-
-def _row_bytes(a: np.ndarray) -> list[bytes]:
-    """Each row of a 2-d integer array as bytes, a key that tells rows apart."""
-    return np.ascontiguousarray(a).view((np.void, a.itemsize * a.shape[1])).ravel().tolist()
-
-
 def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
     """Every entry's to_strings(), one list per distinct cell, which the rows
     share: copy a cell before changing it in place.  Each distinct
@@ -178,8 +167,8 @@ def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
     and the distinct cells are gathered from those strings.  A pair's key
     is its (denominator rank, numerator - least numerator) when at most m^2
     keys cover the span, as in every field table, and a cell is told apart
-    by the bytes of its row of keys; otherwise by its denominator and
-    numerators, and a dict numbers the pairs."""
+    by the bytes of its row of keys; otherwise by the table's numbering of
+    its cells, and a dict numbers the pairs."""
     m, degree = table.den.shape[0], table.num.shape[2]
     num, den = table.num.reshape(m * m, degree), table.den.ravel()
     dens, drank = np.unique(den, return_inverse=True)
@@ -192,9 +181,7 @@ def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
         keys = keys[distinct].astype(np.intp)
         pairs = product(dens.tolist(), (lo + np.arange(width)).tolist())
     else:
-        rows = np.column_stack((den, num))
-        ids, distinct = _first_positions(map(tuple, rows.tolist()) if rows.dtype == object
-                                         else _row_bytes(rows))
+        ids, distinct = (c.tolist() for c in table.cells)
         pairs = defaultdict(count().__next__)
         dd, nn = np.repeat(den[distinct], degree).tolist(), num[distinct].ravel().tolist()
         keys = np.fromiter(map(pairs.__getitem__, zip(dd, nn)), np.intp, len(nn)).reshape(-1, degree)
@@ -205,11 +192,12 @@ def _encode_entries(table: JacobiTable) -> list[list[list[str]]]:
     return [list(map(cells.__getitem__, ids[i:i + m])) for i in range(0, m * m, m)]
 
 
-def _decode_entries(m: int, entries) -> tuple[np.ndarray, int | np.ndarray]:
+def _decode_entries(m: int, entries) -> tuple[np.ndarray, int | np.ndarray, tuple]:
     """The numerators of a table document's cells over the lcm L of all its
     coefficient denominators, and L, int64 when L and each |num| * L / den
     are below 2^63; past 2^63, over each cell's own lcm, and those, so no
-    integer grows with the number of distinct denominators.
+    integer grows with the number of distinct denominators; then the
+    numbering of the cells by their strings, which the table keeps.
 
     The work is done once per distinct cell.  A cell's key is its strings
     joined by commas; a comma is never valid in a coefficient, so two cells
@@ -239,11 +227,11 @@ def _decode_entries(m: int, entries) -> tuple[np.ndarray, int | np.ndarray]:
         nums, dens = (np.array(x, dtype=object)[idx] for x in (nums, dens))
         den = np.lcm.reduce(dens, axis=1)
         num = nums * (den[:, None] // dens)
-        return num[ids].reshape(m, m, degree), den[ids].reshape(m, m)
+        return num[ids].reshape(m, m, degree), den[ids].reshape(m, m), (ids, distinct)
     scaled = [n * (lcm // d) for n, d in zip(nums, dens)]
     wide = max(map(abs, scaled)) >> 63
     num = np.array(scaled, dtype=object if wide else np.int64)[idx]
-    return num[ids].reshape(m, m, degree), lcm
+    return num[ids].reshape(m, m, degree), lcm, (ids, distinct)
 
 
 def table_to_json(table: JacobiTable) -> dict:

@@ -15,8 +15,11 @@ and every layer reads those arrays rather than Cyclotomic objects.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -45,6 +48,27 @@ def _canonical(a: np.ndarray) -> np.ndarray:
     return b.astype(object) if b.min() == -(2**63) else b
 
 
+def _first_positions(keys) -> tuple[list[int], list[int]]:
+    """Each key's number, in order of first appearance, and the position
+    where each number first appears."""
+    ids = list(map(defaultdict(count().__next__).__getitem__, keys))
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return ids, sorted(first.values())
+
+
+def _row_bytes(a: np.ndarray) -> list[bytes]:
+    """Each row of a 2-d integer array as bytes, a key that tells rows apart."""
+    return np.ascontiguousarray(a).view((np.void, a.itemsize * a.shape[1])).ravel().tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _power_rows(m: int) -> np.ndarray:
+    """The power-basis rows of zeta^e for e < m, as a read-only float64 array."""
+    rows = np.array(reduction_data(m).rows[:m], dtype=np.float64)
+    rows.flags.writeable = False
+    return rows
+
+
 class JacobiTable:
     """An m x m table of exact values J(alpha, beta), indexed like the group.
 
@@ -52,9 +76,14 @@ class JacobiTable:
     entry (i, j), in Cyclotomic's canonical form, so equal tables hold
     equal arrays.  Both are int64 unless some value does not fit (-2^63
     counts as not fitting), and then arrays of Python ints.
+
+    cells numbers the cells so that equal numbers hold equal entries; unequal
+    numbers may still hold equal entries, as where a document writes one
+    value two ways.  The decoder hands in its numbering of the document's
+    cells; every other table numbers its cells on first read.
     """
 
-    __slots__ = ("group", "num", "den", "_values")
+    __slots__ = ("group", "num", "den", "_values", "_cells")
 
     def __init__(self, group: GroupSpec, values: Iterable[Iterable[Cyclotomic]]):
         rows = tuple(tuple(row) for row in values)
@@ -68,16 +97,19 @@ class JacobiTable:
         num = np.array([[e.num for e in row] for row in rows], dtype=object)
         den = np.array([[e.den for e in row] for row in rows], dtype=object)
         table = JacobiTable._from_arrays(group, num, den)
-        self.group, self.num, self.den, self._values = group, table.num, table.den, None
+        self.group, self.num, self.den = group, table.num, table.den
+        self._values = self._cells = None
 
     @classmethod
-    def _from_arrays(cls, group: GroupSpec, num, den) -> "JacobiTable":
+    def _from_arrays(cls, group: GroupSpec, num, den, cells=None) -> "JacobiTable":
         """The table of num[i, j] / den[i, j], integer coefficient vectors over
         positive denominators, one per cell or one shared: the only routine
         that puts a table in canonical form.  Each cell's content, the gcd
         of its coefficients and denominator, is divided out, and the dtypes
         are settled before (for an int64 gcd) and after (reduced values may
-        fit int64 where the unreduced ones did not)."""
+        fit int64 where the unreduced ones did not).  cells, if given, is
+        a numbering of the cells as _first_positions gives it, in which
+        equal numbers hold equal num / den."""
         num = _canonical(num)
         if isinstance(den, int):  # numpy would read 2^63 <= den < 2^64 as uint64
             den = np.array(den, dtype=object)
@@ -93,7 +125,21 @@ class JacobiTable:
         table = cls.__new__(cls)
         table.group, table.num, table.den = group, num, _canonical(den // content)
         table._values = None
+        table._cells = None if cells is None else tuple(np.array(c, dtype=np.intp) for c in cells)
         return table
+
+    @property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, firsts): ids[c] numbers the cell at flat index c, and
+        firsts[k] is the flat index where number k first appears.  Numbered
+        on first read by the bytes of each cell's [den | num] row, or by its
+        tuple over Python ints."""
+        if self._cells is None:
+            m = self.group.m
+            rows = np.column_stack((self.den.ravel(), self.num.reshape(m * m, -1)))
+            keys = map(tuple, rows.tolist()) if rows.dtype == object else _row_bytes(rows)
+            self._cells = tuple(np.array(c, dtype=np.intp) for c in _first_positions(keys))
+        return self._cells
 
     @property
     def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
@@ -207,7 +253,7 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
         bins = (row + right) % m + offsets
         counts[i] = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
     counts = counts.reshape(-1, m)  # rows p * m + beta, as row_orbits numbers them
-    powers = np.array(red.rows[:m], dtype=np.float64)
+    powers = _power_rows(m)
     num = np.empty((m, m, red.degree), dtype=np.int64)
     # per row: the gathered counts, the twisted power rows and their product
     width = max(1, _BLOCK_BYTES // (8 * m * (m + 2 * red.degree)))

@@ -95,15 +95,19 @@ with its characters relabelled by a group isomorphism, which satisfies
 all three axioms (Berndt, Evans and Williams, Gauss and Jacobi Sums,
 ch. 2), so all four checks pass with no witness, and the stages' report
 is kept as the certificate.  If any step fails, the scans run exactly as
-they would without it, and only they produce witnesses.  Accepting thus
-costs the evaluation at one point, a table build and an O(q^2) field
-check; rejecting costs the evaluation at all E points, the O(m^3 E)
-cocycle pass up to the later of its two witnesses, and the convolution
-scan's O(m^3) per point until its candidate is found, O(K m) per point
-for the K pairs before the candidate after it.  At q = 64 (E = 72) a
-table with (1, 2) and (2, 1) moved by 3/7 is rejected in about 12 ms on
-a 2-core Xeon, 4 ms of it the cocycle pass; the three scans run to the
-end take about 0.4 s.
+they would without it, and only they produce witnesses.  Either
+evaluation is done once per distinct cell of the table's numbering
+(JacobiTable.cells), D cells in all, and gathered into the m x m array
+the scans read: a field's table at q = 64 has D = 73 of its 3,969 cells.
+Accepting thus costs the evaluation of D cells at one point, a table
+build and an O(q^2) field check; rejecting costs their evaluation at
+all E points, the O(m^3 E) cocycle pass up to the later of its two
+witnesses, and the convolution scan's O(m^3) per point until its
+candidate is found, O(K m) per point for the K pairs before the
+candidate after it.  At q = 64 (E = 72) a decoded table with (1, 2) and
+(2, 1) moved by 3/7 is rejected in about 7 ms on a 2-core Xeon, 3 ms of
+it the cocycle pass and 0.2 ms the evaluation; the three scans run to
+the end take about 0.4 s.
 
 A symmetric complex table is offered to certify too.  The stages run at
 its one point and rebuild a field whose table J_F satisfies every
@@ -375,6 +379,8 @@ class _Residues(_Evaluation):
     is the first prime's first root, and column k of root_powers holds the
     powers of that root.  denominator is L.
 
+    Each distinct cell of the table's numbering (JacobiTable.cells) is
+    evaluated once, and the cells gathered from those by their numbers.
     Each digit of the scaled numerators is evaluated at the points by one
     float64 product with root_powers, exact by the bound at _PRIME_LIMIT;
     a table whose L J fit 2^_DIGIT_BITS in size, as every field's table
@@ -387,11 +393,12 @@ class _Residues(_Evaluation):
         deg = red.degree
         if m * _PRIME_LIMIT << _DIGIT_BITS > 1 << 53:
             raise ValueError(f"group order {m} is beyond the exact float64 evaluation")
-        nums = table.num
-        peaks = np.maximum(nums.max(axis=2), -nums.min(axis=2))
-        # entries share few denominators: dens[where[i, j]] is that of J(i, j)
-        dens, where = np.unique(table.den, return_inverse=True)
-        dens, where = dens.tolist(), where.reshape(m, m)
+        ids, firsts = table.cells
+        nums = table.num.reshape(m * m, deg)[firsts]
+        peaks = np.maximum(nums.max(axis=1), -nums.min(axis=1))
+        # cells share few denominators: dens[where[c]] is that of distinct cell c
+        dens, where = np.unique(table.den.ravel()[firsts], return_inverse=True)
+        dens = dens.tolist()
         scale = math.lcm(*dens)
         # L / den scales each entry; entries that are all zero get 0, so
         # every multiplier is at most top, the largest scaled coefficient
@@ -419,7 +426,7 @@ class _Residues(_Evaluation):
         # in [0, 2^b), and the top one x >> b t, in [-2^b, 2^b), which
         # carries the sign.  Each digit's residues are folded in with
         # 2^(b t) mod p, products below 2^50 that int64 sums exactly
-        self._nums = nums
+        self._ids, self._nums = ids.reshape(m, m), nums
         self._mult = np.array(mults, dtype=np.int64 if top < 1 << 63 else object)[where, None]
         ndigits = max(1, -(-top.bit_length() // _DIGIT_BITS))
         self._folds = [np.tile([pow(2, _DIGIT_BITS * t, p) for p in primes], deg)
@@ -430,14 +437,15 @@ class _Residues(_Evaluation):
         return self._evaluate(slice(None))
 
     def _evaluate(self, points: slice) -> np.ndarray:
-        """L J at the given points, as int32 residues."""
-        m, nums, mult, ndigits = self.m, self._nums, self._mult, len(self._folds) + 1
-        deg, moduli, npoints = nums.shape[2], self.moduli[points], len(self.moduli[points])
+        """L J at the given points, as int32 residues: the distinct cells,
+        a block at a time, gathered by the cells' numbers."""
+        nums, mult, ndigits = self._nums, self._mult, len(self._folds) + 1
+        deg, moduli = nums.shape[1], self.moduli[points]
         roots = self.root_powers[:deg, points].astype(np.float64)
-        values = np.empty((m, m, npoints), dtype=np.int32)
-        # per row: L J and a digit, and over every point the float64
+        residues = np.empty((len(nums), len(moduli)), dtype=np.int32)
+        # per cell: L J and a digit, and over every point the float64
         # product, its int64 copy and the sum of the folded digits
-        rows = max(1, _SCAN_BYTES // (8 * m * (2 * deg + 3 * npoints)))
+        cells = max(1, _SCAN_BYTES // (8 * (2 * deg + 3 * len(moduli))))
 
         def digit_residues(scaled, t):
             """Digit t of the scaled entries at every point, modulo its prime."""
@@ -448,9 +456,9 @@ class _Residues(_Evaluation):
             res %= moduli
             return res
 
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            scaled = (nums[lo:hi].astype(mult.dtype, copy=False) * mult[lo:hi]).reshape(-1, deg)
+        for lo in range(0, len(nums), cells):
+            block = slice(lo, lo + cells)
+            scaled = nums[block].astype(mult.dtype, copy=False) * mult[block]
             acc = digit_residues(scaled, 0)
             for t, fold in enumerate(self._folds, 1):
                 res = digit_residues(scaled, t)
@@ -458,8 +466,8 @@ class _Residues(_Evaluation):
                 acc += res
             if self._folds:
                 acc %= moduli
-            values[lo:hi] = acc.reshape(hi - lo, m, npoints)
-        return values
+            residues[block] = acc
+        return residues[self._ids]
 
     @staticmethod
     def product(a, b) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -36,7 +37,7 @@ from jacobisum import (
 )
 from jacobisum import reconstructor, verifier
 from jacobisum.enumerator import _candidate_maps
-from jacobisum.harness import dumps, verification_to_json
+from jacobisum.harness import dumps, table_from_json, table_to_json, verification_to_json
 from jacobisum.jacobi import ApproxTable, table_from_support
 from jacobisum.verifier import _Residues
 
@@ -268,6 +269,87 @@ def test_first_point_alone_equals_the_full_evaluation(q):
         # once values is built, every read slices it
         values = r.values
         assert np.shares_memory(r.at(slice(0, 1)), values), name
+
+
+def _per_entry_residues(t: JacobiTable, r: _Residues) -> np.ndarray:
+    """L J(i, j) at every point of r, entry by entry in Python ints: the
+    entry's coefficients at the point's root, times L / den, modulo the
+    point's prime."""
+    m, deg = t.group.m, t.num.shape[2]
+    out = np.empty((m, m, len(r.moduli)), dtype=np.int32)
+    for k, p in enumerate(r.moduli.tolist()):
+        root = int(r.root_powers[min(1, m - 1), k])
+        powers = [pow(root, e, p) for e in range(deg)]
+        for i, j in itertools.product(range(m), repeat=2):
+            value = sum(c * w for c, w in zip(t.num[i, j].tolist(), powers))
+            out[i, j, k] = value * (r.denominator // t.den.item(i, j)) % p
+    return out
+
+
+def _decoded(doc: dict, cells: dict) -> JacobiTable:
+    """The table of a document with some cells' strings replaced, decoded
+    from its text."""
+    entries = [list(row) for row in doc["entries"]]
+    for (i, j), value in cells.items():
+        entries[i][j] = value.to_strings() if isinstance(value, Cyclotomic) else value
+    return table_from_json(json.loads(dumps(dict(doc, entries=entries))))
+
+
+def _gathered_tables():
+    """(name, table) for decoded tables shaped like the rejected inputs of the
+    benchmark (a cell moved by a root of unity, a symmetric pair moved by
+    c/7 and by c/(2^31 - 1)), built tables, a with_entry table and both
+    twists, a table of Python ints, a document that writes 1/2 as "1/2"
+    and as "2/4", and a table whose cells never repeat."""
+    for q in (4, 8, 9, 16):
+        t, m = table(q), q - 1
+        doc, v = table_to_json(t), t.values
+        yield f"q{q}:asym", _decoded(doc, {(1, 2): v[1][2] + root_power(m, 2)})
+        for name, s in (("sym", Fraction(3, 7)), ("bigden", Fraction(12345, 2**31 - 1))):
+            yield f"q{q}:{name}", _decoded(doc, {(1, 2): v[1][2] + s, (2, 1): v[2][1] + s})
+        yield f"q{q}", t
+    t, m = table(16), 15
+    yield "q16:with_entry", t.with_entry(3, 4, t.entry(3, 4) + Fraction(1, 3))
+    yield "q16:automorphism", twist_automorphism(t, 7)
+    yield "q16:galois", twist_galois(t, 7)
+    yield "q16:2^70/3", t.with_entry(1, 2, t.entry(1, 2) + Fraction(2**70, 3))
+    zeros = ["0"] * (euler_phi(m) - 1)
+    yield "q16:1/2,2/4", _decoded(table_to_json(t), {(1, 2): ["1/2", *zeros], (3, 4): ["2/4", *zeros]})
+    rng = np.random.default_rng(5)
+    yield "q16:unrepeated", JacobiTable._from_arrays(
+        t.group, rng.integers(-9, 10, size=(m, m, euler_phi(m))), 1)
+
+
+def test_gathered_evaluation_equals_the_per_entry_reference():
+    # each distinct cell is evaluated once and gathered by the numbering;
+    # the residues, all points or the first alone, are those of every entry
+    # evaluated by itself
+    for name, t in _gathered_tables():
+        r = _Residues(t)
+        want = _per_entry_residues(t, r)
+        first = _Residues(t).at(slice(0, 1))
+        assert first.dtype == np.int32 and first.tobytes() == want[:, :, :1].tobytes(), name
+        assert r.values.dtype == np.int32 and r.values.tobytes() == want.tobytes(), name
+
+
+def test_cell_numbers_hold_equal_entries():
+    # equal numbers always hold equal (num, den) rows, and firsts[k] holds
+    # number k; a table that numbers its own cells tells every two unequal
+    # cells apart, while a document's "1/2" and "2/4" are numbered apart
+    tables = dict(_gathered_tables())
+    for name, t in tables.items():
+        m = t.group.m
+        ids, firsts = t.cells
+        num, den = t.num.reshape(m * m, -1), t.den.ravel()
+        assert np.array_equal(ids[firsts], np.arange(len(firsts))), name
+        assert np.array_equal(num[firsts][ids], num) and np.array_equal(den[firsts][ids], den), name
+        fresh = JacobiTable._from_arrays(t.group, t.num, t.den)
+        rows = {(d, *n) for d, n in zip(den.tolist(), num.tolist())}
+        assert len(fresh.cells[1]) == len(rows), name
+    assert len(tables["q16:unrepeated"].cells[1]) == 15 * 15
+    halves = tables["q16:1/2,2/4"]
+    ids = halves.cells[0].reshape(15, 15)
+    assert halves.entry(1, 2) == halves.entry(3, 4) and ids[1, 2] != ids[3, 4]
 
 
 def test_residues_at_the_prime_cap():
