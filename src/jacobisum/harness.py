@@ -244,13 +244,12 @@ def table_to_json(table: JacobiTable) -> dict:
 
 
 def approx_table_to_json(table: ApproxTable) -> dict:
+    m = table.group.m
     return {
         "schema": APPROX_TABLE_SCHEMA,
         "factors": list(table.group.factors),
-        "conductor": table.group.m,
-        "entries": [
-            [[z.real, z.imag] for z in row] for row in table.entries
-        ],
+        "conductor": m,
+        "entries": table.values.view(np.float64).reshape(m, m, 2).tolist(),
     }
 
 
@@ -273,7 +272,24 @@ def table_from_json(doc: dict) -> JacobiTable | ApproxTable:
         raise ValueError(f"entries must form an {m} x {m} array")
     if schema == TABLE_SCHEMA:
         return JacobiTable._from_arrays(group, *_decode_entries(m, entries))
-    return ApproxTable(group, tuple(tuple(map(_complex_cell, row)) for row in entries))
+    return ApproxTable(group, _decode_complex(m, entries))
+
+
+def _decode_complex(m: int, entries) -> np.ndarray:
+    """The [re, im] cells of an approximate table document as an m x m
+    complex128 array: the cells' types and lengths and their parts' types
+    are checked over all cells at once, then every part is converted in
+    one float64 array.  When a check or the conversion fails, the cells
+    are read one by one, so the first bad cell in document order is named."""
+    cells = list(chain.from_iterable(entries))
+    if set(map(type, cells)) == {list} and set(map(len, cells)) == {2}:
+        parts = list(chain.from_iterable(cells))
+        if set(map(type, parts)) <= {int, float}:
+            try:
+                return np.array(parts, dtype=np.float64).view(np.complex128).reshape(m, m)
+            except OverflowError:  # an integer beyond float range
+                pass
+    return np.array([_complex_cell(cell) for cell in cells]).reshape(m, m)
 
 
 def _complex_cell(cell) -> complex:

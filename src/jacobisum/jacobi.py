@@ -9,7 +9,9 @@ with alpha_a(g**t) = zeta_m**(a*t) for the fixed field generator g, and
 
 Every entry is exact, with conductor equal to the group order.  A table
 holds its entries as two integer arrays in Cyclotomic's canonical form,
-and every layer reads those arrays rather than Cyclotomic objects.
+and every layer reads those arrays rather than Cyclotomic objects.  A
+complex table (ApproxTable) holds its entries as one complex128 array,
+which every layer reads in the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import cmath
 import functools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Mapping
 
@@ -80,7 +81,8 @@ class JacobiTable:
     cells numbers the cells so that equal numbers hold equal entries; unequal
     numbers may still hold equal entries, as where a document writes one
     value two ways.  The decoder hands in its numbering of the document's
-    cells; every other table numbers its cells on first read.
+    cells, and a twist derives one from its source's numbering when that
+    has one; every other table numbers its cells on first read.
     """
 
     __slots__ = ("group", "num", "den", "_values", "_cells")
@@ -109,35 +111,49 @@ class JacobiTable:
         are settled before (for an int64 gcd) and after (reduced values may
         fit int64 where the unreduced ones did not).  cells, if given, is
         a numbering of the cells as _first_positions gives it, in which
-        equal numbers hold equal num / den."""
+        equal numbers hold equal num / den; the contents are then taken,
+        and divided out, over the first cell of each number, and the
+        results gathered by number."""
         num = _canonical(num)
         if isinstance(den, int):  # numpy would read 2^63 <= den < 2^64 as uint64
             den = np.array(den, dtype=object)
         den = _canonical(den)
+        m = group.m
+        if cells is not None:
+            cells = tuple(np.array(c, dtype=np.intp) for c in cells)
+        ids, firsts = (slice(None), slice(None)) if cells is None else cells
+        rows = num.reshape(m * m, -1)[firsts]
         # column by column, stopping once every cell's gcd is 1 (soon on canonical input)
-        content = np.gcd(den, num[:, :, 0])
-        for k in range(1, num.shape[2]):
+        content = np.gcd(den.reshape(-1)[firsts] if den.ndim else den, rows[:, 0])
+        for k in range(1, rows.shape[1]):
             if content.max() == 1:
                 break
-            content = np.gcd(content, num[:, :, k])
+            content = np.gcd(content, rows[:, k])
         if content.max() > 1:
-            num = _canonical(num // content[:, :, None])
+            num = _canonical((rows // content[:, None])[ids].reshape(num.shape))
+        den = _canonical(den // content[ids].reshape(m, m))
         table = cls.__new__(cls)
-        table.group, table.num, table.den = group, num, _canonical(den // content)
+        table.group, table.num, table.den = group, num, den
         table._values = None
-        table._cells = None if cells is None else tuple(np.array(c, dtype=np.intp) for c in cells)
+        table._cells = cells
         return table
 
     @property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, firsts): ids[c] numbers the cell at flat index c, and
         firsts[k] is the flat index where number k first appears.  Numbered
-        on first read by the bytes of each cell's [den | num] row, or by its
-        tuple over Python ints."""
+        on first read by the bytes of each cell's [den | num] row, in the
+        narrowest signed dtype that holds every row, or by its tuple over
+        Python ints."""
         if self._cells is None:
             m = self.group.m
             rows = np.column_stack((self.den.ravel(), self.num.reshape(m * m, -1)))
-            keys = map(tuple, rows.tolist()) if rows.dtype == object else _row_bytes(rows)
+            if rows.dtype == object:
+                keys = map(tuple, rows.tolist())
+            else:
+                # den >= 1, so the least value and -(the largest) - 1 are negative
+                least = min(int(rows.min()), -int(rows.max()) - 1)
+                keys = _row_bytes(rows.astype(np.min_scalar_type(least)))
             self._cells = tuple(np.array(c, dtype=np.intp) for c in _first_positions(keys))
         return self._cells
 
@@ -184,24 +200,45 @@ class JacobiTable:
         return f"JacobiTable(group={self.group.factors}, m={self.group.m})"
 
 
-@dataclass(frozen=True)
 class ApproxTable:
-    """A complex-valued table, for externally produced numeric data."""
+    """A complex-valued table, for externally produced numeric data:
+    values[i, j] is J(i, j), in a read-only m x m complex128 array of
+    finite numbers.  entries is the same table as a tuple of rows of
+    Python complex numbers, built on first use."""
 
-    group: GroupSpec
-    entries: tuple[tuple[complex, ...], ...]
+    __slots__ = ("group", "values", "_entries")
 
-    def __post_init__(self):
-        if not all(cmath.isfinite(z) for row in self.entries for z in row):
+    def __init__(self, group: GroupSpec, entries):
+        values = np.array(entries, dtype=np.complex128)
+        m = group.m
+        if values.shape != (m, m):
+            raise ValueError(f"table must be {m} x {m}")
+        if not np.isfinite(values).all():
             raise ValueError("approximate table entries must be finite")
+        values.flags.writeable = False
+        self.group, self.values, self._entries = group, values, None
+
+    @property
+    def entries(self) -> tuple[tuple[complex, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(map(tuple, self.values.tolist()))
+        return self._entries
 
     def entry(self, i: int, j: int) -> complex:
-        return self.entries[i][j]
+        return self.values.item(i, j)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ApproxTable):
+            return NotImplemented
+        return self.group == other.group and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"ApproxTable(group={self.group.factors}, m={self.group.m})"
 
 
 def approximate(table: JacobiTable) -> ApproxTable:
     """Embed every entry into the complex numbers, as _embedding does."""
-    return ApproxTable(table.group, tuple(map(tuple, _embedding(table).tolist())))
+    return ApproxTable(table.group, _embedding(table))
 
 
 def _embedding(table: JacobiTable) -> np.ndarray:
@@ -302,20 +339,30 @@ def table_from_support(
 
 
 def twist_automorphism(table: JacobiTable, r: int) -> JacobiTable:
-    """Precompose both arguments with the r-th power automorphism."""
+    """Precompose both arguments with the r-th power automorphism.  The
+    cells are permuted, so a numbering of the table's cells, if it has
+    one, numbers the twist's once renumbered in order of first appearance."""
     g = table.group
     m = g.m
     if math.gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not an automorphism exponent for order {m}")
     perm = np.array([g.index(g.scale(r, x)) for x in g.elements], dtype=np.intp)
     grid = np.ix_(perm, perm)
-    return JacobiTable._from_arrays(g, table.num[grid], table.den[grid])
+    cells = None
+    if table._cells is not None:
+        ids = table._cells[0].reshape(m, m)[grid].ravel()
+        first = np.full(len(table._cells[1]), ids.size)  # where each number first appears
+        np.minimum.at(first, ids, np.arange(ids.size))
+        cells = np.argsort(np.argsort(first))[ids], np.sort(first)
+    return JacobiTable._from_arrays(g, table.num[grid], table.den[grid], cells)
 
 
 def twist_galois(table: JacobiTable, r: int) -> JacobiTable:
     """Apply the value-side automorphism zeta -> zeta**r to every entry:
     one product with the matrix whose row i is the image of zeta^i.  The
-    automorphism keeps each entry's content and denominator."""
+    automorphism keeps each entry's content and denominator, and it is
+    injective, so the table's numbering of its cells, if it has one,
+    numbers the twist's."""
     m = table.group.m
     if math.gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not invertible modulo {m}")
@@ -327,4 +374,4 @@ def twist_galois(table: JacobiTable, r: int) -> JacobiTable:
     peak = int(max(num.max(), -num.min()))
     if num.dtype == object or peak * int(np.abs(image).sum(axis=0).max()) >> 63:
         num, image = num.astype(object), image.astype(object)
-    return JacobiTable._from_arrays(table.group, num @ image, table.den)
+    return JacobiTable._from_arrays(table.group, num @ image, table.den, table._cells)

@@ -509,13 +509,14 @@ class _Residues(_Evaluation):
 
 class _Complex(_Evaluation):
     """A complex table as an evaluation at one point: values[i, j, 0] is
-    J(i, j), L is 1 and root_powers[e, 0] is exp(2 pi i e / m).  Nothing is
-    reduced, and a difference differs unless it lies within `tolerance`."""
+    J(i, j), a read-only view of the table's own array, L is 1 and
+    root_powers[e, 0] is exp(2 pi i e / m).  Nothing is reduced, and a
+    difference differs unless it lies within `tolerance`."""
 
     def __init__(self, table: ApproxTable, tolerance: float):
         super().__init__(table.group)
         m = self.m
-        self.values = np.array(table.entries, dtype=complex).reshape(m, m, 1)
+        self.values = table.values.reshape(m, m, 1)
         self.scale = np.ones(1)
         self.m_inverse = np.array([1 / m])
         self.root_powers = np.exp(2j * np.pi * np.arange(m) / m)[:, None]

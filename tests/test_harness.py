@@ -8,6 +8,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,42 @@ def test_field_documents_are_pinned():
     for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
         digest.update(dumps(field_to_json(field(q))).encode() + b"\n")
     assert digest.hexdigest() == FIELD_DOCUMENTS_PINNED
+
+
+# sha256 of the approximate table document of every field with 3 <= q <= 32,
+# taken when tables were written from tuples of Python complex numbers
+APPROX_DOCUMENTS_PINNED = {
+    3: "0f5582eaf0f4495cdfad8b5d592b0de97376103babc3080a403d3f9eead511c8",
+    4: "31088e7e26704f072eec638198fb7c3fcef5ee98678ef5812dc2b761a61dc6c2",
+    5: "eadb46865b082ec6a50ee0827ee5e8042674aef231d9d3f4bce0a444fc23c11b",
+    7: "f985fc16916700808b52246b23272bbeffeffd9341445551812cd179806edd5a",
+    8: "6fef4a7b4b974d4816f6619aff64707eae9e34c756434ccdfc24d22f2045a19f",
+    9: "dd260bf52a02b2dedf238519f94f2a6be23b9d376366627eafe872a325f0fede",
+    11: "3b0d2dadf3cd3f182bf8a548d9146b970d2786575b281ad7797f12208fea66df",
+    13: "e16855fd13fff19af7df437cffae5a942ce1281fb650e074fa2035a3f85ca7c0",
+    16: "a153da32a45e19a2a555d8243c242d7b60d135224301c04067bad288ad8c6551",
+    17: "20dfc497734ded2c1f94e016539304895ff0f8c9f570c46aadf7ab7ed65a1b41",
+    19: "29ff60ad7059093d95373dc519f2ce2259ceb5cfb7610658b360f8773e43f7d5",
+    23: "3a04f40b0f36a247fb03ced5f4a493d6a6a83cffd0b3736b75dd41b4900aa477",
+    25: "f724aa293a08f8cc8f63aefa0c9ff67def8a927fa3613b20fcea4081cd1c42c9",
+    27: "4f4ca1e0fdf35ce83f92b54b0b06f84b2c5615dd5ef13c7a7c92f58e6255a7b1",
+    29: "22a5fc88290fdbccdd749b0b279a4b38b1e9b1ccb3bcb0fddfcfe7fa5bcd4df6",
+    31: "c507ef39244f2ec2371c3d9c81012b6df9d5a17521edc06312eca045455646cb",
+    32: "f57c38ae5c87f47aa4c02210d4e0d9f8a797da2d11dd633fa5cf27751ab10056",
+}
+
+
+def test_approx_table_documents_are_pinned():
+    # each document also decodes to the table it came from, and that
+    # table writes the same bytes again
+    digests = {}
+    for q in sorted(PRIME_POWERS):
+        at = approximate(table(q))
+        text = dumps(approx_table_to_json(at))
+        digests[q] = hashlib.sha256(text.encode()).hexdigest()
+        restored = table_from_json(json.loads(text))
+        assert restored == at and dumps(approx_table_to_json(restored)) == text, q
+    assert digests == APPROX_DOCUMENTS_PINNED
 
 
 def test_approx_table_json_roundtrip():
@@ -801,6 +838,33 @@ def test_cli_names_the_first_faulty_approximate_cell(tmp_path, capsys, huge):
     write_json(tpath, doc)
     assert _run("verify", "--table", tpath) == 2
     assert capsys.readouterr().err == "error: approximate entries must be within float range\n"
+
+
+_PAIR = "each approximate entry must be a [re, im] pair of numbers"
+_APPROX_FAULTS = {
+    "boolean": ([True, 0.5], _PAIR),
+    "length": ([0.5, 0.0, 1.0], _PAIR),
+    "huge": ([0.5, -10**400], "approximate entries must be within float range"),
+    "nan": ([0.0, float("nan")], "approximate table entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("later", [(0, 2), (1, 0), (2, 1)])
+def test_approximate_decode_names_the_first_bad_cell(later):
+    # of two bad cells, the first in document order names the error,
+    # whatever kinds they are; a NaN is refused only once every cell has
+    # been read, so any other fault wins over it, earlier or later
+    base = approx_table_to_json(approximate(table(4)))
+    for (first, (cell, message)), (_, (other, other_message)) in product(
+            _APPROX_FAULTS.items(), repeat=2):
+        doc = json.loads(dumps(base))
+        doc["entries"][0][1], doc["entries"][later[0]][later[1]] = cell, other
+        want = other_message if first == "nan" else message
+        with pytest.raises(ValueError, match=re.escape(want)):
+            table_from_json(doc)
+        doc["entries"][later[0]][later[1]] = base["entries"][later[0]][later[1]]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table_from_json(doc)
 
 
 def test_cli_rejects_entries_beyond_the_prime_cap(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobisum import (
+    ApproxTable,
     Cyclotomic,
     GroupSpec,
     JacobiTable,
@@ -32,6 +33,7 @@ from jacobisum import (
 from jacobisum.cyclotomic import reduction_data
 from jacobisum.harness import dumps, table_from_json, table_to_json
 from jacobisum.jacobi import table_from_pairs
+from jacobisum.verifier import _evaluate
 
 from helpers import (
     LARGER_PRIME_POWERS,
@@ -424,6 +426,27 @@ def test_approximate_matches_to_complex_bit_for_bit(q):
 def test_approximate_on_the_trivial_group():
     t = compute_jacobi(build_field(2, 1))
     assert repr(approximate(t).entries) == repr(((t.entry(0, 0).to_complex(),),))
+
+
+def test_approx_table_holds_one_read_only_array():
+    # the scans read the table's own array, which nothing can change: not
+    # a caller through values, nor the source array the table was built from
+    for t in (compute_jacobi(build_field(2, 1)), table(4), table(9), table(64)):
+        at, m = approximate(t), t.group.m
+        assert at.values.dtype == np.complex128 and at.values.shape == (m, m)
+        assert not at.values.flags.writeable
+        with pytest.raises(ValueError):
+            at.values[0, 0] = 0
+        assert ApproxTable(at.group, at.entries) == at
+        assert all(type(at.entry(i, j)) is complex and at.entry(i, j) == at.entries[i][j]
+                   for i in range(m) for j in range(m))
+        assert np.shares_memory(_evaluate(at).values, at.values)
+    source = at.values.copy()
+    copied = ApproxTable(at.group, source)
+    source[1, 2] += 1
+    assert copied == at and copied != ApproxTable(at.group, source)
+    with pytest.raises(ValueError, match="table must be 3 x 3"):
+        ApproxTable(GroupSpec((3,)), [[0j] * 3] * 2)
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 27])

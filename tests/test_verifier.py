@@ -300,7 +300,8 @@ def _gathered_tables():
     benchmark (a cell moved by a root of unity, a symmetric pair moved by
     c/7 and by c/(2^31 - 1)), built tables, a with_entry table and both
     twists, a table of Python ints, a document that writes 1/2 as "1/2"
-    and as "2/4", and a table whose cells never repeat."""
+    and as "2/4", a table whose cells never repeat, and one whose cells
+    differ only where -128 and 128 stand."""
     for q in (4, 8, 9, 16):
         t, m = table(q), q - 1
         doc, v = table_to_json(t), t.values
@@ -318,6 +319,8 @@ def _gathered_tables():
     rng = np.random.default_rng(5)
     yield "q16:unrepeated", JacobiTable._from_arrays(
         t.group, rng.integers(-9, 10, size=(m, m, euler_phi(m))), 1)
+    yield "q16:+-128", JacobiTable._from_arrays(
+        t.group, rng.choice([-128, 1, 128], size=(m, m, euler_phi(m))), 1)
 
 
 def test_gathered_evaluation_equals_the_per_entry_reference():
@@ -332,24 +335,41 @@ def test_gathered_evaluation_equals_the_per_entry_reference():
         assert r.values.dtype == np.int32 and r.values.tobytes() == want.tobytes(), name
 
 
+def _assert_numbered(t: JacobiTable, name: str) -> int:
+    """Equal numbers hold equal (num, den) rows, and firsts[k] holds number
+    k, numbered in order of first appearance; returns the count of numbers."""
+    m = t.group.m
+    ids, firsts = t.cells
+    num, den = t.num.reshape(m * m, -1), t.den.ravel()
+    assert np.array_equal(ids[firsts], np.arange(len(firsts))), name
+    assert (np.diff(firsts) > 0).all(), name
+    assert np.array_equal(num[firsts][ids], num) and np.array_equal(den[firsts][ids], den), name
+    return len(firsts)
+
+
 def test_cell_numbers_hold_equal_entries():
-    # equal numbers always hold equal (num, den) rows, and firsts[k] holds
-    # number k; a table that numbers its own cells tells every two unequal
-    # cells apart, while a document's "1/2" and "2/4" are numbered apart
+    # a table that numbers its own cells tells every two unequal cells
+    # apart, while a document's "1/2" and "2/4" are numbered apart; both
+    # twists of a numbered table derive their numbering from its own, so
+    # they number those two cells apart too
     tables = dict(_gathered_tables())
     for name, t in tables.items():
-        m = t.group.m
-        ids, firsts = t.cells
-        num, den = t.num.reshape(m * m, -1), t.den.ravel()
-        assert np.array_equal(ids[firsts], np.arange(len(firsts))), name
-        assert np.array_equal(num[firsts][ids], num) and np.array_equal(den[firsts][ids], den), name
+        m, count = t.group.m, _assert_numbered(t, name)
         fresh = JacobiTable._from_arrays(t.group, t.num, t.den)
-        rows = {(d, *n) for d, n in zip(den.tolist(), num.tolist())}
-        assert len(fresh.cells[1]) == len(rows), name
+        rows = {(d, *n) for d, n in zip(t.den.ravel().tolist(), t.num.reshape(m * m, -1).tolist())}
+        assert _assert_numbered(fresh, name) == len(rows), name
+        for twist in (twist_automorphism(t, m - 1), twist_galois(t, m - 1)):
+            assert twist._cells is not None, name  # derived, not numbered on first read
+            assert _assert_numbered(twist, name) == count, name
     assert len(tables["q16:unrepeated"].cells[1]) == 15 * 15
     halves = tables["q16:1/2,2/4"]
     ids = halves.cells[0].reshape(15, 15)
     assert halves.entry(1, 2) == halves.entry(3, 4) and ids[1, 2] != ids[3, 4]
+    # -1 moves (1, 2) and (3, 4) to (14, 13) and (12, 11)
+    ids = twist_automorphism(halves, 14).cells[0].reshape(15, 15)
+    assert ids[14, 13] != ids[12, 11]
+    ids = twist_galois(halves, 14).cells[0].reshape(15, 15)
+    assert ids[1, 2] != ids[3, 4]
 
 
 def test_residues_at_the_prime_cap():
