@@ -57,6 +57,19 @@ def _first_positions(keys) -> tuple[list[int], list[int]]:
     return ids, sorted(first.values())
 
 
+def _renumbered(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A numbering by ids, numbers below count, renumbered in order of first
+    appearance as _first_positions gives it; numbers that no cell holds are
+    dropped."""
+    first = np.full(count, ids.size)  # where each number first appears
+    np.minimum.at(first, ids, np.arange(ids.size))
+    order = np.argsort(first)
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    firsts = first[order]
+    return rank[ids], firsts[firsts < ids.size]
+
+
 def _row_bytes(a: np.ndarray) -> list[bytes]:
     """Each row of a 2-d integer array as bytes, a key that tells rows apart."""
     return np.ascontiguousarray(a).view((np.void, a.itemsize * a.shape[1])).ravel().tolist()
@@ -81,8 +94,9 @@ class JacobiTable:
     cells numbers the cells so that equal numbers hold equal entries; unequal
     numbers may still hold equal entries, as where a document writes one
     value two ways.  The decoder hands in its numbering of the document's
-    cells, and a twist derives one from its source's numbering when that
-    has one; every other table numbers its cells on first read.
+    cells; twist_galois keeps its source's, and twist_automorphism and
+    with_entry derive one from their source's when that has one; every
+    other table numbers its cells on first read.
     """
 
     __slots__ = ("group", "num", "den", "_values", "_cells")
@@ -175,13 +189,21 @@ class JacobiTable:
 
     def with_entry(self, i: int, j: int, value: Cyclotomic) -> "JacobiTable":
         """Copy of the table with one entry replaced (used to build violations),
-        in copies of its arrays, over Python ints when the value needs them."""
-        if value.m != self.group.m:
-            raise ValueError(f"entry conductor {value.m} differs from group order {self.group.m}")
+        in copies of its arrays, over Python ints when the value needs them.
+        A numbering of the table's cells, if it has one, numbers the copy's
+        once the replaced cell takes a fresh number."""
+        m = self.group.m
+        if value.m != m:
+            raise ValueError(f"entry conductor {value.m} differs from group order {m}")
         wide = max(value.den, *map(abs, value.num)) >> 63
         num, den = (a.astype(object) if wide else a.copy() for a in (self.num, self.den))
         num[i, j], den[i, j] = value.num, value.den
-        return JacobiTable._from_arrays(self.group, num, den)
+        cells = None
+        if self._cells is not None:
+            ids, count = self._cells[0].copy(), len(self._cells[1])
+            ids.reshape(m, m)[i, j] = count
+            cells = _renumbered(ids, count + 1)
+        return JacobiTable._from_arrays(self.group, num, den, cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JacobiTable):
@@ -351,27 +373,28 @@ def twist_automorphism(table: JacobiTable, r: int) -> JacobiTable:
     cells = None
     if table._cells is not None:
         ids = table._cells[0].reshape(m, m)[grid].ravel()
-        first = np.full(len(table._cells[1]), ids.size)  # where each number first appears
-        np.minimum.at(first, ids, np.arange(ids.size))
-        cells = np.argsort(np.argsort(first))[ids], np.sort(first)
+        cells = _renumbered(ids, len(table._cells[1]))
     return JacobiTable._from_arrays(g, table.num[grid], table.den[grid], cells)
 
 
 def twist_galois(table: JacobiTable, r: int) -> JacobiTable:
     """Apply the value-side automorphism zeta -> zeta**r to every entry:
-    one product with the matrix whose row i is the image of zeta^i.  The
-    automorphism keeps each entry's content and denominator, and it is
-    injective, so the table's numbering of its cells, if it has one,
-    numbers the twist's."""
+    one product with the matrix whose row i is the image of zeta^i, taken
+    over the distinct cells of the table's numbering (JacobiTable.cells)
+    and gathered by number.  The automorphism keeps each entry's content
+    and denominator, and it is injective, so that numbering numbers the
+    twist's."""
     m = table.group.m
     if math.gcd(r, m) != 1:
         raise ValueError(f"r = {r} is not invertible modulo {m}")
     red = reduction_data(m)
     image = np.array([red.rows[i * r % m] for i in range(red.degree)], dtype=np.int64)
-    num = table.num
+    ids, firsts = table.cells
+    rows = table.num.reshape(m * m, -1)[firsts]
     # each coefficient of the product is at most the largest |num| times a
     # column sum of |image|; past int64 it is taken over Python ints
-    peak = int(max(num.max(), -num.min()))
-    if num.dtype == object or peak * int(np.abs(image).sum(axis=0).max()) >> 63:
-        num, image = num.astype(object), image.astype(object)
-    return JacobiTable._from_arrays(table.group, num @ image, table.den, table._cells)
+    peak = int(max(rows.max(), -rows.min()))
+    if rows.dtype == object or peak * int(np.abs(image).sum(axis=0).max()) >> 63:
+        rows, image = rows.astype(object), image.astype(object)
+    num = (rows @ image)[ids].reshape(table.num.shape)
+    return JacobiTable._from_arrays(table.group, num, table.den, table.cells)

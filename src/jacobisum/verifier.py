@@ -58,7 +58,9 @@ failure could hide: in the rows before it by the transforms (none when
 it is row 0), and in the pairs of its row before that pair in the direct
 domain, where the identity at (0, s1, d, a4) reads
 sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
-and point.  The scan and the reconstruction stages take T from one
+and point.  Its chunks of points, like the cocycle pass's chunks of
+pairs, start small, at one point once m > 11, and double up to a cap.
+The scan and the reconstruction stages take T from one
 routine, _Evaluation.transforms.  Its matrix products, and the scan's
 inverse transforms, are float64 BLAS products: the left operand's
 residues, below 2^25, are split at bit 20, and each m-term sum of a limb
@@ -78,10 +80,22 @@ starred one off it in that column, and stops once both forms have
 failed.  Symmetry is decided on whole arrays, the first
 differing pair in row-major order being the witness: a complex table's
 on its one-point evaluation, an exact table's on its canonical arrays,
-which differ at exactly the pairs where its residues do.  The scalar
-*_sides functions compute the two unequal values of every witness,
-exactly or, for a complex table, on its entries as one-point arrays, as
-its scans do.
+which differ at exactly the pairs where its residues do.
+
+The two unequal values of a witness are read off the same evaluation.
+One routine per identity computes both sides, scaled by L^2, at every
+point, with the terms of its scan, and _Evaluation.lift turns each into
+a value.  A complex table's is its one point, in the scans' arithmetic.
+An exact side is an element of Z[zeta_m] whose coefficients, like those
+of the difference, are bounded by B.  At the phi(m) roots modulo one
+prime its values fix its coefficients modulo that prime (Lagrange
+interpolation, by the inverse of the matrix of root powers), the
+Chinese remainder theorem combines the primes, and since their product
+exceeds 2B the residue of least size is the coefficient.  The Cyclotomic functions
+cocycle_star_sides, cocycle_direct_sides, convolution_sum_sides and
+slice_convolution_sides compute such sides entry by entry; no library
+code calls them, and the tests and the benchmark check witnesses
+against them.
 
 Accepting an exact table is a certificate, not a scan.  A symmetric
 table is handed, with its evaluation, to reconstructor.certify.  Unless
@@ -105,9 +119,9 @@ all E points, the O(m^3 E) cocycle pass up to the later of its two
 witnesses, and the convolution scan's O(m^3) per point until its
 candidate is found, O(K m) per point for the K pairs before the
 candidate after it.  At q = 64 (E = 72) a decoded table with (1, 2) and
-(2, 1) moved by 3/7 is rejected in about 7 ms on a 2-core Xeon, 3 ms of
-it the cocycle pass and 0.2 ms the evaluation; the three scans run to
-the end take about 0.4 s.
+(2, 1) moved by 3/7 is rejected in about 5 ms on a 2-core Xeon, 3.3 ms
+of it the cocycle pass, 0.7 ms the convolution scan and 0.3 ms the
+evaluation; the three scans run to the end take about 0.4 s.
 
 A symmetric complex table is offered to certify too.  The stages run at
 its one point and rebuild a field whose table J_F satisfies every
@@ -129,7 +143,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .abelian import Element, index_tables, pairing_matrix
-from .cyclotomic import Cyclotomic, reduction_data
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduction_data
 from .ffield import is_prime, prime_factors
 from .jacobi import ApproxTable, JacobiTable
 
@@ -203,16 +217,11 @@ class VerificationReport:
         return (self.symmetry, self.cocycle_star, self.cocycle_direct, self.convolution)
 
 
-# -- per-point identities (witness values) --------------------------------
+# -- per-point identities, in Cyclotomic arithmetic -----------------------
 #
-# Each reads entries through table.entry and computes in their arithmetic.
-
-
-def _symmetry_sides(table, alpha: Element, beta: Element):
-    """J(a, b) and J(b, a)."""
-    g = table.group
-    i, j = g.index(alpha), g.index(beta)
-    return table.entry(i, j), table.entry(j, i)
+# Each reads entries through table.entry; the checks take their witnesses'
+# sides from the evaluation instead (see _star_sides), and these are the
+# reference they are tested against.
 
 
 def _star(table, i: int, j: int):
@@ -254,8 +263,6 @@ def cocycle_direct_sides(
     rhs = v(a, bc) * v(b, c)
     if bc == 0:
         rhs = rhs - v(c, g.index(g.neg(gamma)))
-    # the d d terms are added even where they are 0, as the scans add them,
-    # which gives a complex zero component its sign
     return lhs + (a == b == 0), rhs + (b == c == 0)
 
 
@@ -291,16 +298,47 @@ def slice_convolution_sides(
 
 @functools.lru_cache(maxsize=None)
 def _prime_field(m: int, below: int) -> tuple[int, np.ndarray]:
-    """The largest prime p = 1 (mod m) below `below`, with the matrix of
-    powers r^e (e < m) of the primitive m-th roots of unity r mod p."""
-    radicals = prime_factors(m)
+    """The largest prime p = 1 (mod m) below `below`, with _root_powers(m, p)."""
     p = next(p for p in range((below - 2) // m * m + 1, 1, -m) if is_prime(p))
+    return p, _root_powers(m, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_powers(m: int, p: int) -> np.ndarray:
+    """The matrix of powers r^e (e < m) of the primitive m-th roots of
+    unity r modulo a prime p = 1 (mod m), one column per root."""
+    radicals = prime_factors(m)
     candidates = (pow(x, (p - 1) // m, p) for x in range(2, p))
     w = next(w for w in candidates if all(pow(w, m // r, p) != 1 for r in radicals))
     roots = [pow(w, k, p) for k in range(m) if math.gcd(k, m) == 1]
     powers = np.array([[pow(r, e, p) for r in roots] for e in range(m)], dtype=np.int64)
     powers.flags.writeable = False
-    return p, powers
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolation(m: int, p: int) -> np.ndarray:
+    """W, the inverse modulo p of V[e, j] = r_j^e (e < phi(m)) for the
+    roots r_j of _root_powers(m, p): the polynomial of degree below phi(m)
+    whose values at the roots are y has the coefficients y @ W (mod p).
+    Row j is the Lagrange basis polynomial of r_j, the quotient of Phi_m
+    by x - r_j over its value at r_j; the quotients of every root come
+    from one synthetic division, phi(m) steps on vectors of phi(m)."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    powers = _root_powers(m, p)
+    # row 1 holds the roots, or row 0 when m = 1, whose one root is 1
+    roots, powers = powers[min(1, m - 1)], powers[:deg]
+    quotients = np.empty((deg, deg), dtype=np.int64)  # [j, e]
+    quotients[:, deg - 1] = 1
+    for e in range(deg - 1, 0, -1):
+        quotients[:, e - 1] = (phi[e] + roots * quotients[:, e]) % p
+    # each product is below 2^50, so phi(m) of them sum exactly in int64
+    at_root = (quotients * powers.T).sum(axis=1) % p
+    inverses = np.array([pow(x, -1, p) for x in at_root.tolist()], dtype=np.int64)
+    w = quotients * inverses[:, None] % p
+    w.flags.writeable = False
+    return w
 
 
 class _Evaluation:
@@ -310,7 +348,7 @@ class _Evaluation:
     chi_x(y) = root_powers[pairing[x, y], k].
     Products are taken in the dtype `wide`, and the transforms' matrix
     products by `product`.  The kinds differ in product, reduce, differs
-    and exponents, and in the arithmetic of a witness's sides.
+    and exponents, and in scaled and lift, which give a witness's sides.
     rebuilt is the reconstruction stages' report once they have run at
     every point: certify runs them at a complex table's one point."""
 
@@ -405,9 +443,13 @@ class _Residues(_Evaluation):
         group_peaks = [int(peaks[where == i].max()) for i in range(len(dens))]
         mults = [scale // den if peak else 0 for den, peak in zip(dens, group_peaks)]
         top = max(k * peak for k, peak in zip(mults, group_peaks))
-        # every scaled identity has both sides built from at most max(m, 2)
-        # products of centered entries (coefficients <= top + 2L) plus delta
-        # terms, so `bound` caps each coefficient of their difference
+        # each side of a scaled identity is at most max(m, 2) products of
+        # centered entries, whose coefficients are at most s = top + 2L, plus
+        # delta terms L L J and L^2.  A product's coefficients are at most
+        # deg s^2 before reduction and deg s^2 (1 + deg row_bound) after, the
+        # delta terms' at most L (s + L), so `bound` caps each coefficient of
+        # either side, and of their difference: two sides of one product and
+        # a delta term each, or m products against a delta term
         s = top + 2 * scale
         bound = max(m, 2) * deg * s * s * (1 + deg * red.row_bound) + 2 * scale * (s + scale)
         fields = [_prime_field(m, _PRIME_LIMIT)]
@@ -416,6 +458,7 @@ class _Residues(_Evaluation):
                 raise ValueError(f"table entries need more than {_MAX_PRIMES} primes")
             fields.append(_prime_field(m, fields[-1][0]))
         primes = [p for p, _ in fields]
+        self.primes = primes
         self.moduli = np.tile(primes, deg)
         self.denominator = scale
         self.scale = np.tile([scale % p for p in primes], deg)
@@ -493,10 +536,37 @@ class _Residues(_Evaluation):
         """Where a reduced difference is not 0 modulo its prime."""
         return x != 0
 
-    @staticmethod
-    def sides(sides, table, point) -> tuple:
-        """The two sides of an identity at a witness, in Cyclotomic arithmetic."""
-        return sides(table, *point)
+    def scaled(self, x) -> np.ndarray:
+        """L x at every point, reduced."""
+        return self.reduce(x * self.scale)
+
+    @functools.cached_property
+    def _crt(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Each prime's _interpolation, stacked; the CRT basis, for each
+        prime p the multiple of P / p that is 1 modulo p, as Python ints;
+        and the product P of the primes."""
+        primes = self.primes
+        total = math.prod(primes)
+        w = np.stack([_interpolation(self.m, p) for p in primes])
+        basis = np.array([total // p * pow(total // p, -1, p) for p in primes], dtype=object)
+        return w, basis, total
+
+    def lift(self, sides) -> list[Cyclotomic]:
+        """The values whose L^2 multiples are the sides at every point.  Each
+        prime's points give the power-basis coefficients modulo p, their
+        values times _interpolation(m, p); the CRT basis combines those
+        into the residue modulo the product P of the primes, and the
+        residue of least size is the coefficient.  That is exact because
+        every scaled side, not only the difference of two, has coefficients
+        within the bound that P exceeds twice (see __init__)."""
+        w, basis, total = self._crt
+        n = len(basis)
+        y = self.reduce(np.array(sides, dtype=np.int64)).reshape(len(sides), -1, n)
+        # each coefficient sums phi(m) products below 2^50, below 2^57
+        coeffs = y.transpose(2, 0, 1) @ w % self.moduli[:n, None, None]  # [prime, side, e]
+        value = coeffs.transpose(1, 2, 0).astype(object) @ basis % total
+        value = np.where(value > total // 2, value - total, value)
+        return [Cyclotomic(self.m, side, self.denominator**2) for side in value.tolist()]
 
     @staticmethod
     def exponents(t, roots):
@@ -534,15 +604,16 @@ class _Complex(_Evaluation):
         """Where a difference is not within the tolerance, NaN included."""
         return ~(np.abs(x) <= self.tolerance)
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.values[i, j]
+    @staticmethod
+    def scaled(x) -> np.ndarray:
+        """x itself, L being 1: a product with 1 + 0j can flip the sign of
+        a zero part."""
+        return x
 
-    def sides(self, sides, table, point) -> tuple:
-        """The two sides of an identity at a witness, computed on the
-        entries as one-point arrays: the arithmetic of the scans, whose
-        vectorised complex products can differ from scalar ones in the
-        last bit."""
-        return tuple(side[0] for side in sides(self, *point))
+    @staticmethod
+    def lift(sides) -> list[complex]:
+        """The sides at the one point."""
+        return [side[0] for side in sides]
 
     def exponents(self, t, roots):
         """The phase of t, at its one point, rounded half to even to the
@@ -601,6 +672,53 @@ def _cocycle_witnesses(r: _Evaluation) -> tuple[tuple | None, tuple | None]:
         if star is not None and direct is not None:
             break
     return star, direct
+
+
+# -- witness sides: L^2 times each side of an identity at every point, with
+# the terms of its scan, for _Evaluation.lift
+
+
+def _star_sides(r: _Evaluation, a: int, b: int, c: int):
+    """L J*(a, b) L J*(ab, c) and L J*(a, bc) L J*(b, c), where
+    L J*(i, j) = L J(i, j) - L d(i) - L d(j)."""
+    v, L, add = r.values, r.scale, r.add
+
+    def star(i, j):
+        x = v[i, j]
+        if i == 0:
+            x = x - L
+        if j == 0:
+            x = x - L
+        return x
+
+    ab, bc = add[a, b], add[b, c]
+    return (np.multiply(star(a, b), star(ab, c), dtype=r.wide),
+            np.multiply(star(a, bc), star(b, c), dtype=r.wide))
+
+
+def _direct_sides(r: _Evaluation, a: int, b: int, c: int):
+    """L J(a, b) L J(ab, c) - L L J(a, -a) d(ab) + L^2 d(a) d(b), and the
+    same in (b, c) with L L J(c, -c) d(bc) on the right."""
+    v, add, neg = r.values, r.add, r.neg
+    ab, bc = add[a, b], add[b, c]
+    lhs = np.multiply(v[a, b], v[ab, c], dtype=r.wide)
+    if ab == 0:
+        lhs = lhs - r.scaled(v[a, neg[a]])
+    rhs = np.multiply(v[a, bc], v[b, c], dtype=r.wide)
+    if bc == 0:
+        rhs = rhs - r.scaled(v[c, neg[c]])
+    # the d d terms are added even where they are 0, as the scans add them,
+    # which gives a complex zero part its sign
+    square = r.scale * r.scale
+    return lhs + square * (a == b == 0), rhs + square * (b == c == 0)
+
+
+def _convolution_sides(r: _Evaluation, a1: int, a2: int, a3: int, a4: int):
+    """sum_b L J(a1 + b, a2 - b) L J(a3 + b, a4 - b), folded over b in
+    order, and L L J(a1 + a4, a2 + a3)."""
+    v, add, addneg = r.values, r.add, r.addneg
+    terms = np.multiply(v[add[a1], addneg[a2]], v[add[a3], addneg[a4]], dtype=r.wide)  # [b, k]
+    return np.cumsum(terms, axis=0)[-1], r.scaled(v[add[a1, a4], add[a2, a3]])
 
 
 def _first_failing_pair(r: _Evaluation, s1: int, n: int, ks: slice) -> int:
@@ -663,26 +781,27 @@ def _first_failing_row(r: _Evaluation, below: int, ks: slice) -> tuple[int, int]
 
 def _convolution_witness(r: _Evaluation):
     """First quadruple, in lexicographic order, where the convolution-sum
-    identity fails at some point.  The scan settles a candidate, then
-    confirms it: the first chunk of points with a failing row `best` gives
-    the row's first failing pair there as the candidate, and each later
-    chunk is checked only for what could precede it, the rows before
-    `best` by transforms (none once `best` is 0) and the pairs of row
-    `best` before the candidate in the direct domain.  A failing row
-    replaces both; a failing pair becomes the candidate."""
+    identity fails at some point, over the points in _chunks.  The scan
+    settles a candidate, then confirms it: the first chunk of points with
+    a failing row `best` gives the row's first failing pair there as the
+    candidate, and each later chunk is checked only for what could precede
+    it, the rows before `best` by transforms (none once `best` is 0) and
+    the pairs of row `best` before the candidate in the direct domain.  A
+    failing row replaces both; a failing pair becomes the candidate."""
     m = r.m
     npoints = r.values.shape[2]
-    # the four transforms of a chunk (w, t, qh, lt) share _SCAN_BYTES, and
-    # so do the two wide operands of a row block's comparison
-    width = max(1, _SCAN_BYTES // (4 * r.wide.itemsize * m * m))  # points per chunk
     best, first = m, None  # the first failing s1 row and its first failing pair
-    lo = 0
-    while lo < npoints:
-        # with best = 0 no transforms are left to do, and the remaining
-        # points only confirm the candidate
-        ks = slice(lo, min(lo + width, npoints) if best else npoints)
-        lo = ks.stop
-        row = _first_failing_row(r, best, ks) if best else None
+    # the four transforms of a chunk of points (w, t, qh, lt) share its
+    # bytes, and so do the two wide operands of a row block's comparison
+    for points in _chunks(npoints, 4 * r.wide.itemsize * m * m):
+        lo = int(points[0])
+        if not best:
+            # no transforms are left to do, and the remaining points only
+            # confirm the candidate
+            first = _first_failing_pair(r, 0, first, slice(lo, npoints))
+            break
+        ks = slice(lo, lo + len(points))
+        row = _first_failing_row(r, best, ks)
         if row is not None:
             best, first = row
         elif first is not None:
@@ -698,17 +817,19 @@ def _convolution_witness(r: _Evaluation):
 
 
 def _result(check: str, table, witness, sides) -> CheckResult:
-    """The check's outcome at its witness, or a pass; sides(point) gives
-    the two unequal values."""
+    """The check's outcome at its witness, or a pass; sides(*witness)
+    gives the two unequal values."""
     if witness is None:
         return CheckResult(check, True)
     point = tuple(table.group.elements[i] for i in witness)
-    return CheckResult(check, False, point, *sides(point))
+    return CheckResult(check, False, point, *sides(*witness))
 
 
 def _check(table, residues, check: str, scan, sides) -> CheckResult:
+    """The check decided by scan on the evaluation, its witness's sides
+    lifted from sides(r, *witness)."""
     r = residues or _evaluate(table)
-    return _result(check, table, scan(r), functools.partial(r.sides, sides, table))
+    return _result(check, table, scan(r), lambda *w: r.lift(sides(r, *w)))
 
 
 def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
@@ -719,10 +840,11 @@ def check_symmetry(table: _Table, residues: _Evaluation | None = None) -> CheckR
     whose arrays differ is the first the residues show."""
     if isinstance(table, ApproxTable):
         scan = lambda r: _first_true(r.differs(r.values - r.values.transpose(1, 0, 2)).any(axis=2))
-        return _check(table, residues, "symmetry", scan, _symmetry_sides)
+        sides = lambda r, i, j: (r.values[i, j], r.values[j, i])
+        return _check(table, residues, "symmetry", scan, sides)
     num, den = table.num, table.den
     witness = _first_true((num != num.transpose(1, 0, 2)).any(axis=2) | (den != den.T))
-    return _result("symmetry", table, witness, lambda point: _symmetry_sides(table, *point))
+    return _result("symmetry", table, witness, lambda i, j: (table.entry(i, j), table.entry(j, i)))
 
 
 def check_cocycle_star(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
@@ -731,7 +853,7 @@ def check_cocycle_star(table: _Table, residues: _Evaluation | None = None) -> Ch
     pass stops only once both forms have a witness, so a call without
     `residues` scans up to the later of the two."""
     scan = lambda r: r.cocycle_witnesses[0]
-    return _check(table, residues, "cocycle-star", scan, cocycle_star_sides)
+    return _check(table, residues, "cocycle-star", scan, _star_sides)
 
 
 def check_cocycle_direct(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
@@ -740,13 +862,13 @@ def check_cocycle_direct(table: _Table, residues: _Evaluation | None = None) -> 
     only once both forms have a witness, so a call without `residues` scans
     up to the later of the two."""
     scan = lambda r: r.cocycle_witnesses[1]
-    return _check(table, residues, "cocycle-direct", scan, cocycle_direct_sides)
+    return _check(table, residues, "cocycle-direct", scan, _direct_sides)
 
 
 def check_convolution_sum(table: _Table, residues: _Evaluation | None = None) -> CheckResult:
     """Exhaustive check of the convolution-sum identity over all m^4
     quadruples, decided on the m^3 triples (s1, s2, d)."""
-    return _check(table, residues, "convolution-sum", _convolution_witness, convolution_sum_sides)
+    return _check(table, residues, "convolution-sum", _convolution_witness, _convolution_sides)
 
 
 # -- aggregation ----------------------------------------------------------

@@ -350,8 +350,8 @@ def _assert_numbered(t: JacobiTable, name: str) -> int:
 def test_cell_numbers_hold_equal_entries():
     # a table that numbers its own cells tells every two unequal cells
     # apart, while a document's "1/2" and "2/4" are numbered apart; both
-    # twists of a numbered table derive their numbering from its own, so
-    # they number those two cells apart too
+    # twists and with_entry copies of a numbered table derive their
+    # numbering from its own, so they number those two cells apart too
     tables = dict(_gathered_tables())
     for name, t in tables.items():
         m, count = t.group.m, _assert_numbered(t, name)
@@ -361,7 +361,20 @@ def test_cell_numbers_hold_equal_entries():
         for twist in (twist_automorphism(t, m - 1), twist_galois(t, m - 1)):
             assert twist._cells is not None, name  # derived, not numbered on first read
             assert _assert_numbered(twist, name) == count, name
+        # with_entry gives the replaced cell a fresh number, and drops its
+        # old one where no other cell holds it
+        ids = t.cells[0].reshape(m, m)
+        for i, j in ((1, 2), (0, 0), (m - 1, 0)):
+            copy = t.with_entry(i, j, t.entry(i, j) + Fraction(1, 3))
+            assert copy._cells is not None, name
+            alone = int((ids == ids[i, j]).sum() == 1)
+            assert _assert_numbered(copy, name) == count + 1 - alone, (name, i, j)
+        assert fresh.with_entry(1, 2, t.entry(1, 2))._cells is not None, name
+        bare = JacobiTable._from_arrays(t.group, t.num, t.den)
+        assert bare.with_entry(1, 2, t.entry(1, 2))._cells is None, name
     assert len(tables["q16:unrepeated"].cells[1]) == 15 * 15
+    unrepeated = tables["q16:unrepeated"]
+    assert len(unrepeated.with_entry(3, 4, unrepeated.entry(5, 6)).cells[1]) == 15 * 15
     halves = tables["q16:1/2,2/4"]
     ids = halves.cells[0].reshape(15, 15)
     assert halves.entry(1, 2) == halves.entry(3, 4) and ids[1, 2] != ids[3, 4]
@@ -369,6 +382,8 @@ def test_cell_numbers_hold_equal_entries():
     ids = twist_automorphism(halves, 14).cells[0].reshape(15, 15)
     assert ids[14, 13] != ids[12, 11]
     ids = twist_galois(halves, 14).cells[0].reshape(15, 15)
+    assert ids[1, 2] != ids[3, 4]
+    ids = halves.with_entry(0, 0, halves.entry(0, 0) + 1).cells[0].reshape(15, 15)
     assert ids[1, 2] != ids[3, 4]
 
 
@@ -662,6 +677,144 @@ def test_chunked_complex_cocycle_scans_match_whole_arrays(monkeypatch, one_index
                 assert (repr(result.lhs), repr(result.rhs)) == (repr(lhs), repr(rhs))
     moved = verify_all(cases[2])
     assert moved.cocycle_star.witness == moved.cocycle_direct.witness == ((1,), (61,), (61,))
+
+
+def _reject_tables(q: int, seed: int):
+    """(name, table) for decoded tables shaped like the rejected inputs of
+    the benchmark: (1, 2) moved by a root of unity, and (1, 2) with (2, 1)
+    moved by c/7 and by c/(2^31 - 1)."""
+    rng = random.Random(f"reject/{seed}/{q}")
+    t, m = table(q), q - 1
+    doc, v = table_to_json(t), t.values
+    zeta = root_power(m, rng.randrange(1, m))
+    yield f"q{q}/{seed}:asym", _decoded(doc, {(1, 2): v[1][2] + zeta})
+    for name, s in (("sym", Fraction(rng.randrange(1, 7), 7)),
+                    ("bigden", Fraction(rng.randrange(1, 2**20), 2**31 - 1))):
+        yield f"q{q}/{seed}:{name}", _decoded(doc, {(1, 2): v[1][2] + s, (2, 1): v[2][1] + s})
+
+
+def _command_line_tables():
+    """(name, table) for the q = 64 tables the command-line chains reject:
+    (1, 2), (2, 1) moved by 1/(2^61 - 1) and (3, 4), (4, 3) by 1/(2^31 - 1),
+    decoded; (1, 62) moved by zeta; and a table whose cells never repeat."""
+    t = table(64)
+    s, u = Fraction(1, 2**61 - 1), Fraction(1, 2**31 - 1)
+    cells = {(1, 2): t.entry(1, 2) + s, (2, 1): t.entry(2, 1) + s,
+             (3, 4): t.entry(3, 4) + u, (4, 3): t.entry(4, 3) + u}
+    yield "d64", _decoded(table_to_json(t), cells)
+    yield "p64", t.with_entry(1, 62, t.entry(1, 62) + root_power(63, 1))
+    rng = random.Random(1)
+    cell = lambda: Cyclotomic.from_coefficients(63, [rng.randint(-9, 9) for _ in range(36)])
+    yield "u64", JacobiTable(GroupSpec((63,)), [[cell() for _ in range(63)] for _ in range(63)])
+
+
+_REFERENCE_SIDES = {
+    "cocycle-star": cocycle_star_sides,
+    "cocycle-direct": cocycle_direct_sides,
+    "convolution-sum": convolution_sum_sides,
+}
+
+
+def _assert_sides_are_the_references(t: JacobiTable, name: str) -> int:
+    """Every failing check's two sides, lifted from the evaluation, are the
+    Cyclotomic values of the reference functions at its witness; returns
+    the number of failing checks."""
+    report = verify_all(t)
+    failed = [c for c in report.checks if not c.passed]
+    for c in failed:
+        if c.check == "symmetry":
+            a, b = c.witness
+            want = t.value(a, b), t.value(b, a)
+        else:
+            want = _REFERENCE_SIDES[c.check](t, *c.witness)
+        assert (c.lhs, c.rhs) == want and c.lhs != c.rhs, (name, c.check)
+        assert type(c.lhs) is type(c.rhs) is Cyclotomic, (name, c.check)
+    return len(failed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 15, 48, 63, 64, 127, 128, 242, 255])
+def test_interpolation_inverts_the_root_powers(m):
+    # V[e, j] = r_j^e for e < phi(m), at the first three primes: each
+    # product sums phi(m) terms below 2^50, exact in int64
+    below = verifier._PRIME_LIMIT
+    for _ in range(3):
+        p, powers = verifier._prime_field(m, below)
+        w = verifier._interpolation(m, p)
+        v = powers[:euler_phi(m)]
+        assert w.shape == v.shape and not w.flags.writeable, (m, p)
+        assert np.array_equal(v @ w % p, np.eye(len(v), dtype=np.int64)), (m, p)
+        below = p
+
+
+@pytest.mark.parametrize("q", [8, 16, 32, 49, 64])
+def test_lifted_sides_are_the_references_on_reject_tables(q):
+    for seed in (1, 2, 3):
+        for name, t in _reject_tables(q, seed):
+            assert _assert_sides_are_the_references(t, name) == (4 if "asym" in name else 3)
+
+
+@pytest.mark.parametrize("q", sorted(q for q in {**PRIME_POWERS, **LARGER_PRIME_POWERS} if q >= 4))
+def test_lifted_sides_are_the_references_on_extreme_tables(q):
+    # moved and replaced cells, up to 2^70/3 and 2^63, need up to 8 primes
+    failing = sum(_assert_sides_are_the_references(t, name) > 0 for name, t in extreme_tables(q))
+    assert failing >= 8, q
+
+
+def test_lifted_sides_are_the_references_on_command_line_tables():
+    # d64 needs 9 primes, and u64 evaluates every one of its 3,969 cells
+    for name, t in _command_line_tables():
+        assert _assert_sides_are_the_references(t, name) >= 2, name
+    assert len(_Residues(dict(_command_line_tables())["d64"]).primes) == 9
+
+
+# sha256 of the reports of _complex_witness_tables, one after another: every
+# witness and both of its complex sides, signed zeros included, as the
+# Cyclotomic-style arithmetic on one-point arrays gave them
+COMPLEX_REPORTS_PINNED = "1b62ce0d2990539c76f16ae5076e31b817cb368bb7c20df281ee7cde94ab8ee3"
+
+
+def _complex_witness_tables():
+    """Complex tables that fail every check or all but symmetry: embedded
+    field tables with (1, 2) moved by 0.25i, (1, 2) and (2, 1) moved by 3/7
+    or set to 0, and (1, 2) moved by 0.25 once every entry is conjugated
+    and its zero parts negated."""
+    for q in (4, 8, 16, 27, 64):
+        at, m = approximate(table(q)), q - 1
+        yield moved_approx(at, {(1, 2)}, lambda z: z + 0.25j)
+        yield moved_approx(at, {(1, 2), (2, 1)}, lambda z: z + 3 / 7)
+        yield moved_approx(at, {(1, 2), (2, 1)}, lambda z: 0j)
+        conjugate = moved_approx(at, itertools.product(range(m), repeat=2),
+                                 lambda z: complex(z.real or -0.0, -z.imag or -0.0))
+        yield moved_approx(conjugate, {(1, 2)}, lambda z: z + 0.25)
+
+
+def test_complex_witness_reports_are_pinned():
+    digest = hashlib.sha256()
+    for at in _complex_witness_tables():
+        report = verify_all(at)
+        assert not report.passed and all(type(c.lhs) is np.complex128 for c in report.checks
+                                         if not c.passed)
+        digest.update(dumps(verification_to_json(report)).encode())
+    assert digest.hexdigest() == COMPLEX_REPORTS_PINNED
+
+
+@pytest.mark.parametrize("first_bytes, scan_bytes", [(1, 1), (1, 1 << 30), (1 << 30, 1 << 30)])
+def test_convolution_witness_is_independent_of_the_chunks(monkeypatch, first_bytes, scan_bytes):
+    # one point per chunk, one then all points, and all at once: the
+    # candidate and its confirmation read the same points in the same
+    # order, so the witness and its sides are those of the default chunks
+    t9 = table(9)
+    tables = [t for q in (16, 49, 64) for _, t in _reject_tables(q, 1)]
+    tables += [_moved(t9, 0, 1, root_power(8, 1)), _moved(t9, 2, 5, root_power(8, 1)),
+               moved_approx(approximate(table(16)), {(1, 2), (2, 1)}, lambda z: z + 3 / 7)]
+    expected = [check_convolution_sum(t) for t in tables]
+    assert {r.witness[1] for r in expected} == {(0,), (1,)}
+    monkeypatch.setattr(verifier, "_FIRST_CHUNK_BYTES", first_bytes)
+    monkeypatch.setattr(verifier, "_SCAN_BYTES", scan_bytes)
+    for t, want in zip(tables, expected):
+        got = check_convolution_sum(t)
+        assert got.witness == want.witness
+        assert (repr(got.lhs), repr(got.rhs)) == (repr(want.lhs), repr(want.rhs))
 
 
 def test_convolution_witness_verifies():
