@@ -59,17 +59,26 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def dumps(obj) -> str:
     """json.dumps with sorted keys and compact separators, and a newline.
-    A table document's entries are written once per distinct cell object."""
-    entries = _entries_text(obj)
-    if entries is None:
+    A table document's entries are written once per distinct cell object,
+    and the document's parts joined once."""
+    rows = _entries_text(obj)
+    if rows is None:
         return _compact(obj) + "\n"
-    return "{" + ",".join(
-        _compact(key) + ":" + (entries if key == "entries" else _compact(obj[key]))
-        for key in sorted(obj)) + "}\n"
+    parts = []
+    for key in sorted(obj):
+        parts += ",", _compact(key), ":"
+        if key == "entries":
+            parts += "[", *rows, "]"
+        else:
+            parts.append(_compact(obj[key]))
+    parts[0] = "{"
+    parts.append("}\n")
+    return "".join(parts)
 
 
-def _entries_text(doc) -> str | None:
-    """The text json.dumps gives a jacobi-table/1 document's entries, made
+def _entries_text(doc) -> list[str] | None:
+    """The text json.dumps gives a jacobi-table/1 document's entries, as
+    the text of each row, the rows after the first led by their comma, made
     once per distinct cell object; None, and json.dumps writes it, unless
     every key of the document is a str and every cell a non-empty list of
     strings over -0123456789/, which JSON writes verbatim."""
@@ -93,8 +102,8 @@ def _entries_text(doc) -> str | None:
             or flat.encode().translate(None, _COEFFICIENT_CHARS)):
         return None
     text = dict(zip(cells, ('["' + t.replace(",", '","') + '"]' for t in joined)))
-    return "[" + ",".join("[" + ",".join(map(text.__getitem__, map(id, row))) + "]"
-                          for row in entries) + "]"
+    return [("," if i else "") + "[" + ",".join(map(text.__getitem__, map(id, row))) + "]"
+            for i, row in enumerate(entries)]
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -59,7 +59,9 @@ it is row 0), and in the pairs of its row before that pair in the direct
 domain, where the identity at (0, s1, d, a4) reads
 sum_u L Q_s1(u) L J(d + u, a4 - u) = L L J(a4, s1 + d), O(m) per pair
 and point.  Its chunks of points, like the cocycle pass's chunks of
-pairs, start small, at one point once m > 11, and double up to a cap.
+pairs, start small, at one point once m > 11, and double up to a cap;
+a remainder shorter than a chunk joins it where the two fit the cap, so
+the 6 points of q = 8 are one chunk.
 The scan and the reconstruction stages take T from one
 routine, _Evaluation.transforms.  Its matrix products, and the scan's
 inverse transforms, are float64 BLAS products: the left operand's
@@ -74,9 +76,22 @@ delta(b) and delta(c) terms cancel and the delta(ab) terms are those of
 the direct form, so the two scaled differences agree at every triple
 except in column c = -b, where the starred one is the direct one plus
 L (L J(b, -b) - L J(-b, b)), the delta(bc) term: zero on any table whose
-inverse-pair entries are transpose-symmetric.  The pass builds and
-reduces the direct difference once per chunk of pairs (a, b), reads the
-starred one off it in that column, and stops once both forms have
+inverse-pair entries are transpose-symmetric.  On an exact table the
+m^2 triples with a = 0 take no product at every point.  There the
+starred difference factors as L J*(b, c) (L J*(0, b) - L J*(0, b + c)),
+and Z[zeta_m] has no zero divisors, so it fails at (0, b, c) exactly
+when L J*(b, c) is not 0 and the starred row 0 differs between b and
+b + c.  Each factor is a scaled entry, or a difference of two, so its
+coefficients are far within B, and its residues decide whether it is 0
+as they decide the difference: the first factor is nonzero where some
+residue is (where its numerators are, off row and column 0), the second
+where two rows of residues differ, compared as byte strings.  The direct
+difference there is the starred one but in column c = -b, where it
+subtracts the delta(bc) term: m vectors, multiplied out.  A complex
+table's a = 0 triples are multiplied out like the rest, since a product
+within the tolerance does not make a factor so.  The pass then builds
+and reduces the direct difference once per chunk of pairs (a, b), reads
+the starred one off it in that column, and stops once both forms have
 failed.  Symmetry is decided on whole arrays, the first
 differing pair in row-major order being the witness: a complex table's
 on its one-point evaluation, an exact table's on its canonical arrays,
@@ -115,13 +130,14 @@ evaluation is done once per distinct cell of the table's numbering
 the scans read: a field's table at q = 64 has D = 73 of its 3,969 cells.
 Accepting thus costs the evaluation of D cells at one point, a table
 build and an O(q^2) field check; rejecting costs their evaluation at
-all E points, the O(m^3 E) cocycle pass up to the later of its two
+all E points, the cocycle pass, O(m^2 + m E) for the triples with
+a = 0 and O(m E) per later pair (a, b) up to the later of its two
 witnesses, and the convolution scan's O(m^3) per point until its
 candidate is found, O(K m) per point for the K pairs before the
 candidate after it.  At q = 64 (E = 72) a decoded table with (1, 2) and
-(2, 1) moved by 3/7 is rejected in about 5 ms on a 2-core Xeon, 3.3 ms
-of it the cocycle pass, 0.7 ms the convolution scan and 0.3 ms the
-evaluation; the three scans run to the end take about 0.4 s.
+(2, 1) moved by 3/7 is rejected in about 2.1 ms on a 2-core Xeon, 0.45
+ms of it the cocycle pass, 0.6 ms the convolution scan and 0.2 ms the
+evaluation; the three scans run to the end take about 0.3 s.
 
 A symmetric complex table is offered to certify too.  The stages run at
 its one point and rebuild a field whose table J_F satisfies every
@@ -145,7 +161,7 @@ import numpy as np
 from .abelian import Element, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, reduction_data
 from .ffield import is_prime, prime_factors
-from .jacobi import ApproxTable, JacobiTable
+from .jacobi import ApproxTable, JacobiTable, _first_positions, _row_bytes
 
 if TYPE_CHECKING:
     from .reconstructor import ReconstructionReport
@@ -348,7 +364,9 @@ class _Evaluation:
     chi_x(y) = root_powers[pairing[x, y], k].
     Products are taken in the dtype `wide`, and the transforms' matrix
     products by `product`.  The kinds differ in product, reduce, differs
-    and exponents, and in scaled and lift, which give a witness's sides.
+    and exponents, in cocycle_row_zero, which decides what it can of the
+    cocycle pass without products, and in scaled and lift, which give a
+    witness's sides.
     rebuilt is the reconstruction stages' report once they have run at
     every point: certify runs them at a complex table's one point."""
 
@@ -398,15 +416,21 @@ class _Evaluation:
         return self.reduce(t, points, 0)
 
 
-def _chunks(n: int, size: int):
-    """Index arrays that cover range(n) in order, for arrays of `size`
-    bytes per index.  The first fits _FIRST_CHUNK_BYTES, so a scan that
-    fails early stops early, and each next one doubles, up to _SCAN_BYTES."""
-    start, step = 0, max(1, min(_FIRST_CHUNK_BYTES, _SCAN_BYTES) // size)
+def _chunks(n: int, size: int, start: int = 0):
+    """Index arrays that cover range(start, n) in order, for arrays of
+    `size` bytes per index.  The first fits _FIRST_CHUNK_BYTES, so a scan
+    that fails early stops early, and each next one doubles, up to
+    _SCAN_BYTES.  A remainder shorter than a chunk joins it where the two
+    fit _SCAN_BYTES together, so no chunk is left with a few indices."""
+    cap = _SCAN_BYTES // size
+    step = max(1, min(_FIRST_CHUNK_BYTES, _SCAN_BYTES) // size)
     while start < n:
-        yield np.arange(start, min(start + step, n))
-        start += step
-        step = max(step, min(2 * step, _SCAN_BYTES // size))
+        stop = start + step
+        if n - stop < step and n - start <= cap:
+            stop = n
+        yield np.arange(start, min(stop, n))
+        start = stop
+        step = max(step, min(2 * step, cap))
 
 
 class _Residues(_Evaluation):
@@ -568,6 +592,30 @@ class _Residues(_Evaluation):
         value = np.where(value > total // 2, value - total, value)
         return [Cyclotomic(self.m, side, self.denominator**2) for side in value.tolist()]
 
+    def cocycle_row_zero(self, skew):
+        """The starred and the direct cocycle witnesses with a = 0, each
+        None if the form holds there, and m, the first pair a * m + b left
+        to the pass.  The starred difference there is L J*(b, c) times
+        L J*(0, b) - L J*(0, b + c), so it fails where L J*(b, c) is not 0
+        and the starred row 0 differs between b and b + c; the direct one
+        is the same but in column c = -b, where it subtracts skew[b] and
+        is multiplied out (module docstring)."""
+        m, L, v, neg = self.m, self.scale, self.values, self.neg
+        row = self.reduce(v[0] - L)  # L J*(0, b), but at b = 0
+        row[0] = self.reduce(row[0] - L)
+        nonzero = self._nums.any(axis=1)[self._ids]  # J(b, c) != 0
+        nonzero[:, 0] = self.reduce(v[:, 0] - L).any(axis=1)
+        nonzero[0] = row.any(axis=1)
+        ids = np.array(_first_positions(_row_bytes(row))[0])
+        star = nonzero & (ids[:, None] != ids[self.add])
+        b = np.arange(m)
+        pair = v[b, neg].astype(np.int64)  # L J*(b, -b)
+        pair[0] = row[0]
+        direct = star.copy()
+        direct[b, neg] = self.differs(self.reduce(pair * (row - row[0]) - skew)).any(axis=1)
+        star, direct = (_first_true(bad) for bad in (star, direct))
+        return star and (0, *star), direct and (0, *direct), m
+
     @staticmethod
     def exponents(t, roots):
         """The e with t = L r^e, read where roots[e, k] = L r^e at the first
@@ -611,6 +659,13 @@ class _Complex(_Evaluation):
         return x
 
     @staticmethod
+    def cocycle_row_zero(skew):
+        """No cocycle witness decided apart from the pass, which starts at
+        pair 0: a product within the tolerance does not say that one of its
+        factors is, so the pass multiplies out a = 0 too."""
+        return None, None, 0
+
+    @staticmethod
     def lift(sides) -> list[complex]:
         """The sides at the one point."""
         return [side[0] for side in sides]
@@ -639,8 +694,9 @@ def _first_true(bad) -> tuple[int, ...] | None:
 def _cocycle_witnesses(r: _Evaluation) -> tuple[tuple | None, tuple | None]:
     """First (a, b, c) where the starred and first where the
     delta-corrected cocycle identity, scaled by L^2, fail at some point.
-    Each chunk's direct difference is built and reduced once; the starred
-    one is the same but in column c = -b, where it adds the skew
+    The evaluation decides the pairs before `start` (cocycle_row_zero);
+    each later chunk's direct difference is built and reduced once; the
+    starred one is the same but in column c = -b, where it adds the skew
     L (L J(b, -b) - L J(-b, b)).  The pass stops once both have failed."""
     m, L, add, neg = r.m, r.scale, r.add, r.neg
     v = r.values
@@ -652,8 +708,10 @@ def _cocycle_witnesses(r: _Evaluation) -> tuple[tuple | None, tuple | None]:
     left[0] += L * L
     right[0] += L * L
     skew = r.reduce(L * (pair - swapped))
-    star = direct = None
-    for idx in _chunks(m * m, m * v.shape[2] * r.wide.itemsize):
+    star, direct, start = r.cocycle_row_zero(skew)
+    for idx in _chunks(m * m, m * v.shape[2] * r.wide.itemsize, start):
+        if star is not None and direct is not None:
+            break
         a, b = np.divmod(idx, m)
         rows, column = np.arange(len(idx)), neg[b]
         # L J(ab, c) L J(a, b) - L J(a, bc) L J(b, c) for every c
@@ -669,8 +727,6 @@ def _cocycle_witnesses(r: _Evaluation) -> tuple[tuple | None, tuple | None]:
             bad[rows, column] = r.differs(r.reduce(diff[rows, column] + skew[b])).any(axis=-1)
             if (hit := _first_true(bad)) is not None:
                 star = (int(a[hit[0]]), int(b[hit[0]]), hit[1])
-        if star is not None and direct is not None:
-            break
     return star, direct
 
 

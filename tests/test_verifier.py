@@ -47,6 +47,7 @@ from helpers import (
     extreme_tables,
     moved_approx,
     moved_tables,
+    random_cyclotomic,
     reference_cocycle_approx,
     reference_residues,
     reference_symmetry_witness,
@@ -564,6 +565,119 @@ def test_cocycle_pass_matches_reference_on_inverse_pair_moves(q):
                 assert (result.witness, result.lhs, result.rhs) == expected, (cell, result.check)
         differ += results[0].witness != results[1].witness
     assert differ or m < 3
+
+
+def _zero_factor_table(rng: random.Random, factors) -> JacobiTable:
+    """A table whose starred row 0, J*(0, b) = J(0, b) - 1 - d(b), is a
+    random u at b = 0 and u or 0 elsewhere, so that the starred form holds
+    at b = 0, and about half of whose other starred entries
+    J*(a, b) = J(a, b) - d(b) are 0, the rest random."""
+    g = GroupSpec(tuple(factors))
+    m = g.m
+    u = random_cyclotomic(rng, m)
+    zero = Cyclotomic.zero(m)
+    rows = [[(u if b == 0 or rng.random() < 0.5 else zero) + 1 + (b == 0) for b in range(m)]]
+    for _ in range(1, m):
+        rows.append([random_cyclotomic(rng, m) if rng.random() < 0.5
+                     else Cyclotomic.from_rational(m, int(b == 0)) for b in range(m)])
+    return JacobiTable(g, rows)
+
+
+def _coboundary_table(rng: random.Random, factors) -> JacobiTable:
+    """J(a, b) = f(a) f(b) / f(a + b) + d(a) + d(b) for f(x) = c_x zeta^k_x
+    with random rationals c_x != 0: J* is a coboundary, so both cocycle
+    forms hold at every triple (and skew is 0)."""
+    g = GroupSpec(tuple(factors))
+    m, els = g.m, g.elements
+    f = [(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)), rng.randrange(m))
+         for _ in range(m)]
+
+    def entry(a, b):
+        (ca, ka), (cb, kb) = f[a], f[b]
+        cab, kab = f[g.index(g.add(els[a], els[b]))]
+        return root_power(m, (ka + kb - kab) % m) * (ca * cb / cab) + (a == 0) + (b == 0)
+
+    return JacobiTable(g, [[entry(a, b) for b in range(m)] for a in range(m)])
+
+
+def _row_zero_tables():
+    """(name, table) for the cocycle pass's a = 0 block: field tables, whose
+    starred row 0 is constant, with cells of row or column 0 moved, alone
+    or with their transposes, and with one side of an inverse pair moved,
+    which fails the direct form alone in column c = -b; zero-factor
+    tables; coboundary tables; and random and symmetric random tables, on
+    non-cyclic groups among others."""
+    rng = random.Random("row-zero")
+    for q in (4, 8, 9, 16):
+        t, m = table(q), q - 1
+        for cell in sorted({(0, 0), (0, 1), (1, 0), (0, m - 1), (m - 1, 0), (0, m // 2)}):
+            for shift in (Fraction(1, 7), root_power(m, 1)):
+                yield f"q{q}{cell}+{shift}", t.with_entry(*cell, t.entry(*cell) + shift)
+                yield f"q{q}{cell}+{shift} both", _moved(t, *cell, shift)
+        yield f"q{q}(1, -1)", t.with_entry(1, m - 1, t.entry(1, m - 1) + root_power(m, 1))
+    for factors in ((5,), (6,), (2, 2), (2, 4), (3, 3)):
+        for k in range(4):
+            yield f"{factors} zero factor {k}", _zero_factor_table(rng, factors)
+            yield f"{factors} coboundary {k}", _coboundary_table(rng, factors)
+        yield f"{factors} random", random_table(rng, factors)
+        yield f"{factors} symmetric random", symmetric_random_table(rng, factors)
+
+
+def _star_row_zero_difference(t: JacobiTable) -> tuple[int, int, int] | None:
+    """The first (0, b, c) where the starred row 0 differs between b and
+    b + c, the triples where the starred form fails unless J*(b, c) = 0."""
+    g = t.group
+    row = [verifier._star(t, 0, b) for b in range(g.m)]
+    for b, c in itertools.product(range(g.m), repeat=2):
+        if row[b] != row[g.index(g.add(g.elements[b], g.elements[c]))]:
+            return 0, b, c
+    return None
+
+
+def test_cocycle_row_zero_matches_the_full_pass_and_the_reference(monkeypatch):
+    # the a = 0 block decided by comparing entries gives each form the
+    # witness and sides of the plain triple loop, and of the pass that
+    # multiplies the block out at every point
+    tables = list(_row_zero_tables())
+    decided = []
+    for _, t in tables:
+        r = _Residues(t)
+        decided.append((check_cocycle_star(t, r), check_cocycle_direct(t, r)))
+    monkeypatch.setattr(_Residues, "cocycle_row_zero", staticmethod(lambda skew: (None, None, 0)))
+    seen = {"star at a = 0": 0, "direct alone at a = 0": 0, "zero factor": 0, "pass": 0}
+    for (name, t), results in zip(tables, decided):
+        r = _Residues(t)
+        assert results == (check_cocycle_star(t, r), check_cocycle_direct(t, r)), name
+        for result in results:
+            expected = reference_witness(t, result.check)
+            assert result.passed == (expected is None), (name, result.check)
+            if expected is not None:
+                assert (result.witness, result.lhs, result.rhs) == expected, (name, result.check)
+        g = t.group
+        star, direct = (None if c.passed else tuple(map(g.index, c.witness)) for c in results)
+        seen["pass"] += star is direct is None
+        seen["star at a = 0"] += star is not None and star[0] == 0
+        seen["direct alone at a = 0"] += direct is not None and direct[0] == 0 != star[0]
+        # a zero J*(b, c) hides a difference of the starred row 0
+        first = _star_row_zero_difference(t)
+        seen["zero factor"] += first is not None and (star is None or first < star)
+        if "coboundary" in name:
+            assert star is direct is None, name
+    assert min(seen.values()) >= 4, seen
+
+
+def test_chunks_cover_the_range_and_fit_the_cap():
+    # the first chunk fits _FIRST_CHUNK_BYTES and each next one doubles up
+    # to _SCAN_BYTES; a shorter remainder joins the chunk before it where
+    # the two fit _SCAN_BYTES, so q = 8's 6 points of 1,568 bytes are one
+    assert [len(c) for c in verifier._chunks(6, 1568)] == [6]
+    assert [len(c) for c in verifier._chunks(10, 1 << 12, 2)] == [2, 6]
+    for n, size, start in ((72, 4 * 8 * 63 * 63, 0), (3969, 63 * 72 * 8, 63), (49, 1, 0),
+                           (100, 1 << 20, 0), (5, 1 << 12, 5)):
+        chunks = list(verifier._chunks(n, size, start))
+        assert [i for c in chunks for i in c.tolist()] == list(range(start, n)), (n, size)
+        cap = max(1, verifier._SCAN_BYTES // size)
+        assert all(len(c) <= cap for c in chunks), (n, size)
 
 
 @pytest.mark.parametrize("q", sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}))
