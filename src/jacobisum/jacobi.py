@@ -30,7 +30,7 @@ from .cyclotomic import Cyclotomic, reduction_data
 from .ffield import FiniteField
 
 MAX_EXACT_ORDER = 64  # largest group order of an exact table
-_BLOCK_BYTES = 1 << 19  # cap on the arrays of each block of rows table_from_pairs builds
+_BLOCK_BYTES = 1 << 19  # cap on the arrays of each block table_from_pairs and _orbit_counts build
 
 
 def require_exact_order(m: int) -> None:
@@ -259,14 +259,9 @@ class ApproxTable:
 
 
 def approximate(table: JacobiTable) -> ApproxTable:
-    """Embed every entry into the complex numbers, as _embedding does."""
-    return ApproxTable(table.group, _embedding(table))
-
-
-def _embedding(table: JacobiTable) -> np.ndarray:
-    """Every entry as a complex number, in an m x m array, with the floats
-    that Cyclotomic.to_complex gives: the real and imaginary parts summed
-    in the order of the power basis, then each divided by the denominator."""
+    """Embed every entry into the complex numbers, with the floats that
+    Cyclotomic.to_complex gives: the real and imaginary parts summed in
+    the order of the power basis, then each divided by the denominator."""
     m = table.group.m
     re, im = np.zeros(table.den.shape), np.zeros(table.den.shape)
     for i in range(table.num.shape[2]):
@@ -276,42 +271,47 @@ def _embedding(table: JacobiTable) -> np.ndarray:
         im += c * root.imag
     z = np.empty(table.den.shape, dtype=complex)
     z.real, z.imag = re / table.den.astype(float), im / table.den.astype(float)
-    return z
+    return ApproxTable(table.group, z)
+
+
+def _orbit_counts(group: GroupSpec, us, vs) -> np.ndarray:
+    """counts[p * m + beta, e], in float64, counts the k with <reps[p], u_k>
+    + <beta, v_k> = e mod m, for row_orbits' representatives reps: as x ->
+    r x is an automorphism for each unit r, counts[r alpha, beta, e] =
+    counts[alpha, r^-1 beta, r^-1 e].  One bincount counts each block of
+    representatives, its bins within _BLOCK_BYTES: one for every field to q = 64."""
+    m = group.m
+    reps = row_orbits(group)[0]
+    pair = pairing_matrix(group)
+    left = pair[reps][:, None, np.asarray(us, dtype=np.intp)]  # [rep, 1, k] = <rep, u_k>
+    right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
+    width = min(len(reps), max(1, _BLOCK_BYTES // (8 * m * max(1, right.shape[1]))))
+    offsets = np.arange(0, width * m * m, m).reshape(width, m, 1)  # m bins per (rep, beta)
+    counts = np.empty((len(reps), m * m))
+    for lo in range(0, len(reps), width):
+        bins = left[lo:lo + width] + right  # below 2 m
+        bins += offsets[: len(bins)] - (bins >= m) * m
+        hist = np.bincount(bins.ravel(), minlength=len(bins) * m * m)
+        counts[lo:lo + width] = hist.reshape(-1, m * m)
+    return counts.reshape(-1, m)
 
 
 def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     """The table J(alpha, beta) = (1/m) sum over k of
     zeta_m ** (<alpha, u_k> + <beta, v_k>), for element indices u_k, v_k.
 
-    counts[alpha, beta, e], the number of k with exponent e, times the
-    power-basis rows of zeta^e gives the coefficient vectors of every
-    entry over m.  The pairing is bilinear and x -> r x is an automorphism
-    for every unit r mod m, so
-
-        counts[r alpha, beta, e] = counts[alpha, r^-1 beta, r^-1 e]
-
-    and only the least row of each orbit (row_orbits) is counted.  Row
-    r alpha is then the rows r^-1 beta of alpha's counts times the power
-    rows of zeta^(r e), taken a block of rows at a time, each block's
-    arrays within _BLOCK_BYTES.  The product is taken in float64: each
-    coefficient sums nonnegative counts, K = len(us) in all, times row
-    entries of size at most row_bound, in any order, so every partial sum
-    is an integer below K * row_bound, exact while that is below 2^53.
-    """
+    Row r alpha is alpha's counts (_orbit_counts) at rows r^-1 beta times
+    the power-basis rows of zeta^(r e), a block of rows at a time within
+    _BLOCK_BYTES, in float64: each coefficient sums nonnegative counts, K =
+    len(us) in all, times row entries of size at most row_bound, in any
+    order, so every partial sum is an exact integer below K * row_bound <
+    2^53."""
     m = group.m
     red = reduction_data(m)
     if len(us) * red.row_bound >= 1 << 53:
         raise ValueError(f"{len(us)} pairs exceed the exact float64 table product")
-    reps, rows, twist = row_orbits(group)
-    pair = pairing_matrix(group)
-    left = pair[reps][:, np.asarray(us, dtype=np.intp)]  # [rep, k] = <rep, u_k>
-    right = pair[:, np.asarray(vs, dtype=np.intp)]  # [beta, k] = <beta, v_k>
-    offsets = np.arange(0, m * m, m)[:, None]  # one block of m bins per beta
-    counts = np.empty((len(reps), m, m))  # [rep, beta, e]
-    for i, row in enumerate(left):
-        bins = (row + right) % m + offsets
-        counts[i] = np.bincount(bins.ravel(), minlength=m * m).reshape(m, m)
-    counts = counts.reshape(-1, m)  # rows p * m + beta, as row_orbits numbers them
+    _, rows, twist = row_orbits(group)
+    counts = _orbit_counts(group, us, vs)
     powers = _power_rows(m)
     num = np.empty((m, m, red.degree), dtype=np.int64)
     # per row: the gathered counts, the twisted power rows and their product
@@ -322,15 +322,35 @@ def table_from_pairs(group: GroupSpec, us, vs) -> JacobiTable:
     return JacobiTable._from_arrays(group, num, m)
 
 
-def table_from_zech(group: GroupSpec, zech) -> JacobiTable:
-    """J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y),
-    for the addition with Zech vector zech, in AdditionTable's symbols.
-    For t with f = t (+) 1 nonzero, the pair is y = f^-1 and x = t y."""
+def embedding_from_pairs(group: GroupSpec, us, vs) -> np.ndarray:
+    """The complex embedding of table_from_pairs(group, us, vs), from the
+    same counts: row p * m + beta times the float roots zeta^(w e) is
+    m J(w reps[p], w beta) for each unit w, so entry (x, beta) is that
+    product over m, one float64 product with the roots' parts and one
+    division, at row rows[x, beta] and x's unit twist[x, 1]; its rounding
+    is bounded in reconstructor._scan_bound."""
+    m = group.m
+    _, rows, twist = row_orbits(group)
+    unit = np.gcd(np.arange(m), m) == 1  # 0 alone when m = 1
+    base = np.exp(2j * np.pi * np.arange(m) / m)
+    roots = base[np.outer(np.arange(m), np.flatnonzero(unit)) % m]  # [e, w] = zeta^(w e)
+    sums = (_orbit_counts(group, us, vs) @ roots.view(np.float64) / m).view(np.complex128)
+    return sums[rows, np.cumsum(unit)[twist[:, 1 % m, None]] - 1]
+
+
+def _zech_pairs(group: GroupSpec, zech) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of nonzero x (+) y = 1, as element indices, for the Zech vector
+    zech in AdditionTable's symbols: for f = t (+) 1 nonzero, y = f^-1, x = t y."""
     add, neg, _ = index_tables(group)
     zech = np.asarray(zech, dtype=np.intp)
     ts = np.flatnonzero(zech != 0)
     ys = neg[zech[ts] - 1]
-    return table_from_pairs(group, add[ts, ys], ys)
+    return add[ts, ys], ys
+
+
+def table_from_zech(group: GroupSpec, zech) -> JacobiTable:
+    """J(alpha, beta) = (1/m) sum over nonzero x (+) y = 1 of alpha(x) beta(y)."""
+    return table_from_pairs(group, *_zech_pairs(group, zech))
 
 
 def compute_jacobi(field: FiniteField) -> JacobiTable:
@@ -353,11 +373,16 @@ def table_from_support(
 ) -> JacobiTable:
     """Build the table J(alpha, beta) = (1/m) sum over x in the support of
     alpha(i(x)) * beta(i(x) - x), where i is the support map."""
+    return table_from_pairs(group, *_support_pairs(group, support, support_map))
+
+
+def _support_pairs(group: GroupSpec, support, support_map) -> tuple[list[int], list[int]]:
+    """The pairs (i(x), i(x) - x) over the support, as element indices."""
     support = list(support)
     images = [support_map[x] for x in support]
     us = [group.index(ix) for ix in images]
     vs = [group.index(group.sub(ix, x)) for x, ix in zip(support, images)]
-    return table_from_pairs(group, us, vs)
+    return us, vs
 
 
 def twist_automorphism(table: JacobiTable, r: int) -> JacobiTable:

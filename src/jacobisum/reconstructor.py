@@ -35,19 +35,20 @@ failing point only.
 The same stages, run at the first evaluation point only, certify an
 exact table, and their report is the certificate (see certify).  At a
 complex table's one point they certify it when the rebuilt field's
-table bounds every scan's difference within the tolerance.  The
-verifier accepts a certified table without scanning, and reconstruct
-reports a copy of the certificate instead of running the stages again;
-it reports a complex table's stages from the run certify made even when
-the bound fails.  Each reconstruct evaluates the table once, at one
-point if it is certified, and the verifier and the stages read that one
-evaluation.
+table, embedded from its pairs with no exact table built, bounds every
+scan's difference within the tolerance.  The verifier accepts a
+certified table without scanning, and reconstruct reports a copy of the
+certificate instead of running the stages again; it reports a complex
+table's stages from the run certify made even when the bound fails.
+Each reconstruct evaluates the table once, at one point if it is
+certified, and the verifier and the stages read that one evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +56,8 @@ import numpy as np
 from .abelian import Element, GroupSpec, index_tables, pairing_matrix
 from .cyclotomic import Cyclotomic
 from .ffield import prime_power
-from .jacobi import ApproxTable, JacobiTable, _embedding, table_from_support, table_from_zech
+from .jacobi import ApproxTable, JacobiTable, _support_pairs, _zech_pairs, embedding_from_pairs
+from .jacobi import table_from_support, table_from_zech
 from .verifier import (
     DEFAULT_TOLERANCE,
     CheckResult,
@@ -420,15 +422,19 @@ def recompute_table(at: AdditionTable) -> JacobiTable:
 _UNIT = 2.0**-53  # float64 unit roundoff
 
 
-def _scan_bound(values: np.ndarray, embedded: np.ndarray, rebuilt: JacobiTable) -> float:
+def _scan_bound(values: np.ndarray, embedded: np.ndarray, pairs: int) -> float:
     """A bound on every difference the cocycle and convolution scans
-    compute on the complex table `values`, proved from the exact table
-    J_F of the rebuilt field, which satisfies every identity exactly.
+    compute on the complex table `values`, proved from the table J_F of
+    the rebuilt field, which satisfies every identity exactly.
 
-    The embedding A of J_F (_embedding) is within delta of it: each float
-    root of unity is within 32 u of the true one (u the unit roundoff),
-    and each entry sums phi(m) products of its coefficients with them, so
-    |A - J_F| <= 2 (phi(m) + 40) u sum |c| / den.  Then eps' = max |J - A|,
+    m J_F sums K = `pairs` roots of unity, and its embedding A
+    (embedding_from_pairs) sums counts times float roots, each within 32 u
+    of the true one (u the unit roundoff), in any order: each part, at most
+    m products and m - 1 additions, is within gamma_m = m u / (1 - m u) of
+    the sum of its terms' sizes, and the two parts together within gamma_m
+    (1 + 32 u) K.  After one float64 division by m, to first order
+    |A - J_F| <= (m + 33) u K / m, and doubled for the higher orders
+    delta = 2 (m + 40) u K / m bounds it.  Then eps' = max |J - A|,
     widened by its own rounding, plus delta bounds |J - J_F|, and
     M = max |A| + delta bounds |J_F|.  Each side of every identity sums
     at most max(m, 2) products of two entries plus linear delta terms, and
@@ -457,10 +463,9 @@ def _scan_bound(values: np.ndarray, embedded: np.ndarray, rebuilt: JacobiTable) 
     (3 m + 160) u, doubled for the higher orders.  A last factor
     1 + 64 u covers the rounding of this formula and of |x| in the scans'
     test |x| <= tolerance."""
-    m, phi = rebuilt.num.shape[1:]
+    m = len(values)
     u = _UNIT
-    spread = (np.abs(rebuilt.num).sum(axis=2) / rebuilt.den).max()
-    delta = 2 * (phi + 40) * u * spread
+    delta = 2 * (m + 40) * u * pairs / m
     eps = np.abs(values - embedded).max() * (1 + 3 * u) + delta
     big = np.abs(embedded).max() + delta
     x = big + eps
@@ -479,8 +484,8 @@ def _rebuild(
     """Run every stage on the evaluation r, read at the given points, into
     a report: support, map and classification up to the first
     inconsistency, then the carrier's addition and table (the support sum
-    in the boolean case), the round trip, the baseline, the field checks,
-    and for a complex table the bound on its scans' differences."""
+    in the boolean case; embedded from its pairs for a complex table), the
+    round trip, the baseline, the field checks and the scan bound."""
     approx = isinstance(table, ApproxTable)
     g = table.group
     report = ReconstructionReport(group=g, case="inconsistent", approximate=approx)
@@ -501,21 +506,23 @@ def _rebuild(
 
     if isinstance(case, BooleanCase):
         report.case = "boolean"
-        rebuilt = table_from_support(g, support, smap)
     else:
         report.case = "field"
         report.involution = case.involution
         report.addition = build_addition(g, case.involution, smap)
-        rebuilt = recompute_table(report.addition)
-    report.baseline = (rebuilt if approx else table).entry(0, 0) - 1
+    at = report.addition
     # J(1, alpha) = baseline + delta(alpha) for every alpha
     if approx:
-        got, embedded = r.values[:, :, 0], _embedding(rebuilt)
+        us, vs = _support_pairs(g, support, smap) if at is None else _zech_pairs(g, at.zech)
+        # the rebuilt J(1, 1) is K/m for its K pairs, and its row 0 the baseline plus delta
+        report.baseline = Cyclotomic.from_rational(g.m, Fraction(len(us) - g.m, g.m))
+        got, embedded = r.values[:, :, 0], embedding_from_pairs(g, us, vs)
         report.roundtrip_ok = not r.differs(got - embedded).any()
-        # the rebuilt table's row 0 is the baseline plus delta
         report.baseline_ok = not r.differs(got[0] - embedded[0]).any()
-        report.scan_bound = _scan_bound(got, embedded, rebuilt)
+        report.scan_bound = _scan_bound(got, embedded, len(us))
     else:
+        rebuilt = table_from_support(g, support, smap) if at is None else recompute_table(at)
+        report.baseline = table.entry(0, 0) - 1
         report.roundtrip_ok = table == rebuilt
         # past J(1, 1) = baseline + 1, the row holds the baseline's arrays
         b = report.baseline
@@ -550,10 +557,11 @@ def certify(
     A complex table runs the stages at its one point, which is every
     point, and their report is kept on the evaluation for reconstruct.
     It stops where an exact table does, "exact compare" meaning a round
-    trip beyond the tolerance.  The rebuilt field's table satisfies the
-    axioms exactly; when the bound its distance from the input gives on
-    every scan's difference (_scan_bound) is within the tolerance, the
-    scans would pass, and otherwise ("bound") they decide."""
+    trip beyond the tolerance.  The rebuilt field's table J_F satisfies
+    the axioms exactly; with no exact table built, it is embedded from its
+    K pairs' histogram within delta = 2 (m + 40) u K / m, and when the bound
+    this gives on every scan's difference (_scan_bound) is within the
+    tolerance, the scans would pass, and otherwise ("bound") they decide."""
     approx = isinstance(table, ApproxTable)
     if approx:
         report = residues.rebuilt = _rebuild(table, residues)

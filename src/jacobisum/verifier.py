@@ -141,12 +141,14 @@ evaluation; the three scans run to the end take about 0.3 s.
 
 A symmetric complex table is offered to certify too.  The stages run at
 its one point and rebuild a field whose table J_F satisfies every
-identity exactly; when the input lies within the tolerance of J_F's
+identity exactly, embedded, with no exact table built, from the
+histogram of the field's K pairs x + y = 1 within delta = 2 (m + 40)
+u K / m (u = 2^-53).  When the input lies within the tolerance of that
 embedding, a bound on every difference the three scans would compute
-follows from that distance and max |J_F|, plus the rounding of the
-scans' own float64 arithmetic (reconstructor._scan_bound).  If the bound
-is within the tolerance, all four checks pass with no scan; otherwise
-the scans decide.
+follows from that distance, delta and max |J_F|, plus the rounding of
+the scans' own float64 arithmetic (reconstructor._scan_bound).  If the
+bound is within the tolerance, all four checks pass with no scan;
+otherwise the scans decide.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jacobisum import (
@@ -37,7 +38,7 @@ from jacobisum import (
     verify_all,
     verify_field,
 )
-from jacobisum import enumerator, reconstructor, verifier
+from jacobisum import enumerator, jacobi, reconstructor, verifier
 from jacobisum.harness import field_addition_rows, reconstruction_to_json
 from jacobisum.jacobi import ApproxTable
 
@@ -722,3 +723,92 @@ def test_certified_tables_are_evaluated_at_one_point(monkeypatch):
     moved = moved.with_entry(2, 1, t.entry(2, 1) + Fraction(1, 7))
     with pytest.raises(RuntimeError, match="every point"):
         verify_all(moved)
+
+
+def _histogram_delta(m: int, pairs: int) -> float:
+    """_scan_bound's delta: how far the embedding read off the pairs'
+    histogram may lie from the table of those pairs."""
+    return 2 * (m + 40) * 2.0**-53 * pairs / m
+
+
+def _pair_cases():
+    """(group, us, vs): the pairs of every field with q <= 64, of the
+    additions reconstructed from their automorphism and Galois twists,
+    of random support maps on small groups and of the trivial group's
+    boolean table."""
+    for q in sorted({**PRIME_POWERS, **LARGER_PRIME_POWERS}):
+        g = GroupSpec((q - 1,))
+        yield (g, *jacobi._zech_pairs(g, field(q).zech))
+    for t in _twisted_field_tables():
+        yield (t.group, *jacobi._zech_pairs(t.group, reconstruct(t).addition.zech))
+    rng = random.Random(37)
+    for factors in ((2, 2), (2, 4), (3, 3), (2, 6)):
+        g = GroupSpec(factors)
+        for _ in range(6):
+            support = [x for x in g.elements if rng.random() < 0.85]
+            smap = {x: rng.choice(g.elements) for x in support}
+            yield (g, *jacobi._support_pairs(g, support, smap))
+    g = GroupSpec((1,))
+    yield (g, *jacobi._support_pairs(g, g.elements, {g.identity: g.identity}))
+
+
+def test_histogram_embedding_is_within_delta_of_the_exact_one():
+    for g, us, vs in _pair_cases():
+        got = jacobi.embedding_from_pairs(g, us, vs)
+        exact = approximate(jacobi.table_from_pairs(g, us, vs)).values
+        assert np.abs(got - exact).max() <= _histogram_delta(g.m, len(us)), (g, us, vs)
+
+
+def test_complex_baselines_are_the_rebuilt_tables():
+    # a complex report's baseline is K/m - 1 for the rebuilt table's K
+    # pairs: the strings of that table's J(0, 0) - 1, also where the
+    # input's J(0, 0) is moved within the tolerance
+    at = _noisy(table(64), random.Random(41))
+    moved = moved_approx(at, {(0, 0)}, lambda z: z + 0.01)
+    cases = _complex_stage_cases() + [(moved, 0.05), (approximate(_one_table(1)), 1e-6)]
+    cases += [(approximate(t), 1e-6) for t in _twisted_field_tables()]
+    seen = set()
+    for u, tol in cases:
+        report = reconstruct(u, force=True, tolerance=tol)
+        seen.add(report.case)
+        if report.case == "inconsistent":
+            continue
+        if report.addition is None:
+            rebuilt = table_from_support(u.group, report.support, report.support_map)
+        else:
+            rebuilt = recompute_table(report.addition)
+        assert report.baseline.to_strings() == (rebuilt.entry(0, 0) - 1).to_strings(), u
+    assert reconstruct(moved, tolerance=0.05).ok
+    assert seen == {"field", "boolean", "inconsistent"}
+
+
+def test_complex_paths_never_build_an_exact_table(monkeypatch):
+    # a complex table's certificate embeds the rebuilt field's table from
+    # its pairs, so no exact table is built when the bound certifies the
+    # table, when it exceeds the tolerance and the scans pass the table,
+    # when the stages stop first, or in the boolean case
+    at = approximate(table(64))
+    rng = random.Random(43)
+    noise = lambda: complex(rng.uniform(-1e-8, 1e-8), rng.uniform(-1e-8, 1e-8))
+    noisy = ApproxTable(at.group, [[z + noise() for z in row] for row in at.entries])
+    shifted = moved_approx(at, itertools.product(range(63), repeat=2), lambda z: z + 2e-7)
+    boolean = approximate(_one_table(1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact table was built")
+
+    monkeypatch.setattr(jacobi, "table_from_pairs", forbidden)
+    for name in ("recompute_table", "table_from_support"):
+        monkeypatch.setattr(reconstructor, name, forbidden)
+    cases = (
+        (at, "certificate", "field"),
+        (noisy, "scan", "field"),
+        (shifted, "scan", "inconsistent"),
+        (boolean, "scan", "boolean"),
+    )
+    for u, method, case in cases:
+        verification = verify_all(u)
+        assert (verification.method, verification.passed) == (method, True), case
+        for kwargs in ({}, {"force": True}):
+            assert reconstruct(u, **kwargs).case == case, (case, kwargs)
+    assert reconstruct(noisy).scan_bound > 1e-6
